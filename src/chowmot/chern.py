@@ -1,16 +1,21 @@
 """Characteristic classes: Chern data, power sums, Chern character, Todd
 class and its square root, truncated series arithmetic, tangent classes.
 
-Chern roots are never materialized.  Every root-symmetric expression is
-evaluated through the Newton power sums of the total Chern class, and the
-universal coefficient series (for the Todd class, logarithms, exponentials)
-are computed at runtime by exact rational series arithmetic rather than
-transcribed from tables.
+Chern roots are never materialized.  For an arbitrary bundle class every
+root-symmetric expression is evaluated through the Newton power sums of the
+total Chern class.  Powers of the Todd class of a variety (td, its square
+root, their inverses) are instead built factor by factor: the Todd class is
+multiplicative and td(P^n) = (h/(1 - e^{-h}))^{n+1}, so each is a product of
+univariate series.  A test ties the two routes together on a ladder of
+varieties.  The universal coefficient series (for the Todd class,
+logarithms, exponentials) are computed at runtime by exact rational series
+arithmetic rather than transcribed from tables.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,6 +61,15 @@ def _series_log1p(u: list[Fraction], order: int) -> list[Fraction]:
         sign = Fraction(1 if m % 2 == 1 else -1, m)
         for k in range(order + 1):
             out[k] += sign * power[k]
+    return out
+
+
+def _series_exp(g: list[Fraction], order: int) -> list[Fraction]:
+    # exp(g) for g with zero constant term, from f' = g' f
+    out = [Fraction(0)] * (order + 1)
+    out[0] = Fraction(1)
+    for k in range(1, order + 1):
+        out[k] = sum((j * g[j] * out[k - j] for j in range(1, k + 1)), Fraction(0)) / k
     return out
 
 
@@ -153,6 +167,8 @@ class BundleClass:
     total_chern: Cycle
 
     def __post_init__(self) -> None:
+        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
+            raise InvalidInputError(f"rank must be an integer, got {self.rank!r}")
         if self.total_chern.variety != self.variety:
             raise InvalidInputError("total Chern class lives on the wrong variety")
         if self.total_chern.graded_component(0) != Cycle.one(self.variety):
@@ -188,10 +204,9 @@ class BundleClass:
             raise InvalidInputError(
                 f"bundle class must be an object with 'variety', 'rank', 'total_chern', got {data!r}"
             )
-        rank = data["rank"]
-        if not isinstance(rank, int) or isinstance(rank, bool):
-            raise InvalidInputError(f"rank must be an integer, got {rank!r}")
-        return cls(Variety.from_json(data["variety"]), rank, Cycle.from_json(data["total_chern"]))
+        return cls(
+            Variety.from_json(data["variety"]), data["rank"], Cycle.from_json(data["total_chern"])
+        )
 
 
 @dataclass(frozen=True)
@@ -260,14 +275,35 @@ def tangent_class(variety: Variety) -> BundleClass:
     return BundleClass(variety, variety.dim, total)
 
 
+@functools.cache
+def _todd_factor_series(n: int, exponent: Fraction) -> tuple[Fraction, ...]:
+    """(x / (1 - e^{-x}))^exponent up to x^n, as exp(exponent * log-Todd)."""
+    return tuple(_series_exp([exponent * c for c in todd_series_coefficients(n)], n))
+
+
+def _todd_power(variety: Variety, s: Fraction) -> Cycle:
+    """td(X)^s for rational s, factor by factor: the factor P^n contributes
+    (h/(1 - e^{-h}))^{s(n+1)}, and the monomial h^e takes the product of the
+    per-factor coefficients."""
+    series = [_todd_factor_series(n, s * (n + 1)) for n in variety.factors]
+    terms = {}
+    for exps in itertools.product(*(range(n + 1) for n in variety.factors)):
+        coeff = Fraction(1)
+        for e, coeffs in zip(exps, series):
+            coeff *= coeffs[e]
+        terms[exps] = coeff
+    return Cycle(variety, terms)
+
+
 def variety_todd(variety: Variety) -> Cycle:
     """Todd class of the tangent bundle of the variety."""
-    return todd_class(tangent_class(variety))
+    return _todd_power(variety, Fraction(1))
 
 
 def sqrt_todd(variety: Variety) -> Cycle:
-    """exp(1/2 log td); its square is the Todd class of the variety exactly."""
-    return exp_nilpotent(log_unit(variety_todd(variety)).scale(Fraction(1, 2)))
+    """The square root of the Todd class with constant term 1; its square is
+    the Todd class of the variety exactly."""
+    return _todd_power(variety, Fraction(1, 2))
 
 
 def line_bundle(variety: Variety, degrees: list[int] | tuple[int, ...]) -> BundleClass:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import series_inverse, sqrt_todd, tangent_class, todd_class, variety_todd
+from .chern import _todd_power, sqrt_todd, variety_todd
 from .corr import GradedCorrespondence, compose_graded, diagonal_pushforward
 from .errors import DomainMismatchError, InvalidInputError
 from .ring import Cycle, Variety
@@ -120,7 +120,7 @@ def k_compose(e: KKernel, f: KKernel) -> KKernel:
         raise DomainMismatchError(f"middle variety mismatch: {e.target} vs {f.source}")
     composed = compose_graded(chow_image(e), chow_image(f))
     product = e.source * f.target
-    ch = composed.cycle * series_inverse(sqrt_todd(product))
+    ch = composed.cycle * _todd_power(product, Fraction(-1, 2))
     return KKernel.from_ch(e.source, f.target, ch)
 
 
@@ -128,8 +128,7 @@ def identity_kernel(variety: Variety) -> KKernel:
     """The kernel of the identity functor: the class of the diagonal's
     structure sheaf, computed by Riemann-Roch for the diagonal embedding."""
     td_x = variety_todd(variety)
-    td_square = todd_class(tangent_class(variety * variety))
-    ch = diagonal_pushforward(variety, td_x) * series_inverse(td_square)
+    ch = diagonal_pushforward(variety, td_x) * _todd_power(variety * variety, Fraction(-1))
     return KKernel.from_ch(variety, variety, ch)
 
 

@@ -23,6 +23,8 @@ from chowmot import (
     todd_class,
     variety_todd,
 )
+from chowmot import chern
+from chowmot.chern import _todd_power
 from chowmot.corr import FactorSelection
 from chowmot.verify import random_cycle, split_bundle_oracle
 
@@ -76,6 +78,22 @@ class TestBundleClass:
         c = Cycle.one(P2) + Cycle.hyperplane(P2, 0) + Cycle.monomial(P2, (2,))
         virtual = BundleClass(P2, -1, c)
         assert chern_character(virtual).coefficient((0,)) == -1
+
+    @pytest.mark.parametrize("rank", [True, False, 1.0, "1", Fraction(1), None])
+    def test_rank_must_be_an_integer(self, rank):
+        with pytest.raises(InvalidInputError, match="rank must be an integer"):
+            BundleClass(P1, rank, Cycle.one(P1))
+
+    @pytest.mark.parametrize("rank", [True, 1.5, "1"])
+    def test_json_rank_must_be_an_integer(self, rank):
+        data = line_bundle(P1, [1]).to_json()
+        data["rank"] = rank
+        with pytest.raises(InvalidInputError, match="rank must be an integer"):
+            BundleClass.from_json(data)
+
+    def test_json_round_trip(self):
+        bundle = line_bundle(P2, [1]).direct_sum(line_bundle(P2, [-2]))
+        assert BundleClass.from_json(bundle.to_json()) == bundle
 
     def test_whitney_sum(self):
         a = line_bundle(P2, [1])
@@ -252,6 +270,54 @@ class TestSqrtTodd:
         x = make_variety(factors)
         root = sqrt_todd(x)
         assert root * root == variety_todd(x)
+
+
+TODD_LADDER = [[], [1], [2], [1, 1], [1, 2], [2, 2], [3, 3], [2, 2, 2]]
+
+
+def factorwise_todd_disagreements(x):
+    """Laws tying the factor-by-factor Todd powers to the power-sum route
+    `todd_class(tangent_class(x))`; returns the names of the laws that fail."""
+    td = todd_class(tangent_class(x))
+    root = sqrt_todd(x)
+    failed = []
+    if variety_todd(x) != td:
+        failed.append("td")
+    if root * root != td:
+        failed.append("sqrt")
+    if _todd_power(x, Fraction(-1)) * td != Cycle.one(x):
+        failed.append("inverse")
+    if _todd_power(x, Fraction(-1, 2)) != series_inverse(root):
+        failed.append("inverse-sqrt")
+    return failed
+
+
+class TestFactorwiseTodd:
+    """Todd powers of a variety are built factor by factor; the power-sum
+    route for arbitrary bundles is an independent check on them."""
+
+    @pytest.mark.parametrize("factors", TODD_LADDER)
+    def test_agrees_with_power_sums(self, factors):
+        assert factorwise_todd_disagreements(make_variety(factors)) == []
+
+    @pytest.mark.parametrize("factors", TODD_LADDER[1:])
+    def test_corrupted_factor_series_is_caught(self, factors, monkeypatch):
+        real = chern._todd_factor_series
+
+        def corrupted(n, exponent):
+            coeffs = list(real(n, exponent))
+            coeffs[-1] += 1
+            return tuple(coeffs)
+
+        monkeypatch.setattr(chern, "_todd_factor_series", corrupted)
+        failed = factorwise_todd_disagreements(make_variety(factors))
+        assert failed == ["td", "sqrt", "inverse", "inverse-sqrt"]
+
+    def test_projective_line_powers(self):
+        # td(P^1) = 1 + h, so td^s = 1 + s h
+        h = Cycle.hyperplane(P1, 0)
+        for s in (Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(-1, 2), Fraction(3)):
+            assert _todd_power(P1, s) == Cycle.one(P1) + h.scale(s)
 
 
 class TestTangent:

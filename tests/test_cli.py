@@ -101,6 +101,18 @@ class TestErrors:
         assert code == 1
         assert "middle variety mismatch" in err
 
+    def test_bool_rank_rejected(self, capsys):
+        bundle = json.dumps(
+            {
+                "variety": {"factors": [1]},
+                "rank": True,
+                "total_chern": {"variety": {"factors": [1]}, "terms": [{"exps": [0], "coeff": "1"}]},
+            }
+        )
+        code, _, err = run_cli(capsys, "todd", bundle)
+        assert code == 1
+        assert "rank must be an integer" in err
+
     def test_domain_error_names_precondition(self, capsys):
         bad = json.dumps(
             {"variety": {"factors": [1]}, "terms": [{"exps": [1, 1], "coeff": "1"}]}
