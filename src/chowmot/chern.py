@@ -115,21 +115,6 @@ def exp_nilpotent(u: Cycle) -> Cycle:
     return acc
 
 
-def log_unit(c: Cycle) -> Cycle:
-    """log of a cycle with constant term exactly 1."""
-    if c.coefficient((0,) * c.variety.num_factors) != 1:
-        raise InvalidInputError("log requires a cycle with constant term 1")
-    u = c - Cycle.one(c.variety)
-    acc = Cycle.zero(c.variety)
-    power = Cycle.one(c.variety)
-    for m in range(1, c.variety.dim + 1):
-        power = power * u
-        if power.is_zero:
-            break
-        acc = acc + power.scale(Fraction((-1) ** (m + 1), m))
-    return acc
-
-
 def series_inverse(u: Cycle) -> Cycle:
     """The unique cycle v with u * v = 1, for u with nonzero constant term,
     computed by the truncated geometric series."""

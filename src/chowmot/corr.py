@@ -1,8 +1,11 @@
 """Correspondence calculus on products of projective spaces.
 
 Pullback and pushforward along factor projections, cartesian products,
-diagonal classes, and composition of correspondences by the
-pullback-intersect-pushforward pipeline through the triple product.
+diagonal classes, and composition of correspondences.  Composition matches
+middle exponents: a term of the first cycle pairs with the terms of the
+second whose exponents on the middle factor complete it to the top
+monomial, which equals the pullback-intersect-pushforward pipeline through
+the triple product; a test holds the two routes together.
 """
 
 from __future__ import annotations
@@ -138,37 +141,6 @@ def diagonal_pushforward(variety: Variety, g: Cycle) -> Cycle:
     return first.pullback(g) * diagonal_class(variety)
 
 
-def _triple_projections(x: Variety, y: Variety, z: Variety):
-    kx, ky, kz = x.num_factors, y.num_factors, z.num_factors
-    triple = x * y * z
-    p_xy = FactorSelection(triple, tuple(range(kx + ky)))
-    p_yz = FactorSelection(triple, tuple(range(kx, kx + ky + kz)))
-    p_xz = FactorSelection(triple, tuple(range(kx)) + tuple(range(kx + ky, kx + ky + kz)))
-    return p_xy, p_yz, p_xz
-
-
-def compose_cycles(x: Variety, y: Variety, z: Variety, alpha: Cycle, beta: Cycle) -> Cycle:
-    """Composite of correspondence cycles alpha on X x Y and beta on Y x Z:
-    push the intersection of their pullbacks down from X x Y x Z to X x Z."""
-    p_xy, p_yz, p_xz = _triple_projections(x, y, z)
-    return p_xz.pushforward(p_xy.pullback(alpha) * p_yz.pullback(beta))
-
-
-def compose_homogeneous(x: Variety, y: Variety, z: Variety, alpha: Cycle, beta: Cycle) -> Cycle:
-    """Composite of pure-codimension correspondence cycles.  Inputs of mixed
-    codimension are rejected; the graded bookkeeping belongs to
-    `compose_graded`.  Codimensions i and j compose to i + j - dim Y."""
-    if alpha.variety != x * y:
-        raise DomainMismatchError(f"first cycle lives on {alpha.variety}, expected {x * y}")
-    if beta.variety != y * z:
-        raise DomainMismatchError(f"second cycle lives on {beta.variety}, expected {y * z}")
-    if len(alpha.codimensions()) > 1:
-        raise InvalidInputError("first cycle has mixed codimension; use compose_graded")
-    if len(beta.codimensions()) > 1:
-        raise InvalidInputError("second cycle has mixed codimension; use compose_graded")
-    return compose_cycles(x, y, z, alpha, beta)
-
-
 @dataclass(frozen=True)
 class GradedCorrespondence:
     """A cycle on X x Y regarded as a morphism from X to Y; its degree-d part
@@ -265,14 +237,32 @@ class GradedCorrespondence:
 def compose_graded(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCorrespondence:
     """Composite of graded correspondences (f first, then g).
 
-    The pullback-intersect-pushforward pipeline is bilinear, so composing
-    the full cycles agrees with summing compositions of the graded pieces:
-    the degree-k part collects all compositions of a degree-i part of f with
-    a degree-j part of g with i + j = k.
+    This is p_XZ*(p_XY* f . p_YZ* g), computed without building X x Y x Z:
+    pushing forward along Y keeps a product of terms (e_X, e_Y) . (e_Y', e_Z)
+    exactly when e_Y + e_Y' is the top exponent of Y, so each term of f is
+    contracted against the terms of g with the complementary Y-exponent.
+    The composite is bilinear, so its degree-k part collects all
+    compositions of a degree-i part of f with a degree-j part of g with
+    i + j = k.
     """
     if f.target != g.source:
         raise DomainMismatchError(
             f"middle variety mismatch: {f.target} vs {g.source}"
         )
-    cycle = compose_cycles(f.source, f.target, g.target, f.cycle, g.cycle)
-    return GradedCorrespondence(f.source, g.target, cycle)
+    kx, ky = f.source.num_factors, f.target.num_factors
+    top = f.target.factors
+    by_middle: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]] = {}
+    for exps, b in g.cycle.terms.items():
+        by_middle.setdefault(exps[:ky], []).append((exps[ky:], b))
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for exps, a in f.cycle.terms.items():
+        partners = by_middle.get(tuple(n - e for n, e in zip(top, exps[kx:])), ())
+        e_x = exps[:kx]
+        for e_z, b in partners:
+            e = e_x + e_z
+            s = terms.get(e, Fraction(0)) + a * b
+            if s == 0:
+                terms.pop(e, None)
+            else:
+                terms[e] = s
+    return GradedCorrespondence(f.source, g.target, Cycle(f.source * g.target, terms))

@@ -372,14 +372,6 @@ class OrbitMorphism:
             acc = acc + c
         return acc
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OrbitMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.components == other.components
-        )
-
     def to_json(self) -> dict:
         return {
             "source": self.source.to_json(),

@@ -10,7 +10,6 @@ from chowmot import (
     InvalidInputError,
     cartesian,
     compose_graded,
-    compose_homogeneous,
     diagonal_class,
     diagonal_pushforward,
     make_variety,
@@ -181,34 +180,86 @@ class TestDiagonal:
 
 class TestComposeHomogeneous:
     def test_diagonal_is_identity(self):
-        d = diagonal_class(P1)
-        assert compose_homogeneous(P1, P1, P1, d, d) == d
+        d = GradedCorrespondence(P1, P1, diagonal_class(P1))
+        assert compose_graded(d, d) == d
 
     def test_coordinate_projector_is_idempotent(self):
-        beta = Cycle.hyperplane(P1xP1, 1)
-        assert compose_homogeneous(P1, P1, P1, beta, beta) == beta
+        beta = GradedCorrespondence(P1, P1, Cycle.hyperplane(P1xP1, 1))
+        assert compose_graded(beta, beta) == beta
 
     def test_orthogonal_projectors(self):
-        alpha = Cycle.hyperplane(P1xP1, 0)
-        beta = Cycle.hyperplane(P1xP1, 1)
+        alpha = GradedCorrespondence(P1, P1, Cycle.hyperplane(P1xP1, 0))
+        beta = GradedCorrespondence(P1, P1, Cycle.hyperplane(P1xP1, 1))
         # frozen from the triple-product pushforward computed by hand:
         # both mixed composites vanish
-        assert compose_homogeneous(P1, P1, P1, alpha, beta).is_zero
-        assert compose_homogeneous(P1, P1, P1, beta, alpha).is_zero
+        assert compose_graded(alpha, beta).is_zero
+        assert compose_graded(beta, alpha).is_zero
 
     def test_codimension_bookkeeping(self):
-        d = diagonal_class(P2)
-        result = compose_homogeneous(P2, P2, P2, d, d)
-        assert result.codimensions() == [2]  # i + j - dim Y = 2 + 2 - 2
-
-    def test_mixed_input_rejected(self):
-        mixed = Cycle.one(P1xP1) + Cycle.hyperplane(P1xP1, 0)
-        with pytest.raises(InvalidInputError):
-            compose_homogeneous(P1, P1, P1, mixed, diagonal_class(P1))
+        d = GradedCorrespondence(P2, P2, diagonal_class(P2))
+        result = compose_graded(d, d)
+        assert result.cycle.codimensions() == [2]  # i + j - dim Y = 2 + 2 - 2
 
     def test_wrong_block_rejected(self):
         with pytest.raises(DomainMismatchError):
-            compose_homogeneous(P1, P2, P1, diagonal_class(P1), diagonal_class(P1))
+            GradedCorrespondence(P1, P2, diagonal_class(P1))
+        with pytest.raises(DomainMismatchError):
+            compose_graded(
+                GradedCorrespondence(P1, P1, diagonal_class(P1)),
+                GradedCorrespondence(P2, P1, Cycle.one(P2 * P1)),
+            )
+
+
+SHAPES = [(), (1,), (2,), (1, 1), (1, 2), (3,)]
+
+
+def triple_product_composite(f, g):
+    """The textbook route p_XZ*(p_XY* f . p_YZ* g) through X x Y x Z."""
+    kx, ky, kz = f.source.num_factors, f.target.num_factors, g.target.num_factors
+    triple = f.source * f.target * g.target
+    p_xy = FactorSelection(triple, tuple(range(kx + ky)))
+    p_yz = FactorSelection(triple, tuple(range(kx, kx + ky + kz)))
+    p_xz = FactorSelection(triple, tuple(range(kx)) + tuple(range(kx + ky, kx + ky + kz)))
+    return p_xz.pushforward(p_xy.pullback(f.cycle) * p_yz.pullback(g.cycle))
+
+
+def _random_triple(rng):
+    x, y, z = (make_variety(rng.choice(SHAPES)) for _ in range(3))
+    return random_correspondence(rng, x, y, 8), random_correspondence(rng, y, z, 8)
+
+
+class TestReferenceRoute:
+    def test_matches_triple_product(self):
+        rng = random.Random(53)
+        nonzero = mixed = 0
+        for _ in range(200):
+            f, g = _random_triple(rng)
+            h = compose_graded(f, g)
+            assert h.cycle == triple_product_composite(f, g)
+            nonzero += not h.is_zero
+            mixed += len(f.cycle.codimensions()) > 1 and len(g.cycle.codimensions()) > 1
+        assert nonzero >= 100 and mixed >= 100
+
+    def test_changed_partnered_coefficient_is_caught(self):
+        rng = random.Random(59)
+        caught = 0
+        for _ in range(100):
+            f, g = _random_triple(rng)
+            kx, ky = f.source.num_factors, f.target.num_factors
+            middles = {e[:ky] for e in g.cycle.terms}
+            top = f.target.factors
+            partnered = [
+                e for e in f.cycle.terms
+                if tuple(n - m for n, m in zip(top, e[kx:])) in middles
+            ]
+            if not partnered:
+                continue
+            terms = dict(f.cycle.terms)
+            terms[partnered[0]] += 1
+            corrupted = GradedCorrespondence(f.source, f.target, Cycle(f.source * f.target, terms))
+            assert compose_graded(f, g).cycle != triple_product_composite(corrupted, g)
+            caught += 1
+        assert caught >= 50
 
 
 class TestComposeGraded:
@@ -263,12 +314,10 @@ class TestComposeGraded:
             pieced = GradedCorrespondence.zero(P1, P1)
             for i in f.cycle.codimensions():
                 for j in g.cycle.codimensions():
-                    piece = compose_homogeneous(
-                        P1, P1xP1, P1,
-                        f.cycle.graded_component(i),
-                        g.cycle.graded_component(j),
+                    pieced = pieced + compose_graded(
+                        GradedCorrespondence(P1, P1xP1, f.cycle.graded_component(i)),
+                        GradedCorrespondence(P1xP1, P1, g.cycle.graded_component(j)),
                     )
-                    pieced = pieced + GradedCorrespondence(P1, P1, piece)
             assert whole == pieced
 
 
