@@ -255,8 +255,9 @@ def cmd_orlov(args) -> int:
 
 
 def cmd_compat(args) -> int:
-    kernel = KKernel.from_json(_load_json(args.kernel))
-    verdict = compatibility_check(kernel)
+    e = KKernel.from_json(_load_json(args.first))
+    f = KKernel.from_json(_load_json(args.second))
+    verdict = compatibility_check(e, f)
     return _emit(args, "true" if verdict else "false", {"compatible": verdict})
 
 
@@ -385,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_orlov)
 
-    p = sub.add_parser("compat", help="check the two kernel-to-correspondence routes agree")
-    p.add_argument("kernel")
+    p = sub.add_parser("compat", help="check Mukai functoriality on a composable kernel pair")
+    p.add_argument("first")
+    p.add_argument("second")
     _add_format(p)
     p.set_defaults(func=cmd_compat)
 

@@ -2,9 +2,10 @@
 
 The Chern character identifies K_0(X) tensor Q with the rational
 intersection ring, so a K-class is stored faithfully as a cycle.  Kernel
-composition is transported along the correspondence picture: a kernel maps
-to the graded correspondence ch(E) * sqrt(td) of the product, composition
-happens there, and the result is pulled back through the same dictionary.
+composition and the identity kernel follow from Grothendieck-Riemann-Roch.
+A kernel maps to its Mukai vector ch(E) * sqrt(td), a graded correspondence;
+that this respects composition is Mukai's theorem, which
+`motives.compatibility_check` tests.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import _todd_power, sqrt_todd, variety_todd
-from .corr import GradedCorrespondence, compose_graded, diagonal_pushforward
+from .corr import FactorSelection, GradedCorrespondence, compose_graded, diagonal_pushforward
 from .errors import DomainMismatchError, InvalidInputError
 from .ring import Cycle, Variety
 
@@ -105,8 +106,8 @@ def euler_characteristic(kclass: KClass) -> Fraction:
 
 
 def chow_image(kernel: KKernel) -> GradedCorrespondence:
-    """The graded correspondence attached to a kernel: ch(E) * sqrt(td) of
-    the product.  This assignment respects kernel composition."""
+    """The graded correspondence attached to a kernel: its Mukai vector
+    ch(E) * sqrt(td) on the product."""
     product = kernel.source * kernel.target
     return GradedCorrespondence(
         kernel.source, kernel.target, kernel.ch * sqrt_todd(product)
@@ -114,21 +115,25 @@ def chow_image(kernel: KKernel) -> GradedCorrespondence:
 
 
 def k_compose(e: KKernel, f: KKernel) -> KKernel:
-    """Composite kernel (e first, then f), defined by transport: its
-    correspondence image is the composite of the images."""
+    """Composite kernel (e first, then f) by Grothendieck-Riemann-Roch for
+    the projection p13 of X x Y x Z:
+    ch(E o F) = p13_*(p12^* ch E . p23^* ch F . p2^* td Y)."""
     if e.target != f.source:
         raise DomainMismatchError(f"middle variety mismatch: {e.target} vs {f.source}")
-    composed = compose_graded(chow_image(e), chow_image(f))
-    product = e.source * f.target
-    ch = composed.cycle * _todd_power(product, Fraction(-1, 2))
-    return KKernel.from_ch(e.source, f.target, ch)
+    middle = FactorSelection(f.source * f.target, tuple(range(f.source.num_factors)))
+    twisted = f.ch * middle.pullback(variety_todd(f.source))
+    composed = compose_graded(
+        GradedCorrespondence(e.source, e.target, e.ch),
+        GradedCorrespondence(f.source, f.target, twisted),
+    )
+    return KKernel.from_ch(e.source, f.target, composed.cycle)
 
 
 def identity_kernel(variety: Variety) -> KKernel:
-    """The kernel of the identity functor: the class of the diagonal's
-    structure sheaf, computed by Riemann-Roch for the diagonal embedding."""
-    td_x = variety_todd(variety)
-    ch = diagonal_pushforward(variety, td_x) * _todd_power(variety * variety, Fraction(-1))
+    """The kernel of the identity functor, the class of the diagonal's
+    structure sheaf: by GRR for the diagonal and the projection formula
+    (the diagonal pulls td(X x X) back to td(X)^2), ch = diagonal_*(td(X)^-1)."""
+    ch = diagonal_pushforward(variety, _todd_power(variety, Fraction(-1)))
     return KKernel.from_ch(variety, variety, ch)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chern import sqrt_todd
 from .corr import GradedCorrespondence, cartesian, compose_graded, permute_factors
 from .errors import (
     DomainMismatchError,
@@ -22,7 +21,7 @@ from .errors import (
     PreconditionError,
     SupportConditionError,
 )
-from .kshadow import KClass, KKernel, chow_image, support_codim_floor
+from .kshadow import KKernel, chow_image, k_compose, support_codim_floor
 from .ring import Cycle, Variety
 
 
@@ -491,21 +490,12 @@ def orlov_pipeline(e: KKernel, f: KKernel) -> OrlovReport:
     return OrlovReport(True, True, True, True, "exact-isomorphism", floors, pair)
 
 
-def nc_hom(kernel: KKernel) -> KClass:
-    """The hom-set representative of a kernel in the noncommutative-motive
-    picture: the kernel's own K-class.  Composition there is k_compose."""
-    return kernel.kclass
-
-
-def compatibility_check(kernel: KKernel, chow_side: GradedCorrespondence | None = None) -> bool:
-    """Verify that the two routes from kernels to graded correspondences
-    agree: the motive-functor route (the correspondence image, overridable
-    for negative controls) against the K-class route through the
-    ch * sqrt(td) dictionary."""
+def compatibility_check(e: KKernel, f: KKernel,
+                        chow_side: GradedCorrespondence | None = None) -> bool:
+    """Verify Mukai functoriality for a composable kernel pair: the Mukai
+    vector of the composite kernel equals the composite of the Mukai
+    vectors.  `chow_side` overrides the right-hand side, for negative
+    controls."""
     if chow_side is None:
-        chow_side = chow_image(kernel)
-    product = kernel.source * kernel.target
-    k_side = GradedCorrespondence(
-        kernel.source, kernel.target, nc_hom(kernel).ch * sqrt_todd(product)
-    )
-    return chow_side == k_side
+        chow_side = compose_graded(chow_image(e), chow_image(f))
+    return chow_image(k_compose(e, f)) == chow_side

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import DomainMismatchError, InvalidInputError
 
@@ -94,7 +95,8 @@ class Cycle:
     Stored sparsely as a map from exponent tuples to nonzero Fractions;
     monomials at or above a nilpotency bound are dropped on construction, so
     two equal classes always have identical term maps.  Instances are
-    immutable: every operation returns a new cycle.
+    immutable and hashable: `terms` is a read-only mapping, and every
+    operation returns a new cycle.
     """
 
     __slots__ = ("variety", "terms")
@@ -120,7 +122,7 @@ class Cycle:
                 continue  # h_i^{n_i+1} = 0
             clean[exps] = coeff
         object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cycle instances are immutable")
@@ -252,6 +254,9 @@ class Cycle:
             and self.variety == other.variety
             and self.terms == other.terms
         )
+
+    def __hash__(self) -> int:
+        return hash((self.variety, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         if not self.terms:

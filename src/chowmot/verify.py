@@ -26,7 +26,7 @@ from .chern import (
 )
 from .corr import FactorSelection, GradedCorrespondence, compose_graded
 from .errors import SupportConditionError
-from .kshadow import KKernel, chow_image, euler_characteristic, identity_kernel, k_compose
+from .kshadow import KClass, KKernel, chow_image, euler_characteristic, identity_kernel, k_compose
 from .motives import (
     MotiveMorphism,
     OrbitMorphism,
@@ -211,7 +211,7 @@ def check_hrr_line_bundles(rng: random.Random, samples: int) -> tuple[bool, str]
         x = make_variety([n])
         for d in range(-6, 7):
             bundle = line_bundle(x, [d])
-            got = euler_characteristic(_kclass_of(bundle))
+            got = euler_characteristic(KClass(x, chern_character(bundle)))
             want = binomial_euler_oracle(n, d)
             count += 1
             if got != want:
@@ -219,12 +219,6 @@ def check_hrr_line_bundles(rng: random.Random, samples: int) -> tuple[bool, str]
     if failures:
         return False, "; ".join(failures[:3])
     return True, f"{count} Euler characteristics match the falling-factorial oracle"
-
-
-def _kclass_of(bundle: BundleClass):
-    from .kshadow import KClass
-
-    return KClass(bundle.variety, chern_character(bundle))
 
 
 def check_char_class_expansions(rng: random.Random, samples: int) -> tuple[bool, str]:
@@ -507,21 +501,26 @@ def check_orlov_pipeline(rng: random.Random, samples: int) -> tuple[bool, str]:
 
 
 def check_compatibility_triangle(rng: random.Random, samples: int) -> tuple[bool, str]:
-    """The motive route and the K-class route assign the same correspondence
-    to every kernel; a route with the normalization dropped is detected."""
+    """Mukai functoriality along a chain of kernels X0 -> X1 -> ...: the
+    Mukai vector of each consecutive composite equals the composite of the
+    Mukai vectors; a route with the normalization dropped is detected."""
     trials = max(100, samples)
+    source = make_variety(list(rng.choice(KERNEL_POOL)))
+    previous = None
     for trial in range(trials):
-        x = make_variety(list(rng.choice(KERNEL_POOL)))
-        y = make_variety(list(rng.choice(KERNEL_POOL)))
-        e = random_kernel(rng, x, y)
-        if not compatibility_check(e):
+        target = make_variety(list(rng.choice(KERNEL_POOL)))
+        kernel = random_kernel(rng, source, target)
+        if previous is not None and not compatibility_check(previous, kernel):
             return False, f"routes disagree at trial {trial}"
-    x = make_variety([1])
-    y = make_variety([1])
-    corrupted = random_kernel(rng, x, y)
-    corrupted = KKernel.from_ch(x, y, corrupted.ch + Cycle.one(x * y))
-    bare = GradedCorrespondence(x, y, corrupted.ch)  # normalization dropped
-    if compatibility_check(corrupted, chow_side=bare):
+        previous, source = kernel, target
+    x = make_variety([1])  # a rank-1 kernel is a unit, so the control always shows
+    ch = random_kernel(rng, x, x).ch
+    corrupted = KKernel.from_ch(x, x, ch - ch.graded_component(0) + Cycle.one(x * x))
+    ident = identity_kernel(x)
+    bare = compose_graded(  # normalization dropped
+        GradedCorrespondence(x, x, corrupted.ch), GradedCorrespondence(x, x, ident.ch)
+    )
+    if compatibility_check(corrupted, ident, chow_side=bare):
         return False, "corrupted route was not detected"
     return True, f"{trials} kernels agree on both routes; corrupted route detected"
 

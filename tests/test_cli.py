@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from chowmot import KKernel, k_compose, motives
 from chowmot.cli import main
 
 
@@ -160,9 +161,28 @@ class TestPipelines:
 
     def test_compat_true(self, capsys):
         _, kernel, _ = run_cli(capsys, "identity-kernel", "--variety", "[2]", "--format", "json")
-        code, out, _ = run_cli(capsys, "compat", kernel)
+        code, out, _ = run_cli(capsys, "compat", kernel, kernel)
         assert code == 0
         assert out.strip() == "true"
+
+    def test_compat_detects_broken_composition(self, capsys, monkeypatch):
+        def doubled(e, f):
+            return KKernel.from_ch(e.source, f.target, k_compose(e, f).ch.scale(2))
+
+        monkeypatch.setattr(motives, "k_compose", doubled)
+        _, kernel, _ = run_cli(capsys, "identity-kernel", "--variety", "[2]", "--format", "json")
+        code, out, _ = run_cli(capsys, "compat", kernel, kernel, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"compatible": False}
+
+    def test_compat_middle_mismatch(self, capsys):
+        _, first, _ = run_cli(capsys, "identity-kernel", "--variety", "[1]", "--format", "json")
+        _, second, _ = run_cli(capsys, "identity-kernel", "--variety", "[2]", "--format", "json")
+        code, out, err = run_cli(capsys, "compat", first, second)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "middle variety mismatch" in err
+        assert "Traceback" not in err
 
     def test_split_lefschetz(self, capsys):
         _, motive, _ = run_cli(capsys, "motive", "--variety", "[1]", "--format", "json")

@@ -12,6 +12,8 @@ from chowmot import (
     KKernel,
     chern_character,
     chow_image,
+    compose_graded,
+    diagonal_pushforward,
     euler_characteristic,
     identity_kernel,
     k_compose,
@@ -23,6 +25,7 @@ from chowmot import (
     todd_class,
     variety_todd,
 )
+from chowmot.chern import _todd_power
 from chowmot.corr import FactorSelection
 from chowmot.verify import binomial_euler_oracle, random_cycle, random_kernel, rational_matrix_rank
 
@@ -30,6 +33,9 @@ POINT = make_variety([])
 P1 = make_variety([1])
 P2 = make_variety([2])
 P1xP1 = make_variety([1, 1])
+
+SHAPES = [(), (1,), (2,), (1, 1), (1, 2), (3,)]
+LADDER = [(), (1,), (2,), (1, 1), (2, 2), (3, 3), (2, 2, 2)]
 
 
 def kclass_of_line_bundle(variety, degrees):
@@ -109,7 +115,7 @@ class TestKCompose:
         with pytest.raises(DomainMismatchError):
             k_compose(random_kernel(random.Random(1), P1, P2), random_kernel(random.Random(2), P1, P1))
 
-    def test_functorial_by_construction(self):
+    def test_mukai_functoriality(self):
         rng = random.Random(107)
         for _ in range(20):
             e = random_kernel(rng, P1, P1xP1)
@@ -117,6 +123,53 @@ class TestKCompose:
             lhs = chow_image(k_compose(e, f))
             rhs = chow_image(e).then(chow_image(f))
             assert lhs == rhs
+
+
+def transport_composite(e: KKernel, f: KKernel) -> Cycle:
+    """The transport route: compose the Mukai vectors ch * sqrt(td) as
+    correspondences, then divide by sqrt(td) of X x Z."""
+    composed = compose_graded(chow_image(e), chow_image(f)).cycle
+    return composed * _todd_power(e.source * f.target, Fraction(-1, 2))
+
+
+def _random_pair(rng):
+    x, y, z = (make_variety(list(rng.choice(SHAPES))) for _ in range(3))
+    return random_kernel(rng, x, y, 8), random_kernel(rng, y, z, 8)
+
+
+class TestReferenceRoute:
+    def test_matches_transport(self):
+        rng = random.Random(61)
+        nonzero = 0
+        for _ in range(120):
+            e, f = _random_pair(rng)
+            reference = transport_composite(e, f)
+            assert k_compose(e, f).ch == reference
+            nonzero += not reference.is_zero
+        assert nonzero >= 100
+
+    def test_dropped_middle_todd_is_caught(self):
+        # without the p2^* td(Y) factor, GRR composes the bare Chern
+        # characters; through a positive-dimensional Y this must show
+        rng = random.Random(67)
+        tried = caught = 0
+        for _ in range(120):
+            e, f = _random_pair(rng)
+            if e.target.dim == 0:
+                continue
+            bare = compose_graded(
+                GradedCorrespondence(e.source, e.target, e.ch),
+                GradedCorrespondence(f.source, f.target, f.ch),
+            )
+            tried += 1
+            caught += bare.cycle != transport_composite(e, f)
+        assert tried >= 80 and caught >= tried - 5
+
+    def test_identity_kernel_matches_todd_of_square(self):
+        for factors in LADDER:
+            x = make_variety(list(factors))
+            reference = diagonal_pushforward(x, variety_todd(x)) * _todd_power(x * x, Fraction(-1))
+            assert identity_kernel(x).ch == reference
 
 
 class TestIdentityKernel:

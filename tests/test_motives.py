@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from chowmot import motives
 from chowmot import (
     Cycle,
     DomainMismatchError,
@@ -29,7 +30,6 @@ from chowmot import (
     line_bundle,
     make_variety,
     motive_of,
-    nc_hom,
     orbit_compose,
     orlov_pipeline,
     permute_factors,
@@ -458,35 +458,43 @@ class TestOrlovPipeline:
 
 class TestCompatibility:
     def test_identity_kernels(self):
-        for factors in [[1], [2], [1, 1]]:
-            assert compatibility_check(identity_kernel(make_variety(factors)))
+        for factors in [[], [1], [2], [1, 1]]:
+            ident = identity_kernel(make_variety(factors))
+            assert compatibility_check(ident, ident)
 
     def test_random_kernels(self):
         rng = random.Random(167)
         pool = [P1, P1xP1, P2]
         for _ in range(100):
-            e = random_kernel(rng, rng.choice(pool), rng.choice(pool))
-            assert compatibility_check(e)
+            x, y, z = (rng.choice(pool) for _ in range(3))
+            assert compatibility_check(random_kernel(rng, x, y), random_kernel(rng, y, z))
 
     def test_corrupted_route_detected(self):
-        e = KKernel.from_ch(P1, P1, Cycle.one(P1xP1) + random_kernel(random.Random(7), P1, P1).ch)
-        bare = GradedCorrespondence(P1, P1, e.ch)
-        assert not compatibility_check(e, chow_side=bare)
+        # a rank-1 kernel is a unit, so dropping the normalization must show
+        ch = random_kernel(random.Random(7), P1, P1).ch
+        e = KKernel.from_ch(P1, P1, ch - ch.graded_component(0) + Cycle.one(P1xP1))
+        ident = identity_kernel(P1)
+        bare = compose_graded(GradedCorrespondence(P1, P1, e.ch), GradedCorrespondence(P1, P1, ident.ch))
+        assert not compatibility_check(e, ident, chow_side=bare)
 
-    def test_nc_hom_is_the_kernel_class(self):
-        e = random_kernel(random.Random(11), P1, P2)
-        assert nc_hom(e) == e.kclass
+    def test_broken_composition_detected(self, monkeypatch):
+        # a composition route that drops the p2^* td(Y) factor of GRR
+        def bare_compose(e, f):
+            composed = compose_graded(
+                GradedCorrespondence(e.source, e.target, e.ch),
+                GradedCorrespondence(f.source, f.target, f.ch),
+            )
+            return KKernel.from_ch(e.source, f.target, composed.cycle)
 
-    def test_nc_hom_functorial(self):
-        rng = random.Random(13)
-        for _ in range(10):
-            e = random_kernel(rng, P1, P1xP1)
-            f = random_kernel(rng, P1xP1, P2)
-            assert nc_hom(k_compose(e, f)) == k_compose(e, f).kclass
-
-    def test_nc_hom_of_zero_kernel(self):
-        zero = KKernel.from_ch(P1, P2, Cycle.zero(P1 * P2))
-        assert nc_hom(zero).ch.is_zero
+        monkeypatch.setattr(motives, "k_compose", bare_compose)
+        rng = random.Random(173)
+        ident = identity_kernel(P1)
+        assert not compatibility_check(ident, ident)
+        caught = sum(
+            not compatibility_check(random_kernel(rng, P1, P2), random_kernel(rng, P2, P1))
+            for _ in range(20)
+        )
+        assert caught >= 18
 
 
 class TestMotiveJson:

@@ -7,8 +7,10 @@ import pytest
 from chowmot import (
     Cycle,
     DomainMismatchError,
+    GradedCorrespondence,
     InvalidInputError,
     Variety,
+    diagonal_class,
     make_variety,
 )
 from chowmot.verify import random_cycle
@@ -161,6 +163,31 @@ class TestRingLaws:
             assert (a * b) * c == a * (b * c)
             one = Cycle.one(x)
             assert one * a == a and a * one == a
+
+
+class TestImmutability:
+    def test_terms_are_read_only(self):
+        a = Cycle.hyperplane(make_variety([2]), 0)
+        with pytest.raises(TypeError):
+            a.terms[(2,)] = Fraction(1)
+        with pytest.raises(AttributeError):
+            a.terms = {}
+        assert a == Cycle.hyperplane(make_variety([2]), 0)
+
+    def test_equal_cycles_hash_equal(self):
+        rng = random.Random(29)
+        for _ in range(50):
+            x = make_variety([rng.randint(0, 3) for _ in range(rng.randint(0, 3))])
+            a = random_cycle(rng, x)
+            b = Cycle(x, dict(reversed(list(a.terms.items()))))
+            assert a == b and hash(a) == hash(b)
+        line = make_variety([1])
+        assert len({Cycle.one(line), Cycle.one(line), Cycle.zero(line)}) == 2
+
+    def test_correspondence_is_a_dict_key(self):
+        x = make_variety([1, 2])
+        cache = {GradedCorrespondence.identity(x): "diagonal"}
+        assert cache[GradedCorrespondence(x, x, diagonal_class(x))] == "diagonal"
 
 
 class TestSerialization:
