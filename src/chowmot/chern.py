@@ -3,19 +3,19 @@ class and its square root, truncated series arithmetic, tangent classes.
 
 Chern roots are never materialized.  For an arbitrary bundle class every
 root-symmetric expression is evaluated through the Newton power sums of the
-total Chern class.  Powers of the Todd class of a variety (td, its square
-root, their inverses) are instead built factor by factor: the Todd class is
-multiplicative and td(P^n) = (h/(1 - e^{-h}))^{n+1}, so each is a product of
-univariate series.  A test ties the two routes together on a ladder of
-varieties.  The universal coefficient series (for the Todd class,
-logarithms, exponentials) are computed at runtime by exact rational series
-arithmetic rather than transcribed from tables.
+total Chern class, and exponentiated grade by grade (`exp_nilpotent`).
+Powers of the Todd class of a variety (td, its square root, their inverses)
+are instead taken factor by factor: the Todd class is multiplicative and
+td(P^n) = (h/(1 - e^{-h}))^{n+1}, so a cycle is multiplied by td^s one
+univariate series at a time (`mul_todd_power`).  A test ties the two routes
+together on a ladder of varieties.  The universal coefficient series (for
+the Todd class, logarithms, exponentials) are computed at runtime by exact
+rational series arithmetic rather than transcribed from tables.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,17 +102,19 @@ def todd_series_coefficients(order: int) -> tuple[Fraction, ...]:
 
 def exp_nilpotent(u: Cycle) -> Cycle:
     """exp of a cycle with vanishing constant term (a finite sum here, since
-    positive-codimension classes are nilpotent)."""
-    if u.coefficient((0,) * u.variety.num_factors) != 0:
+    positive-codimension classes are nilpotent), built grade by grade: with
+    g_j the codimension-j part of u, the codimension-k part of exp(u) is
+    E_k = (1/k) sum_j j g_j E_{k-j}, from f' = g' f."""
+    x = u.variety
+    if u.coefficient((0,) * x.num_factors) != 0:
         raise InvalidInputError("exp requires a cycle with zero constant term")
-    acc = Cycle.one(u.variety)
-    term = Cycle.one(u.variety)
-    for m in range(1, u.variety.dim + 1):
-        term = (term * u).scale(Fraction(1, m))
-        if term.is_zero:
-            break
-        acc = acc + term
-    return acc
+    weighted = [u.graded_component(j).scale(j) for j in range(x.dim + 1)]
+    parts = [Cycle.one(x)]
+    for k in range(1, x.dim + 1):
+        pairs = [(weighted[j], parts[k - j]) for j in range(1, k + 1)]
+        part = sum((g * e for g, e in pairs if g.terms and e.terms), Cycle.zero(x))
+        parts.append(part.scale(Fraction(1, k)))
+    return Cycle(x, {e: c for part in parts for e, c in part.terms.items()})
 
 
 def series_inverse(u: Cycle) -> Cycle:
@@ -266,18 +268,27 @@ def _todd_factor_series(n: int, exponent: Fraction) -> tuple[Fraction, ...]:
     return tuple(_series_exp([exponent * c for c in todd_series_coefficients(n)], n))
 
 
+def mul_todd_power(c: Cycle, s, factors=None) -> Cycle:
+    """c * td^s, with td^s the product over the given factors (all by
+    default) of the univariate series (h_i/(1 - e^{-h_i}))^{s(n_i+1)}: one
+    truncated convolution along each factor, no product of full cycles."""
+    s = Fraction(s)
+    terms = dict(c.terms)
+    for i in range(c.variety.num_factors) if factors is None else factors:
+        n = c.variety.factors[i]
+        series = _todd_factor_series(n, s * (n + 1))
+        acc: dict = {}
+        for exps, coeff in terms.items():
+            for k, t in enumerate(series[: n + 1 - exps[i]]):
+                key = exps[:i] + (exps[i] + k,) + exps[i + 1:]
+                acc[key] = acc.get(key, 0) + coeff * t
+        terms = acc
+    return Cycle(c.variety, terms)
+
+
 def _todd_power(variety: Variety, s: Fraction) -> Cycle:
-    """td(X)^s for rational s, factor by factor: the factor P^n contributes
-    (h/(1 - e^{-h}))^{s(n+1)}, and the monomial h^e takes the product of the
-    per-factor coefficients."""
-    series = [_todd_factor_series(n, s * (n + 1)) for n in variety.factors]
-    terms = {}
-    for exps in itertools.product(*(range(n + 1) for n in variety.factors)):
-        coeff = Fraction(1)
-        for e, coeffs in zip(exps, series):
-            coeff *= coeffs[e]
-        terms[exps] = coeff
-    return Cycle(variety, terms)
+    """td(X)^s for rational s, factor by factor."""
+    return mul_todd_power(Cycle.one(variety), s)
 
 
 def variety_todd(variety: Variety) -> Cycle:

@@ -258,7 +258,8 @@ def cmd_compat(args) -> int:
     e = KKernel.from_json(_load_json(args.first))
     f = KKernel.from_json(_load_json(args.second))
     verdict = compatibility_check(e, f)
-    return _emit(args, "true" if verdict else "false", {"compatible": verdict})
+    _emit(args, "true" if verdict else "false", {"compatible": verdict})
+    return 0 if verdict else 1
 
 
 def cmd_verify(args) -> int:

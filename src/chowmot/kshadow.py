@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import _todd_power, sqrt_todd, variety_todd
-from .corr import FactorSelection, GradedCorrespondence, compose_graded, diagonal_pushforward
+from .chern import _todd_factor_series, _todd_power, mul_todd_power
+from .corr import GradedCorrespondence, compose_graded, diagonal_pushforward
 from .errors import DomainMismatchError, InvalidInputError
 from .ring import Cycle, Variety
 
@@ -101,16 +101,19 @@ class KKernel:
 
 
 def euler_characteristic(kclass: KClass) -> Fraction:
-    """chi(X, E) by Riemann-Roch: the degree of ch(E) * td(X)."""
-    return (kclass.ch * variety_todd(kclass.variety)).degree()
+    """chi(X, E) by Riemann-Roch: the degree of ch(E) * td(X), read as the
+    pairing sum_e ch[e] * prod_i td(P^{n_i})[n_i - e_i] with no product built."""
+    factors = kclass.variety.factors
+    series = [_todd_factor_series(n, Fraction(n + 1)) for n in factors]
+    return sum((c * math.prod(t[n - e] for t, n, e in zip(series, factors, exps))
+                for exps, c in kclass.ch.terms.items()), Fraction(0))
 
 
 def chow_image(kernel: KKernel) -> GradedCorrespondence:
     """The graded correspondence attached to a kernel: its Mukai vector
     ch(E) * sqrt(td) on the product."""
-    product = kernel.source * kernel.target
     return GradedCorrespondence(
-        kernel.source, kernel.target, kernel.ch * sqrt_todd(product)
+        kernel.source, kernel.target, mul_todd_power(kernel.ch, Fraction(1, 2))
     )
 
 
@@ -120,8 +123,7 @@ def k_compose(e: KKernel, f: KKernel) -> KKernel:
     ch(E o F) = p13_*(p12^* ch E . p23^* ch F . p2^* td Y)."""
     if e.target != f.source:
         raise DomainMismatchError(f"middle variety mismatch: {e.target} vs {f.source}")
-    middle = FactorSelection(f.source * f.target, tuple(range(f.source.num_factors)))
-    twisted = f.ch * middle.pullback(variety_todd(f.source))
+    twisted = mul_todd_power(f.ch, 1, range(f.source.num_factors))
     composed = compose_graded(
         GradedCorrespondence(e.source, e.target, e.ch),
         GradedCorrespondence(f.source, f.target, twisted),

@@ -309,7 +309,10 @@ class Cycle:
         for item in raw:
             if not isinstance(item, dict) or "exps" not in item or "coeff" not in item:
                 raise InvalidInputError(f"each term needs 'exps' and 'coeff', got {item!r}")
-            exps = tuple(item["exps"])
+            exps = item["exps"]
+            if not isinstance(exps, list) or any(type(e) is not int for e in exps):
+                raise InvalidInputError(f"'exps' must be a list of integers, got {exps!r}")
+            exps = tuple(exps)
             coeff = _as_fraction(item["coeff"])
             terms[exps] = terms.get(exps, Fraction(0)) + coeff
         return cls(variety, terms)

@@ -25,7 +25,7 @@ from .chern import (
     todd_class,
 )
 from .corr import FactorSelection, GradedCorrespondence, compose_graded
-from .errors import SupportConditionError
+from .errors import InvalidInputError, SupportConditionError
 from .kshadow import KClass, KKernel, chow_image, euler_characteristic, identity_kernel, k_compose
 from .motives import (
     MotiveMorphism,
@@ -555,6 +555,8 @@ CHECKS = [
 def run_checks(seed: int, samples: int, names: list[str] | None = None) -> list[CheckResult]:
     """Run the named checks (all by default), each on its own stream derived
     from the seed, so results do not depend on selection or order."""
+    if samples < 0:
+        raise InvalidInputError(f"samples must be nonnegative, got {samples}")
     selected = CHECKS if names is None else [c for c in CHECKS if c[0] in set(names)]
     results = []
     for name, fn in selected:

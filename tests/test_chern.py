@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -23,7 +24,7 @@ from chowmot import (
     variety_todd,
 )
 from chowmot import chern
-from chowmot.chern import _todd_power
+from chowmot.chern import _todd_power, mul_todd_power
 from chowmot.corr import FactorSelection
 from chowmot.verify import random_cycle, split_bundle_oracle
 
@@ -317,6 +318,101 @@ class TestFactorwiseTodd:
         h = Cycle.hyperplane(P1, 0)
         for s in (Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(-1, 2), Fraction(3)):
             assert _todd_power(P1, s) == Cycle.one(P1) + h.scale(s)
+
+
+REAL_FACTOR_SERIES = chern._todd_factor_series
+MUL_LADDER = [[], [1], [2], [1, 1], [2, 2], [3, 3], [2, 2, 2]]
+TODD_EXPONENTS = (Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(-1, 2))
+
+
+def dense_todd_power(x, s, factors):
+    """td^s on the chosen factors as a dense cycle: every monomial takes the
+    product of the per-factor series coefficients (a factor left out
+    contributes 1)."""
+    series = [
+        REAL_FACTOR_SERIES(n, s * (n + 1)) if i in factors else (Fraction(1),) + (Fraction(0),) * n
+        for i, n in enumerate(x.factors)
+    ]
+    terms = {
+        exps: math.prod(coeffs[e] for coeffs, e in zip(series, exps))
+        for exps in itertools.product(*(range(n + 1) for n in x.factors))
+    }
+    return Cycle(x, terms)
+
+
+def factor_subsets(x):
+    """Every prefix of the factors, as k_compose selects the Y factors of
+    Y x Z, plus None for all of them."""
+    return [None, *(range(k) for k in range(x.num_factors + 1))]
+
+
+class TestMulToddPower:
+    """Multiplying by td^s factor by factor equals the dense intersection
+    with td^s built monomial by monomial."""
+
+    @pytest.mark.parametrize("factors", MUL_LADDER)
+    def test_matches_dense_product(self, factors):
+        x = make_variety(factors)
+        rng = random.Random(131 + len(factors))
+        for s in TODD_EXPONENTS:
+            for subset in factor_subsets(x):
+                chosen = set(range(x.num_factors) if subset is None else subset)
+                for c in [Cycle.one(x)] + [random_cycle(rng, x, terms=6) for _ in range(3)]:
+                    expected = c * dense_todd_power(x, s, chosen)
+                    assert mul_todd_power(c, s, subset) == expected
+
+    @pytest.mark.parametrize("factors", MUL_LADDER[1:])
+    def test_corrupted_factor_series_is_caught(self, factors, monkeypatch):
+        def corrupted(n, exponent):
+            coeffs = list(REAL_FACTOR_SERIES(n, exponent))
+            coeffs[-1] += 1
+            return tuple(coeffs)
+
+        monkeypatch.setattr(chern, "_todd_factor_series", corrupted)
+        x = make_variety(factors)
+        c = Cycle.one(x) + random_cycle(random.Random(137), x)
+        everything = set(range(x.num_factors))
+        for s in TODD_EXPONENTS:
+            assert mul_todd_power(c, s) != c * dense_todd_power(x, s, everything)
+
+
+def taylor_exp(u):
+    """exp(u) by the Taylor loop sum_m u^m / m!, with dense products."""
+    acc = Cycle.one(u.variety)
+    term = Cycle.one(u.variety)
+    for m in range(1, u.variety.dim + 1):
+        term = (term * u).scale(Fraction(1, m))
+        if term.is_zero:
+            break
+        acc = acc + term
+    return acc
+
+
+class TestGradedExp:
+    def test_matches_taylor_loop(self):
+        rng = random.Random(139)
+        shapes = [[1], [2], [1, 1], [2, 2], [3, 3], [2, 2, 2], [4, 4, 4, 4]]
+        for factors in shapes:
+            x = make_variety(factors)
+            for _ in range(4):
+                u = random_cycle(rng, x, terms=8)
+                u = u - u.graded_component(0)
+                assert exp_nilpotent(u) == taylor_exp(u)
+
+    def test_log_todd_of_universal_variety(self):
+        # the dense argument todd_class exponentiates on [4,4,4,4]
+        lam = chern.todd_series_coefficients(UNIVERSAL.dim)
+        arg = Cycle.zero(UNIVERSAL)
+        for k, pk in enumerate(power_sums(tangent_class(UNIVERSAL)).sums, start=1):
+            arg = arg + pk.scale(lam[k])
+        assert exp_nilpotent(arg) == taylor_exp(arg)
+
+    def test_gap_in_the_grades(self):
+        # u concentrated in codimension 2: the odd parts of exp(u) vanish
+        x = make_variety([2, 2])
+        u = Cycle.monomial(x, (1, 1), 3) + Cycle.monomial(x, (2, 0), -1)
+        assert exp_nilpotent(u) == taylor_exp(u)
+        assert exp_nilpotent(u).codimensions() == [0, 2, 4]
 
 
 class TestTangent:

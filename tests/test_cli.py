@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from chowmot import KKernel, k_compose, motives
 from chowmot.cli import main
@@ -114,6 +119,17 @@ class TestErrors:
         assert code == 1
         assert "rank must be an integer" in err
 
+    @pytest.mark.parametrize("exps", [None, "ab", [[1]], [True]])
+    def test_exps_must_be_a_list_of_integers(self, capsys, exps):
+        bad = json.dumps(
+            {"variety": {"factors": [2]}, "terms": [{"exps": exps, "coeff": "1"}]}
+        )
+        code, out, err = run_cli(capsys, "ring", "degree", bad)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "'exps' must be a list of integers" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_domain_error_names_precondition(self, capsys):
         bad = json.dumps(
             {"variety": {"factors": [1]}, "terms": [{"exps": [1, 1], "coeff": "1"}]}
@@ -172,7 +188,7 @@ class TestPipelines:
         monkeypatch.setattr(motives, "k_compose", doubled)
         _, kernel, _ = run_cli(capsys, "identity-kernel", "--variety", "[2]", "--format", "json")
         code, out, _ = run_cli(capsys, "compat", kernel, kernel, "--format", "json")
-        assert code == 0
+        assert code == 1
         assert json.loads(out) == {"compatible": False}
 
     def test_compat_middle_mismatch(self, capsys):
@@ -241,21 +257,42 @@ class TestPipelines:
         ]
 
 
-class TestVerifyCommand:
-    def test_passes_and_is_deterministic(self, capsys):
-        code, out1, _ = run_cli(capsys, "verify", "--seed", "42")
-        assert code == 0
-        assert "FAIL" not in out1
-        code, out2, _ = run_cli(capsys, "verify", "--seed", "42")
-        assert code == 0
-        assert out1 == out2
+GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify_seed42.txt"
 
-    def test_json_format(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--seed", "7", "--samples", "200", "--format", "json")
+
+@pytest.fixture(scope="module")
+def verify_seed42():
+    """One `verify --seed 42` run in text format, shared by the tests below."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--seed", "42"])
+    return code, out.getvalue()
+
+
+class TestVerifyCommand:
+    def test_passes_and_is_deterministic(self, verify_seed42):
+        code, out = verify_seed42
+        assert code == 0
+        assert "FAIL" not in out
+        # the golden file was written by a separate run: equal bytes mean
+        # the output is deterministic and unchanged
+        assert out == GOLDEN_VERIFY.read_text()
+
+    def test_json_format(self, capsys, verify_seed42):
+        code, out, _ = run_cli(capsys, "verify", "--seed", "42", "--samples", "200", "--format", "json")
         assert code == 0
         results = json.loads(out)
         assert len(results) == 9
         assert all(r["passed"] for r in results)
+        rows = [line.split(None, 2) for line in verify_seed42[1].splitlines()[2:]]
+        assert rows == [[r["name"], "PASS", r["detail"]] for r in results]
+
+    def test_negative_samples_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--samples", "-5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "samples" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestEntryPoint:

@@ -172,6 +172,26 @@ class TestReferenceRoute:
             assert identity_kernel(x).ch == reference
 
 
+class TestDenseRoutes:
+    """Euler characteristics and Mukai vectors multiply by Todd powers factor
+    by factor; these are the dense products they stand for."""
+
+    def test_euler_characteristic_is_degree_of_ch_td(self):
+        rng = random.Random(149)
+        for factors in LADDER:
+            x = make_variety(list(factors))
+            for _ in range(5):
+                kclass = KClass(x, random_cycle(rng, x, 6))
+                assert euler_characteristic(kclass) == (kclass.ch * variety_todd(x)).degree()
+
+    def test_chow_image_is_ch_times_sqrt_todd(self):
+        rng = random.Random(151)
+        for _ in range(40):
+            x, y = (make_variety(list(rng.choice(SHAPES))) for _ in range(2))
+            e = random_kernel(rng, x, y, 8)
+            assert chow_image(e).cycle == e.ch * sqrt_todd(x * y)
+
+
 class TestIdentityKernel:
     def test_point(self):
         ik = identity_kernel(POINT)
