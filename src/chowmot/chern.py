@@ -114,7 +114,7 @@ def exp_nilpotent(u: Cycle) -> Cycle:
         pairs = [(weighted[j], parts[k - j]) for j in range(1, k + 1)]
         part = sum((g * e for g, e in pairs if g.terms and e.terms), Cycle.zero(x))
         parts.append(part.scale(Fraction(1, k)))
-    return Cycle(x, {e: c for part in parts for e, c in part.terms.items()})
+    return Cycle._sum(x, (term for part in parts for term in part.terms.items()))
 
 
 def series_inverse(u: Cycle) -> Cycle:
@@ -273,17 +273,15 @@ def mul_todd_power(c: Cycle, s, factors=None) -> Cycle:
     default) of the univariate series (h_i/(1 - e^{-h_i}))^{s(n_i+1)}: one
     truncated convolution along each factor, no product of full cycles."""
     s = Fraction(s)
-    terms = dict(c.terms)
     for i in range(c.variety.num_factors) if factors is None else factors:
         n = c.variety.factors[i]
         series = _todd_factor_series(n, s * (n + 1))
-        acc: dict = {}
-        for exps, coeff in terms.items():
-            for k, t in enumerate(series[: n + 1 - exps[i]]):
-                key = exps[:i] + (exps[i] + k,) + exps[i + 1:]
-                acc[key] = acc.get(key, 0) + coeff * t
-        terms = acc
-    return Cycle(c.variety, terms)
+        c = Cycle._sum(c.variety, (
+            (exps[:i] + (exps[i] + k,) + exps[i + 1:], coeff * t)
+            for exps, coeff in c.terms.items()
+            for k, t in enumerate(series[: n + 1 - exps[i]])
+        ))
+    return c
 
 
 def _todd_power(variety: Variety, s: Fraction) -> Cycle:

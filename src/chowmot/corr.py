@@ -55,13 +55,14 @@ class FactorSelection:
                 f"cycle on {a.variety} cannot be pulled back along projection onto {self.target}"
             )
         k = self.source.num_factors
-        terms = {}
-        for exps, coeff in a.terms.items():
+
+        def spread(exps):
             new = [0] * k
             for pos, i in enumerate(self.selected):
                 new[i] = exps[pos]
-            terms[tuple(new)] = coeff
-        return Cycle(self.source, terms)
+            return tuple(new)
+
+        return Cycle._sum(self.source, ((spread(e), c) for e, c in a.terms.items()))
 
     def pushforward(self, a: Cycle) -> Cycle:
         """Direct image (integration over the projected-away factors): a term
@@ -74,28 +75,19 @@ class FactorSelection:
             )
         bounds = self.source.factors
         dropped = self.unselected
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in a.terms.items():
-            if any(exps[i] != bounds[i] for i in dropped):
-                continue
-            new = tuple(exps[i] for i in self.selected)
-            s = terms.get(new, Fraction(0)) + coeff
-            if s == 0:
-                terms.pop(new, None)
-            else:
-                terms[new] = s
-        return Cycle(self.target, terms)
+        return Cycle._sum(self.target, (
+            (tuple(exps[i] for i in self.selected), coeff)
+            for exps, coeff in a.terms.items()
+            if all(exps[i] == bounds[i] for i in dropped)
+        ))
 
 
 def cartesian(a: Cycle, b: Cycle) -> Cycle:
     """External product: the cycle on X x Y whose terms concatenate one term
     of a with one term of b.  Bilinear and associative."""
-    product = a.variety * b.variety
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            terms[e1 + e2] = c1 * c2
-    return Cycle(product, terms)
+    return Cycle._sum(a.variety * b.variety, (
+        (e1 + e2, c1 * c2) for e1, c1 in a.terms.items() for e2, c2 in b.terms.items()
+    ))
 
 
 def permute_factors(a: Cycle, order: tuple[int, ...]) -> Cycle:
@@ -105,8 +97,7 @@ def permute_factors(a: Cycle, order: tuple[int, ...]) -> Cycle:
     if sorted(order) != list(range(k)):
         raise InvalidInputError(f"{order!r} is not a permutation of 0..{k - 1}")
     new_variety = Variety(tuple(a.variety.factors[i] for i in order))
-    terms = {tuple(exps[i] for i in order): c for exps, c in a.terms.items()}
-    return Cycle(new_variety, terms)
+    return Cycle._sum(new_variety, ((tuple(exps[i] for i in order), c) for exps, c in a.terms.items()))
 
 
 def diagonal_class(variety: Variety) -> Cycle:
@@ -254,15 +245,9 @@ def compose_graded(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCo
     by_middle: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]] = {}
     for exps, b in g.cycle.terms.items():
         by_middle.setdefault(exps[:ky], []).append((exps[ky:], b))
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for exps, a in f.cycle.terms.items():
-        partners = by_middle.get(tuple(n - e for n, e in zip(top, exps[kx:])), ())
-        e_x = exps[:kx]
-        for e_z, b in partners:
-            e = e_x + e_z
-            s = terms.get(e, Fraction(0)) + a * b
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-    return GradedCorrespondence(f.source, g.target, Cycle(f.source * g.target, terms))
+    pairs = (
+        (exps[:kx] + e_z, a * b)
+        for exps, a in f.cycle.terms.items()
+        for e_z, b in by_middle.get(tuple(n - e for n, e in zip(top, exps[kx:])), ())
+    )
+    return GradedCorrespondence(f.source, g.target, Cycle._sum(f.source * g.target, pairs))

@@ -8,11 +8,17 @@ sandwiched by the idempotents.  The orbit category keeps the same objects
 but allows components at every twist offset; for these concrete objects an
 orbit morphism is exactly the degree decomposition of a graded
 correspondence, with the twist autoequivalence acting on indices only.
+
+Checks run on values from outside: the public constructors and `from_json`.
+Results that are correct by construction (composites, sums, identities, the
+pieces of a split idempotent) are built unchecked by `_built`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 from .corr import GradedCorrespondence, cartesian, compose_graded, permute_factors
 from .errors import (
@@ -23,6 +29,26 @@ from .errors import (
 )
 from .kshadow import KKernel, chow_image, k_compose, support_codim_floor
 from .ring import Cycle, Variety
+
+
+def _built(cls, *values):
+    """An instance of a frozen dataclass whose field values are correct by
+    construction, made without running its checks."""
+    obj = object.__new__(cls)
+    for field, value in zip(fields(cls), values):
+        object.__setattr__(obj, field.name, value)
+    return obj
+
+
+def _check_component(source: Motive, target: Motive, c: GradedCorrespondence, degree: int, what: str):
+    """A morphism component from outside must join the two varieties, have
+    pure degree `degree`, and be fixed by sandwiching with the idempotents."""
+    if c.source != source.variety or c.target != target.variety:
+        raise InvalidInputError(f"{what} does not match the motives' varieties")
+    if not c.is_pure_degree(degree):
+        raise InvalidInputError(f"{what} must have pure degree {degree}")
+    if compose_graded(compose_graded(source.idempotent, c), target.idempotent) != c:
+        raise InvalidInputError(f"{what} is not fixed by the motive idempotents")
 
 
 @dataclass(frozen=True)
@@ -53,7 +79,7 @@ class Motive:
         return self.idempotent.is_zero
 
     def identity_morphism(self) -> "MotiveMorphism":
-        return MotiveMorphism(self, self, self.idempotent)
+        return _built(MotiveMorphism, self, self, self.idempotent)
 
     def __str__(self) -> str:
         return f"({self.variety}, {self.twist}, {self.idempotent.cycle})"
@@ -89,24 +115,13 @@ class MotiveMorphism:
     corr: GradedCorrespondence
 
     def __post_init__(self) -> None:
-        c = self.corr
-        if c.source != self.source.variety or c.target != self.target.variety:
-            raise InvalidInputError("correspondence does not match the motives' varieties")
-        if not c.is_pure_degree(self.target.twist - self.source.twist):
-            raise InvalidInputError(
-                "morphism correspondence must have pure degree equal to the twist difference"
-            )
-        sandwiched = compose_graded(
-            compose_graded(self.source.idempotent, c), self.target.idempotent
-        )
-        if sandwiched != c:
-            raise InvalidInputError("correspondence is not fixed by the motive idempotents")
+        _check_component(self.source, self.target, self.corr,
+                         self.target.twist - self.source.twist, "correspondence")
 
     @staticmethod
     def zero(source: Motive, target: Motive) -> "MotiveMorphism":
-        return MotiveMorphism(
-            source, target, GradedCorrespondence.zero(source.variety, target.variety)
-        )
+        zero = GradedCorrespondence.zero(source.variety, target.variety)
+        return _built(MotiveMorphism, source, target, zero)
 
     @property
     def is_zero(self) -> bool:
@@ -115,26 +130,28 @@ class MotiveMorphism:
     def then(self, other: "MotiveMorphism") -> "MotiveMorphism":
         return compose_motive(self, other)
 
+    # the checks are linear, so sums and negatives of morphisms pass them
     def __add__(self, other: "MotiveMorphism") -> "MotiveMorphism":
         if self.source != other.source or self.target != other.target:
             raise DomainMismatchError("morphisms have different source or target")
-        return MotiveMorphism(self.source, self.target, self.corr + other.corr)
+        return _built(MotiveMorphism, self.source, self.target, self.corr + other.corr)
 
     def __sub__(self, other: "MotiveMorphism") -> "MotiveMorphism":
         if self.source != other.source or self.target != other.target:
             raise DomainMismatchError("morphisms have different source or target")
-        return MotiveMorphism(self.source, self.target, self.corr - other.corr)
+        return _built(MotiveMorphism, self.source, self.target, self.corr - other.corr)
 
     def __neg__(self) -> "MotiveMorphism":
-        return MotiveMorphism(self.source, self.target, -self.corr)
+        return _built(MotiveMorphism, self.source, self.target, -self.corr)
 
 
 def compose_motive(f: MotiveMorphism, g: MotiveMorphism) -> MotiveMorphism:
     """Composite f first, then g; the degrees add up to the total twist
-    difference automatically."""
+    difference, and p f q composed with q g t is p (f q g) t, so the
+    composite passes the checks by construction."""
     if f.target != g.source:
         raise DomainMismatchError("morphisms are not composable: object mismatch")
-    return MotiveMorphism(f.source, g.target, compose_graded(f.corr, g.corr))
+    return _built(MotiveMorphism, f.source, g.target, compose_graded(f.corr, g.corr))
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +246,9 @@ def split_idempotent(m: Motive, p: MotiveMorphism) -> tuple[Motive, MotiveMorphi
         raise InvalidInputError("morphism is not idempotent")
     if p.is_zero:
         image = zero_motive()
-        section = MotiveMorphism.zero(image, m)
-        retraction = MotiveMorphism.zero(m, image)
-        return image, section, retraction
-    image = Motive(m.variety, m.twist, p.corr)
-    section = MotiveMorphism(image, m, p.corr)
-    retraction = MotiveMorphism(m, image, p.corr)
-    return image, section, retraction
+        return image, MotiveMorphism.zero(image, m), MotiveMorphism.zero(m, image)
+    image = _built(Motive, m.variety, m.twist, p.corr)
+    return image, _built(MotiveMorphism, image, m, p.corr), _built(MotiveMorphism, m, image, p.corr)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +326,11 @@ class OrbitMorphism:
     being a morphism into the target twisted i steps.  Concretely component
     i is a sandwiched correspondence of pure degree (s - r) + i, so the
     component family is the degree decomposition of a graded correspondence.
-    Zero components are not stored."""
+    Zero components are not stored, and `components` is read-only."""
 
     source: Motive
     target: Motive
-    components: dict[int, GradedCorrespondence]
+    components: Mapping[int, GradedCorrespondence]
 
     def __post_init__(self) -> None:
         base = self.target.twist - self.source.twist
@@ -327,23 +340,16 @@ class OrbitMorphism:
                 raise InvalidInputError(f"component index must be an integer, got {i!r}")
             if c.is_zero:
                 continue
-            if c.source != self.source.variety or c.target != self.target.variety:
-                raise InvalidInputError(f"component {i} does not match the motives' varieties")
-            if not c.is_pure_degree(base + i):
-                raise InvalidInputError(
-                    f"component {i} must have pure degree {base + i}"
-                )
-            sandwiched = compose_graded(
-                compose_graded(self.source.idempotent, c), self.target.idempotent
-            )
-            if sandwiched != c:
-                raise InvalidInputError(f"component {i} is not fixed by the motive idempotents")
+            _check_component(self.source, self.target, c, base + i, f"component {i}")
             clean[i] = c
-        object.__setattr__(self, "components", clean)
+        object.__setattr__(self, "components", MappingProxyType(clean))
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, frozenset(self.components.items())))
 
     @staticmethod
     def identity(m: Motive) -> "OrbitMorphism":
-        return OrbitMorphism(m, m, {0: m.idempotent})
+        return _built(OrbitMorphism, m, m, MappingProxyType({} if m.is_zero else {0: m.idempotent}))
 
     @staticmethod
     def from_graded(source: Motive, target: Motive, corr: GradedCorrespondence) -> "OrbitMorphism":
@@ -364,12 +370,6 @@ class OrbitMorphism:
 
     def indices(self) -> list[int]:
         return sorted(self.components)
-
-    def total_correspondence(self) -> GradedCorrespondence:
-        acc = GradedCorrespondence.zero(self.source.variety, self.target.variety)
-        for c in self.components.values():
-            acc = acc + c
-        return acc
 
     def to_json(self) -> dict:
         return {
@@ -414,7 +414,8 @@ def orbit_compose(f: OrbitMorphism, g: OrbitMorphism) -> OrbitMorphism:
             k = i + j
             piece = compose_graded(ci, cj)
             acc[k] = acc[k] + piece if k in acc else piece
-    return OrbitMorphism(f.source, g.target, acc)
+    kept = {k: c for k, c in acc.items() if not c.is_zero}
+    return _built(OrbitMorphism, f.source, g.target, MappingProxyType(kept))
 
 
 def degree_zero_rigidify(f: OrbitMorphism, g: OrbitMorphism) -> tuple[MotiveMorphism, MotiveMorphism]:
@@ -432,8 +433,9 @@ def degree_zero_rigidify(f: OrbitMorphism, g: OrbitMorphism) -> tuple[MotiveMorp
         raise PreconditionError("orbit morphisms are not mutually inverse")
     if any(i < 0 for i in f.components) or any(j < 0 for j in g.components):
         raise SupportConditionError("mutually inverse pair has components at negative offsets")
-    f0 = MotiveMorphism(m, n, f.component(0))
-    g0 = MotiveMorphism(n, m, g.component(0))
+    # offset-0 components already passed the checks of a morphism m -> n
+    f0 = _built(MotiveMorphism, m, n, f.component(0))
+    g0 = _built(MotiveMorphism, n, m, g.component(0))
     if compose_motive(f0, g0) != m.identity_morphism() or compose_motive(g0, f0) != n.identity_morphism():
         raise PreconditionError("offset-0 components failed to invert each other")
     return f0, g0

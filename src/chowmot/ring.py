@@ -5,12 +5,19 @@ a cycle class is a sparse rational combination of monomials whose exponents
 stay below the per-variable nilpotency bounds.  The grading by total exponent
 is the codimension grading.  All coefficients are `fractions.Fraction`; no
 floating point appears anywhere in the engine.
+
+Checks run on values from outside: `Cycle(...)` and `Cycle.from_json`
+validate every term.  Results of the ring's own arithmetic are correct by
+construction and built unchecked by `Cycle._sum`, the one place where terms
+are summed and cancelled terms dropped.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 
 from .errors import DomainMismatchError, InvalidInputError
@@ -82,11 +89,32 @@ def _as_fraction(value: object) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        # an exponent is expanded, so one past Python's digit limit is refused
+        limit = sys.get_int_max_str_digits()
         try:
+            exponent = value.lower().partition("e")[2]
+            if exponent and 0 < limit < abs(int(exponent)):
+                raise ValueError(f"exponent {exponent.strip()} exceeds {limit}")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"bad rational literal {value!r}: {exc}") from exc
     raise InvalidInputError(f"coefficients must be exact rationals, got {value!r}")
+
+
+def _checked(variety: Variety, items):
+    """Validate (exponents, coefficient) pairs from outside the ring, and
+    drop monomials at or above a nilpotency bound."""
+    bounds = variety.factors
+    for exps, coeff in items:
+        exps = tuple(exps)
+        if len(exps) != len(bounds):
+            raise InvalidInputError(f"exponent vector {exps} has wrong length for {variety}")
+        for e in exps:
+            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+                raise InvalidInputError(f"exponents must be nonnegative integers, got {e!r}")
+        coeff = _as_fraction(coeff)
+        if all(e <= n for e, n in zip(exps, bounds)):  # h_i^{n_i+1} = 0
+            yield exps, coeff
 
 
 class Cycle:
@@ -104,25 +132,26 @@ class Cycle:
     def __init__(self, variety: Variety, terms: dict | None = None):
         if not isinstance(variety, Variety):
             raise InvalidInputError(f"expected a Variety, got {variety!r}")
-        bounds = variety.factors
-        clean: dict[Exponents, Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != len(bounds):
-                raise InvalidInputError(
-                    f"exponent vector {exps} has wrong length for {variety}"
-                )
-            for e in exps:
-                if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                    raise InvalidInputError(f"exponents must be nonnegative integers, got {e!r}")
-            coeff = _as_fraction(coeff)
-            if coeff == 0:
-                continue
-            if any(e > n for e, n in zip(exps, bounds)):
-                continue  # h_i^{n_i+1} = 0
-            clean[exps] = coeff
+        self._fill(variety, _checked(variety, (terms or {}).items()))
+
+    def _fill(self, variety: Variety, pairs) -> "Cycle":
+        """Set the fields to the sum of the pairs, dropping cancelled terms."""
+        acc: dict[Exponents, Fraction] = {}
+        for e, c in pairs:
+            s = acc[e] + c if e in acc else c
+            if s:
+                acc[e] = s
+            else:
+                acc.pop(e, None)
         object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        object.__setattr__(self, "terms", MappingProxyType(acc))
+        return self
+
+    @classmethod
+    def _sum(cls, variety: Variety, pairs) -> "Cycle":
+        """The sum of (exponents, Fraction) pairs made by the ring's own
+        arithmetic, unchecked: every exponent must lie within the bounds."""
+        return object.__new__(cls)._fill(variety, pairs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cycle instances are immutable")
@@ -173,8 +202,7 @@ class Cycle:
         return all(sum(e) == k for e in self.terms)
 
     def graded_component(self, k: int) -> "Cycle":
-        picked = {e: c for e, c in self.terms.items() if sum(e) == k}
-        return Cycle(self.variety, picked)
+        return Cycle._sum(self.variety, ((e, c) for e, c in self.terms.items() if sum(e) == k))
 
     def degree(self) -> Fraction:
         """Coefficient of the top monomial: the pushforward to Spec K of the
@@ -193,17 +221,10 @@ class Cycle:
         if not isinstance(other, Cycle):
             return NotImplemented
         self._require_same_variety(other)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            s = acc.get(e, Fraction(0)) + c
-            if s == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = s
-        return Cycle(self.variety, acc)
+        return Cycle._sum(self.variety, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "Cycle":
-        return Cycle(self.variety, {e: -c for e, c in self.terms.items()})
+        return Cycle._sum(self.variety, ((e, -c) for e, c in self.terms.items()))
 
     def __sub__(self, other: "Cycle") -> "Cycle":
         if not isinstance(other, Cycle):
@@ -224,27 +245,22 @@ class Cycle:
 
     def scale(self, scalar) -> "Cycle":
         scalar = _as_fraction(scalar)
-        if scalar == 0:
-            return Cycle.zero(self.variety)
-        return Cycle(self.variety, {e: scalar * c for e, c in self.terms.items()})
+        return Cycle._sum(self.variety, ((e, scalar * c) for e, c in self.terms.items()))
 
     def intersect(self, other: "Cycle") -> "Cycle":
         """Truncated polynomial product; codimensions add, and any monomial
         crossing a nilpotency bound is discarded."""
         self._require_same_variety(other)
         bounds = self.variety.factors
-        acc: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if any(x > n for x, n in zip(e, bounds)):
-                    continue
-                s = acc.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    acc.pop(e, None)
-                else:
-                    acc[e] = s
-        return Cycle(self.variety, acc)
+
+        def products():
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    if all(x <= n for x, n in zip(e, bounds)):
+                        yield e, c1 * c2
+
+        return Cycle._sum(self.variety, products())
 
     # -- comparison and display --------------------------------------------
 
@@ -305,14 +321,12 @@ class Cycle:
         raw = data["terms"]
         if not isinstance(raw, list):
             raise InvalidInputError(f"'terms' must be a list, got {raw!r}")
-        terms: dict[Exponents, Fraction] = {}
+        pairs = []
         for item in raw:
             if not isinstance(item, dict) or "exps" not in item or "coeff" not in item:
                 raise InvalidInputError(f"each term needs 'exps' and 'coeff', got {item!r}")
             exps = item["exps"]
             if not isinstance(exps, list) or any(type(e) is not int for e in exps):
                 raise InvalidInputError(f"'exps' must be a list of integers, got {exps!r}")
-            exps = tuple(exps)
-            coeff = _as_fraction(item["coeff"])
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return cls(variety, terms)
+            pairs.append((exps, _as_fraction(item["coeff"])))
+        return cls._sum(variety, _checked(variety, pairs))

@@ -554,13 +554,17 @@ CHECKS = [
 
 def run_checks(seed: int, samples: int, names: list[str] | None = None) -> list[CheckResult]:
     """Run the named checks (all by default), each on its own stream derived
-    from the seed, so results do not depend on selection or order."""
+    from the seed, so results do not depend on selection or order.  A check
+    that raises fails with the error as its detail; the others still run."""
     if samples < 0:
         raise InvalidInputError(f"samples must be nonnegative, got {samples}")
     selected = CHECKS if names is None else [c for c in CHECKS if c[0] in set(names)]
     results = []
     for name, fn in selected:
         rng = random.Random(f"{seed}:{name}")
-        passed, detail = fn(rng, samples)
+        try:
+            passed, detail = fn(rng, samples)
+        except Exception as exc:  # noqa: BLE001 - report any failure as a check failure
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(CheckResult(name, passed, detail))
     return results

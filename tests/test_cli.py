@@ -130,6 +130,30 @@ class TestErrors:
         assert err.startswith("error:") and "'exps' must be a list of integers" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        # a JSON integer longer than Python's limit for decimal strings
+        ["ring", "degree", '{"variety": {"factors": [1]}, "terms": [{"exps": [' + "9" * 5000
+         + '], "coeff": "1"}]}'],
+        # rational literals whose exponent would expand to millions of digits
+        ["ring", "degree", json.dumps(
+            {"variety": {"factors": [1]}, "terms": [{"exps": [1], "coeff": "1e4000000"}]})],
+        ["ring", "scale", "1e-4000000", CYCLE_H_ON_P1],
+        # nesting deeper than the JSON decoder's recursion limit
+        ["ring", "degree", "[" * 100000 + "]" * 100000],
+    ], ids=["long-integer", "coeff-exponent", "scale-exponent", "deep-nesting"])
+    def test_oversized_input_fails_fast(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_scale_argument_shares_the_coefficient_parser(self, capsys):
+        code, out, _ = run_cli(capsys, "ring", "scale", "1.5e-1", CYCLE_H_ON_P1, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["terms"] == [{"exps": [1], "coeff": "3/20"}]
+        code, _, err = run_cli(capsys, "ring", "scale", "1/0", CYCLE_H_ON_P1)
+        assert code == 1 and err.startswith("error: bad rational literal '1/0'")
+
     def test_domain_error_names_precondition(self, capsys):
         bad = json.dumps(
             {"variety": {"factors": [1]}, "terms": [{"exps": [1, 1], "coeff": "1"}]}
@@ -286,6 +310,23 @@ class TestVerifyCommand:
         assert all(r["passed"] for r in results)
         rows = [line.split(None, 2) for line in verify_seed42[1].splitlines()[2:]]
         assert rows == [[r["name"], "PASS", r["detail"]] for r in results]
+
+    def test_raising_check_is_a_fail_row(self, capsys, monkeypatch):
+        from chowmot import verify
+
+        def boom(rng, samples):
+            raise RuntimeError("boom")
+
+        names = [name for name, _ in verify.CHECKS]
+        checks = list(verify.CHECKS)
+        checks[2] = (names[2], boom)
+        monkeypatch.setattr(verify, "CHECKS", checks)
+        code, out, _ = run_cli(capsys, "verify", "--seed", "42", "--samples", "0")
+        assert code == 1
+        rows = [line.split(None, 2) for line in out.splitlines()[2:]]
+        assert [r[0] for r in rows] == names
+        assert rows[2][1:] == ["FAIL", "raised RuntimeError: boom"]
+        assert all(r[1] == "PASS" for i, r in enumerate(rows) if i != 2)
 
     def test_negative_samples_rejected(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--samples", "-5")

@@ -10,8 +10,12 @@ from chowmot import (
     GradedCorrespondence,
     InvalidInputError,
     Variety,
+    OrbitMorphism,
     diagonal_class,
     make_variety,
+    motive_of,
+    orbit_compose,
+    zero_motive,
 )
 from chowmot.verify import random_cycle
 
@@ -188,6 +192,22 @@ class TestImmutability:
         x = make_variety([1, 2])
         cache = {GradedCorrespondence.identity(x): "diagonal"}
         assert cache[GradedCorrespondence(x, x, diagonal_class(x))] == "diagonal"
+
+    def test_orbit_components_are_read_only(self):
+        m = motive_of(make_variety([1]))
+        for f in (OrbitMorphism.identity(m), OrbitMorphism(m, m, {0: m.idempotent}),
+                  orbit_compose(OrbitMorphism.identity(m), OrbitMorphism.identity(m))):
+            with pytest.raises(TypeError):
+                f.components[3] = "junk"
+            assert f.indices() == [0]
+
+    def test_orbit_morphisms_hash_like_equality(self):
+        m = motive_of(make_variety([1]))
+        ident = OrbitMorphism.identity(m)
+        same = OrbitMorphism(m, m, {0: m.idempotent, 1: GradedCorrespondence.zero(m.variety, m.variety)})
+        assert ident == same and hash(ident) == hash(same)
+        assert len({ident, same, OrbitMorphism(m, m, {})}) == 2
+        assert hash(OrbitMorphism.identity(zero_motive())) == hash(OrbitMorphism(zero_motive(), zero_motive(), {}))
 
 
 class TestSerialization:
