@@ -1,126 +1,52 @@
 """Exact intersection calculus, characteristic classes, K-theory shadows,
-and Chow motives on finite products of projective spaces."""
+and Chow motives on finite products of projective spaces.
 
-from .chern import (
-    BundleClass,
-    PowerSumVector,
-    chern_character,
-    exp_nilpotent,
-    line_bundle,
-    power_sums,
-    series_inverse,
-    sqrt_todd,
-    tangent_class,
-    todd_class,
-    todd_series_coefficients,
-    variety_todd,
-)
-from .corr import (
-    FactorSelection,
-    GradedCorrespondence,
-    cartesian,
-    compose_graded,
-    diagonal_class,
-    diagonal_pushforward,
-    permute_factors,
-)
-from .errors import (
-    ChowError,
-    DomainMismatchError,
-    InvalidInputError,
-    PreconditionError,
-    SingularSeriesError,
-    SupportConditionError,
-)
-from .kshadow import (
-    KClass,
-    KKernel,
-    chow_image,
-    euler_characteristic,
-    identity_kernel,
-    k_compose,
-    support_codim_floor,
-)
-from .motives import (
-    FormalSum,
-    FormalSumMorphism,
-    Motive,
-    MotiveMorphism,
-    OrbitMorphism,
-    OrlovReport,
-    compatibility_check,
-    compose_motive,
-    degree_zero_rigidify,
-    dual,
-    lefschetz_motive,
-    motive_of,
-    orbit_compose,
-    orlov_pipeline,
-    split_idempotent,
-    tate_motive,
-    tate_twist,
-    tensor,
-    tensor_morphism,
-    unit_motive,
-    zero_motive,
-)
-from .ring import Cycle, Variety, make_variety
+The engine is built in layers: `ring` under `corr` and `chern`, `kshadow`
+over both, `motives` over `kshadow`, and `verify` and `cli` on top.  The
+names below are exported from the package but loaded on first access
+(PEP 562), so importing `chowmot` loads no layer, and a caller pays only
+for the layers it uses.  Each access reads the name from its home module.
+"""
 
-__all__ = [
-    "BundleClass",
-    "ChowError",
-    "Cycle",
-    "DomainMismatchError",
-    "FactorSelection",
-    "FormalSum",
-    "FormalSumMorphism",
-    "GradedCorrespondence",
-    "InvalidInputError",
-    "KClass",
-    "KKernel",
-    "Motive",
-    "MotiveMorphism",
-    "OrbitMorphism",
-    "OrlovReport",
-    "PowerSumVector",
-    "PreconditionError",
-    "SingularSeriesError",
-    "SupportConditionError",
-    "Variety",
-    "cartesian",
-    "chern_character",
-    "chow_image",
-    "compatibility_check",
-    "compose_graded",
-    "compose_motive",
-    "degree_zero_rigidify",
-    "diagonal_class",
-    "diagonal_pushforward",
-    "dual",
-    "euler_characteristic",
-    "exp_nilpotent",
-    "identity_kernel",
-    "k_compose",
-    "lefschetz_motive",
-    "line_bundle",
-    "make_variety",
-    "motive_of",
-    "orbit_compose",
-    "orlov_pipeline",
-    "permute_factors",
-    "power_sums",
-    "series_inverse",
-    "split_idempotent",
-    "sqrt_todd",
-    "support_codim_floor",
-    "tangent_class",
-    "tate_motive",
-    "tate_twist",
-    "tensor",
-    "tensor_morphism",
-    "todd_class",
-    "todd_series_coefficients",
-    "unit_motive",
-    "variety_todd",
-    "zero_motive",
-]
+import importlib
+
+_HOMES = {
+    "chern": (
+        "BundleClass", "PowerSumVector", "chern_character", "exp_nilpotent", "line_bundle",
+        "power_sums", "series_inverse", "sqrt_todd", "tangent_class", "todd_class",
+        "todd_series_coefficients", "variety_todd",
+    ),
+    "corr": (
+        "FactorSelection", "GradedCorrespondence", "cartesian", "compose_graded",
+        "diagonal_class", "diagonal_pushforward", "permute_factors",
+    ),
+    "errors": (
+        "ChowError", "DomainMismatchError", "InvalidInputError", "PreconditionError",
+        "SingularSeriesError", "SupportConditionError",
+    ),
+    "kshadow": (
+        "KClass", "KKernel", "chow_image", "euler_characteristic", "identity_kernel",
+        "k_compose", "support_codim_floor",
+    ),
+    "motives": (
+        "FormalSum", "FormalSumMorphism", "Motive", "MotiveMorphism", "OrbitMorphism",
+        "OrlovReport", "compatibility_check", "compose_motive", "degree_zero_rigidify", "dual",
+        "lefschetz_motive", "motive_of", "orbit_compose", "orlov_pipeline", "split_idempotent",
+        "tate_motive", "tate_twist", "tensor", "tensor_morphism", "unit_motive", "zero_motive",
+    ),
+    "ring": ("Cycle", "Variety", "make_variety"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

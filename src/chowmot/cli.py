@@ -3,6 +3,9 @@
 Every subcommand accepts inputs either as paths to JSON files or as inline
 JSON, emits text or JSON (`--format`), and maps failures to exit codes:
 0 success, 1 domain or parse error, 2 usage error.
+
+Only `errors` and `ring` are imported here; each handler imports the layers
+it uses, so a cold call pays for no layer its subcommand does not need.
 """
 
 from __future__ import annotations
@@ -13,29 +16,8 @@ import os
 import sys
 from pathlib import Path
 
-from .chern import (
-    BundleClass,
-    chern_character,
-    line_bundle,
-    sqrt_todd,
-    tangent_class,
-    todd_class,
-)
-from .corr import GradedCorrespondence, compose_graded
 from .errors import ChowError, InvalidInputError
-from .kshadow import KClass, KKernel, chow_image, euler_characteristic, identity_kernel, k_compose
-from .motives import (
-    Motive,
-    MotiveMorphism,
-    OrbitMorphism,
-    compatibility_check,
-    motive_of,
-    orbit_compose,
-    orlov_pipeline,
-    split_idempotent,
-)
-from .ring import Cycle, Variety, make_variety
-from .verify import run_checks
+from .ring import Cycle, Variety, _as_text, make_variety
 
 
 def _load_json(text: str):
@@ -76,7 +58,7 @@ def _cycle_text(cycle: Cycle) -> str:
     return f"{cycle}  on {cycle.variety}"
 
 
-def _corr_text(corr: GradedCorrespondence) -> str:
+def _corr_text(corr) -> str:
     return f"{corr.source} -> {corr.target}\n{corr.cycle}"
 
 
@@ -102,12 +84,14 @@ def cmd_ring(args) -> int:
             raise InvalidInputError(f"graded component index must be an integer, got {operands[0]!r}") from exc
         result = Cycle.from_json(_load_json(operands[1])).graded_component(k)
     else:
-        value = Cycle.from_json(_load_json(operands[0])).degree()
-        return _emit(args, str(value), {"degree": str(value)})
+        value = _as_text(Cycle.from_json(_load_json(operands[0])).degree())
+        return _emit(args, value, {"degree": value})
     return _emit(args, _cycle_text(result), result.to_json())
 
 
 def cmd_compose(args) -> int:
+    from .corr import GradedCorrespondence, compose_graded
+
     f = GradedCorrespondence.from_json(_load_json(args.first))
     g = GradedCorrespondence.from_json(_load_json(args.second))
     result = compose_graded(f, g)
@@ -115,17 +99,23 @@ def cmd_compose(args) -> int:
 
 
 def cmd_transpose(args) -> int:
+    from .corr import GradedCorrespondence
+
     result = GradedCorrespondence.from_json(_load_json(args.correspondence)).transpose()
     return _emit(args, _corr_text(result), result.to_json())
 
 
 def cmd_diagonal(args) -> int:
+    from .corr import GradedCorrespondence
+
     variety = _parse_variety(args.variety)
     result = GradedCorrespondence.identity(variety)
     return _emit(args, _corr_text(result), result.to_json())
 
 
-def _bundle_from_args(args) -> BundleClass:
+def _bundle_from_args(args):
+    from .chern import BundleClass, line_bundle
+
     if args.bundle is not None:
         return BundleClass.from_json(_load_json(args.bundle))
     if args.variety is None or args.line_bundle is None:
@@ -136,27 +126,38 @@ def _bundle_from_args(args) -> BundleClass:
 
 
 def cmd_chern_character(args) -> int:
+    from .chern import chern_character
+
     result = chern_character(_bundle_from_args(args))
     return _emit(args, _cycle_text(result), result.to_json())
 
 
 def cmd_todd(args) -> int:
+    from .chern import todd_class
+
     result = todd_class(_bundle_from_args(args))
     return _emit(args, _cycle_text(result), result.to_json())
 
 
 def cmd_sqrt_todd(args) -> int:
+    from .chern import sqrt_todd
+
     result = sqrt_todd(_parse_variety(args.variety))
     return _emit(args, _cycle_text(result), result.to_json())
 
 
 def cmd_tangent(args) -> int:
+    from .chern import tangent_class
+
     result = tangent_class(_parse_variety(args.variety))
     text = f"rank {result.rank} bundle on {result.variety}\nc = {result.total_chern}"
     return _emit(args, text, result.to_json())
 
 
 def cmd_euler(args) -> int:
+    from .chern import chern_character, line_bundle
+    from .kshadow import KClass, euler_characteristic
+
     if args.kclass is not None:
         data = _load_json(args.kclass)
         if not isinstance(data, dict) or not {"variety", "ch"} <= set(data):
@@ -167,17 +168,21 @@ def cmd_euler(args) -> int:
             raise InvalidInputError("provide either a K-class or both --variety and --line-bundle")
         bundle = line_bundle(_parse_variety(args.variety), _parse_degrees(args.line_bundle))
         kclass = KClass(bundle.variety, chern_character(bundle))
-    value = euler_characteristic(kclass)
-    return _emit(args, str(value), {"euler_characteristic": str(value)})
+    value = _as_text(euler_characteristic(kclass))
+    return _emit(args, value, {"euler_characteristic": value})
 
 
 def cmd_mu(args) -> int:
+    from .kshadow import KKernel, chow_image
+
     kernel = KKernel.from_json(_load_json(args.kernel))
     result = chow_image(kernel)
     return _emit(args, _corr_text(result), result.to_json())
 
 
 def cmd_k_compose(args) -> int:
+    from .kshadow import KKernel, k_compose
+
     e = KKernel.from_json(_load_json(args.first))
     f = KKernel.from_json(_load_json(args.second))
     result = k_compose(e, f)
@@ -186,17 +191,24 @@ def cmd_k_compose(args) -> int:
 
 
 def cmd_identity_kernel(args) -> int:
+    from .kshadow import identity_kernel
+
     result = identity_kernel(_parse_variety(args.variety))
     text = f"{result.source} -> {result.target}\nch = {result.ch}"
     return _emit(args, text, result.to_json())
 
 
 def cmd_motive(args) -> int:
+    from .motives import motive_of
+
     result = motive_of(_parse_variety(args.variety))
     return _emit(args, str(result), result.to_json())
 
 
 def cmd_split(args) -> int:
+    from .corr import GradedCorrespondence
+    from .motives import Motive, MotiveMorphism, split_idempotent
+
     motive = Motive.from_json(_load_json(args.motive))
     cycle = Cycle.from_json(_load_json(args.projector))
     corr = GradedCorrespondence(motive.variety, motive.variety, cycle)
@@ -212,6 +224,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_orbit_compose(args) -> int:
+    from .motives import OrbitMorphism, orbit_compose
+
     f = OrbitMorphism.from_json(_load_json(args.first))
     g = OrbitMorphism.from_json(_load_json(args.second))
     result = orbit_compose(f, g)
@@ -224,6 +238,9 @@ def cmd_orbit_compose(args) -> int:
 
 
 def cmd_orlov(args) -> int:
+    from .kshadow import KKernel
+    from .motives import orlov_pipeline
+
     e = KKernel.from_json(_load_json(args.first))
     f = KKernel.from_json(_load_json(args.second))
     report = orlov_pipeline(e, f)
@@ -251,6 +268,9 @@ def cmd_orlov(args) -> int:
 
 
 def cmd_compat(args) -> int:
+    from .kshadow import KKernel
+    from .motives import compatibility_check
+
     e = KKernel.from_json(_load_json(args.first))
     f = KKernel.from_json(_load_json(args.second))
     verdict = compatibility_check(e, f)
@@ -259,6 +279,8 @@ def cmd_compat(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_checks
+
     results = run_checks(args.seed, args.samples)
     if args.format == "json":
         payload = [

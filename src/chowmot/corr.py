@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainMismatchError, InvalidInputError
 from .ring import Cycle, Variety
@@ -37,9 +38,9 @@ class FactorSelection:
                 raise InvalidInputError("selected indices must be strictly increasing")
             prev = i
 
-    @property
+    @cached_property
     def target(self) -> Variety:
-        return Variety(tuple(self.source.factors[i] for i in self.selected))
+        return Variety._unchecked(tuple(self.source.factors[i] for i in self.selected))
 
     @property
     def unselected(self) -> tuple[int, ...]:
@@ -96,7 +97,7 @@ def permute_factors(a: Cycle, order: tuple[int, ...]) -> Cycle:
     k = a.variety.num_factors
     if sorted(order) != list(range(k)):
         raise InvalidInputError(f"{order!r} is not a permutation of 0..{k - 1}")
-    new_variety = Variety(tuple(a.variety.factors[i] for i in order))
+    new_variety = Variety._unchecked(tuple(a.variety.factors[i] for i in order))
     return Cycle._sum(new_variety, ((tuple(exps[i] for i in order), c) for exps, c in a.terms.items()))
 
 

@@ -11,7 +11,8 @@ correspondence, with the twist autoequivalence acting on indices only.
 
 Checks run on values from outside: the public constructors and `from_json`.
 Results that are correct by construction (composites, sums, identities, the
-pieces of a split idempotent) are built unchecked by `_built`.
+pieces of a split idempotent, duals, tensor products and twists) are built
+unchecked by `_built`.
 """
 
 from __future__ import annotations
@@ -191,11 +192,12 @@ def tate_motive() -> Motive:
 
 def tensor(m: Motive, n: Motive) -> Motive:
     """Tensor product: varieties multiply, twists add, and the idempotents
-    combine as the external product rearranged onto (X x Y) x (X x Y)."""
+    combine as the external product rearranged onto (X x Y) x (X x Y), which
+    is idempotent of degree zero because both factors are."""
     product = m.variety * n.variety
     cycle = _external_product(m.variety, m.variety, n.variety, n.variety,
                               m.idempotent.cycle, n.idempotent.cycle)
-    return Motive(product, m.twist + n.twist, GradedCorrespondence(product, product, cycle))
+    return _built(Motive, product, m.twist + n.twist, GradedCorrespondence(product, product, cycle))
 
 
 def tensor_morphism(f: MotiveMorphism, g: MotiveMorphism) -> MotiveMorphism:
@@ -227,13 +229,14 @@ def _external_product(x: Variety, x2: Variety, y: Variety, y2: Variety,
 
 
 def dual(m: Motive) -> Motive:
-    """Dual motive: transpose the idempotent and reflect the twist at dim X."""
-    return Motive(m.variety, m.variety.dim - m.twist, m.idempotent.transpose())
+    """Dual motive: transpose the idempotent (still idempotent, as transposing
+    reverses composition) and reflect the twist at dim X."""
+    return _built(Motive, m.variety, m.variety.dim - m.twist, m.idempotent.transpose())
 
 
 def tate_twist(m: Motive, i: int) -> Motive:
     """The i-th twist lowers the twist index by i and keeps everything else."""
-    return Motive(m.variety, m.twist - i, m.idempotent)
+    return _built(Motive, m.variety, m.twist - i, m.idempotent)
 
 
 def split_idempotent(m: Motive, p: MotiveMorphism) -> tuple[Motive, MotiveMorphism, MotiveMorphism]:

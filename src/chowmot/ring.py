@@ -9,7 +9,9 @@ floating point appears anywhere in the engine.
 Checks run on values from outside: `Cycle(...)` and `Cycle.from_json`
 validate every term.  Results of the ring's own arithmetic are correct by
 construction and built unchecked by `Cycle._sum`, the one place where terms
-are summed and cancelled terms dropped.
+are summed and cancelled terms dropped.  Likewise `Variety(...)` checks its
+factors, and products and re-orderings of checked varieties are built by
+`Variety._unchecked`.
 """
 
 from __future__ import annotations
@@ -45,6 +47,13 @@ class Variety:
                     f"factor dimensions must be nonnegative integers, got {n!r}"
                 )
 
+    @classmethod
+    def _unchecked(cls, factors: tuple[int, ...]) -> "Variety":
+        """A variety whose factors come from varieties already checked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "factors", factors)
+        return obj
+
     @property
     def dim(self) -> int:
         return sum(self.factors)
@@ -58,7 +67,7 @@ class Variety:
         return not self.factors
 
     def __mul__(self, other: "Variety") -> "Variety":
-        return Variety(self.factors + other.factors)
+        return Variety._unchecked(self.factors + other.factors)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -99,6 +108,17 @@ def _as_fraction(value: object) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"bad rational literal {value!r}: {exc}") from exc
     raise InvalidInputError(f"coefficients must be exact rationals, got {value!r}")
+
+
+def _as_text(value: Fraction) -> str:
+    """A coefficient as text; one whose numerator or denominator is longer
+    than Python's digit limit cannot be printed and is refused."""
+    try:
+        return str(value)
+    except ValueError as exc:  # str(int) past sys.get_int_max_str_digits()
+        raise InvalidInputError(
+            f"result coefficient exceeds the {sys.get_int_max_str_digits()}-digit limit for printing"
+        ) from exc
 
 
 def _checked(variety: Variety, items):
@@ -285,13 +305,13 @@ class Cycle:
                 if e > 0
             ]
             if not factors:
-                parts.append(str(coeff))
+                parts.append(_as_text(coeff))
             elif coeff == 1:
                 parts.append("*".join(factors))
             elif coeff == -1:
                 parts.append("-" + "*".join(factors))
             else:
-                parts.append(f"{coeff}*" + "*".join(factors))
+                parts.append(f"{_as_text(coeff)}*" + "*".join(factors))
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -306,7 +326,7 @@ class Cycle:
         return {
             "variety": self.variety.to_json(),
             "terms": [
-                {"exps": list(e), "coeff": str(c)}
+                {"exps": list(e), "coeff": _as_text(c)}
                 for e, c in sorted(self.terms.items())
             ],
         }

@@ -19,17 +19,22 @@ from chowmot import (
     Motive,
     MotiveMorphism,
     OrbitMorphism,
+    Variety,
     cartesian,
     compose_graded,
     compose_motive,
     degree_zero_rigidify,
+    dual,
     lefschetz_motive,
     make_variety,
     motive_of,
     orbit_compose,
     permute_factors,
     split_idempotent,
+    tate_motive,
     tate_twist,
+    tensor,
+    unit_motive,
     zero_motive,
 )
 from chowmot.chern import exp_nilpotent, mul_todd_power
@@ -44,6 +49,28 @@ def assert_clean(c: Cycle) -> None:
     coefficient, nothing past a bound, only Fractions."""
     assert Cycle(c.variety, dict(c.terms)) == c
     assert all(type(v) is Fraction and v != 0 for v in c.terms.values())
+
+
+def assert_clean_variety(v: Variety) -> None:
+    """The validating constructor accepts the factors unchanged: a tuple of
+    plain nonnegative ints."""
+    assert Variety(v.factors) == v and make_variety(list(v.factors)) == v
+    assert type(v.factors) is tuple and all(type(n) is int and n >= 0 for n in v.factors)
+
+
+class TestVarietiesBuiltUnchecked:
+    def test_products_selections_and_permutations(self):
+        rng = random.Random(70)
+        for _ in range(60):
+            x, y = rng.choice(VARIETIES), rng.choice(VARIETIES)
+            xy = x * y
+            assert_clean_variety(xy)
+            k = xy.num_factors
+            sel = FactorSelection(xy, tuple(sorted(rng.sample(range(k), rng.randint(0, k)))))
+            assert_clean_variety(sel.target)
+            assert sel.target is sel.target  # computed once per selection
+            order = tuple(rng.sample(range(k), k))
+            assert_clean_variety(permute_factors(random_cycle(rng, xy, 3), order).variety)
 
 
 class TestCyclesBuiltUnchecked:
@@ -138,6 +165,14 @@ class TestMotivesBuiltUnchecked:
             assert Motive(image.variety, image.twist, image.idempotent) == image
             assert rechecked(section) == section and rechecked(retraction) == retraction
 
+    def test_duals_tensors_and_twists(self):
+        rng = random.Random(77)
+        pool = motives(rng) + [unit_motive(), zero_motive(), tate_motive()]
+        for m in pool:
+            for r in (dual(m), dual(dual(m)), tate_twist(m, rng.randint(-3, 3)),
+                      *(tensor(m, n) for n in pool)):
+                assert Motive(r.variety, r.twist, r.idempotent) == r
+
     def test_orbit_composition(self):
         rng = random.Random(75)
         for _ in range(40):
@@ -203,6 +238,22 @@ class TestOutsideInputStillChecked:
             MotiveMorphism(m, tate_twist(m, 1), m.idempotent)
         with pytest.raises(InvalidInputError, match="varieties"):
             MotiveMorphism(m, motive_of(make_variety([2])), m.idempotent)
+
+    def test_variety_constructors_reject(self):
+        for factors in ([-1], [True], [1, -1], [2, True]):
+            with pytest.raises(InvalidInputError, match="nonnegative integers"):
+                Variety(tuple(factors))
+            with pytest.raises(InvalidInputError, match="nonnegative integers"):
+                make_variety(factors)
+            with pytest.raises(InvalidInputError, match="nonnegative integers"):
+                Variety.from_json({"factors": factors})
+
+    def test_motive_from_json_rejects_non_idempotent(self):
+        line = make_variety([1])
+        doubled = GradedCorrespondence.identity(line).scale(2)
+        data = {"variety": line.to_json(), "twist": 0, "idempotent": doubled.cycle.to_json()}
+        with pytest.raises(InvalidInputError, match="not idempotent"):
+            Motive.from_json(data)
 
     def test_cycle_constructors_reject(self):
         x = make_variety([1, 1])

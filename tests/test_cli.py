@@ -147,6 +147,23 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["ring", "scale", "1e4300", CYCLE_H_ON_P1],
+        ["ring", "degree", json.dumps(
+            {"variety": {"factors": [1]}, "terms": [{"exps": [1], "coeff": "1e4300"}]})],
+        # in-range operands whose product outgrows the limit
+        ["ring", "intersect", *[json.dumps(
+            {"variety": {"factors": [1]}, "terms": [{"exps": [0], "coeff": f"{s}e2200"}]})
+            for s in ("1", "-3")]],
+    ], ids=["scale", "degree", "product"])
+    def test_oversized_result_fails_cleanly(self, capsys, argv, fmt):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert f"{sys.get_int_max_str_digits()}-digit limit" in err
+
     def test_scale_argument_shares_the_coefficient_parser(self, capsys):
         code, out, _ = run_cli(capsys, "ring", "scale", "1.5e-1", CYCLE_H_ON_P1, "--format", "json")
         assert code == 0

@@ -1,0 +1,75 @@
+"""A cold CLI call loads only the layers its subcommand uses, and the
+package exports resolve on first access to the objects of their home
+modules."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import chowmot
+
+SRC = str(Path(chowmot.__file__).resolve().parent.parent)
+KERNEL = json.dumps({
+    "source": {"factors": [1]},
+    "target": {"factors": [1]},
+    "ch": {"variety": {"factors": [1, 1]},
+           "terms": [{"exps": [1, 0], "coeff": "1"}, {"exps": [0, 1], "coeff": "1"}]},
+})
+LOADED = """
+import contextlib, io, json, sys
+from chowmot.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("chowmot"))]))
+"""
+BASE = ["chowmot", "chowmot.cli", "chowmot.errors", "chowmot.ring"]
+KERNELS = ["chowmot.chern", "chowmot.corr", "chowmot.kshadow"]
+
+
+def loaded_by(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0
+    return set(modules)
+
+
+class TestCliLayers:
+    @pytest.mark.parametrize("argv, layers", [
+        (["sqrt-todd", "--variety", "[1]"], ["chowmot.chern"]),
+        (["identity-kernel", "--variety", "[1]"], KERNELS),
+        (["k-compose", KERNEL, KERNEL], KERNELS),
+        (["orlov", KERNEL, KERNEL], KERNELS + ["chowmot.motives"]),
+        (["verify", "--seed", "1", "--samples", "2"], KERNELS + ["chowmot.motives", "chowmot.verify"]),
+    ], ids=["sqrt-todd", "identity-kernel", "k-compose", "orlov", "verify"])
+    def test_subcommand_loads_only_its_layers(self, argv, layers):
+        assert loaded_by(*argv) == set(BASE + layers)
+
+
+class TestPackageExports:
+    def test_names_resolve_to_their_home_objects(self):
+        assert len(chowmot.__all__) == 56 == len(set(chowmot.__all__))
+        for name in chowmot.__all__:
+            obj = getattr(chowmot, name)
+            home = sys.modules[obj.__module__]
+            assert home.__name__.startswith("chowmot.") and getattr(home, name) is obj
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from chowmot import *", namespace)
+        assert set(chowmot.__all__) <= set(namespace)
+        assert all(namespace[name] is getattr(chowmot, name) for name in chowmot.__all__)
+
+    def test_dir_lists_the_exports(self):
+        assert set(chowmot.__all__) <= set(dir(chowmot))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            chowmot.no_such_name
+        assert not hasattr(chowmot, "no_such_name")
