@@ -12,9 +12,9 @@ import importlib
 
 _HOMES = {
     "chern": (
-        "BundleClass", "PowerSumVector", "chern_character", "exp_nilpotent", "line_bundle",
-        "power_sums", "series_inverse", "sqrt_todd", "tangent_class", "todd_class",
-        "todd_series_coefficients", "variety_todd",
+        "BundleClass", "chern_character", "exp_nilpotent", "line_bundle", "power_sums",
+        "series_inverse", "sqrt_todd", "tangent_class", "todd_class", "todd_series_coefficients",
+        "variety_todd",
     ),
     "corr": (
         "FactorSelection", "GradedCorrespondence", "cartesian", "compose_graded",
@@ -25,8 +25,8 @@ _HOMES = {
         "SingularSeriesError", "SupportConditionError",
     ),
     "kshadow": (
-        "KClass", "KKernel", "chow_image", "euler_characteristic", "identity_kernel",
-        "k_compose", "support_codim_floor",
+        "KKernel", "chow_image", "euler_characteristic", "identity_kernel", "k_compose",
+        "support_codim_floor",
     ),
     "motives": (
         "FormalSum", "FormalSumMorphism", "Motive", "MotiveMorphism", "OrbitMorphism",

@@ -196,22 +196,9 @@ class BundleClass:
         )
 
 
-@dataclass(frozen=True)
-class PowerSumVector:
-    """Newton power sums p_1 .. p_dim of the Chern roots of a bundle class;
-    p_k is homogeneous of codimension k (or zero)."""
-
-    variety: Variety
-    sums: tuple[Cycle, ...]
-
-    def p(self, k: int) -> Cycle:
-        if not 1 <= k <= len(self.sums):
-            raise InvalidInputError(f"power sum index {k} out of range")
-        return self.sums[k - 1]
-
-
-def power_sums(bundle: BundleClass) -> PowerSumVector:
-    """Power sums of the Chern roots via Newton's identities, with the
+def power_sums(bundle: BundleClass) -> tuple[Cycle, ...]:
+    """Power sums p_1 .. p_dim of the Chern roots (p_k at index k - 1,
+    homogeneous of codimension k or zero) via Newton's identities, with the
     elementary symmetric functions read off the total Chern class:
 
         p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^k e_{k-1} p_1
@@ -226,7 +213,7 @@ def power_sums(bundle: BundleClass) -> PowerSumVector:
         for i in range(1, k):
             acc = acc + (e[i] * p[k - i - 1]).scale(Fraction((-1) ** (i - 1)))
         p.append(acc)
-    return PowerSumVector(x, tuple(p))
+    return tuple(p)
 
 
 def chern_character(bundle: BundleClass) -> Cycle:
@@ -234,7 +221,7 @@ def chern_character(bundle: BundleClass) -> Cycle:
     x = bundle.variety
     acc = Cycle.one(x).scale(Fraction(bundle.rank))
     fact = 1
-    for k, pk in enumerate(power_sums(bundle).sums, start=1):
+    for k, pk in enumerate(power_sums(bundle), start=1):
         fact *= k
         acc = acc + pk.scale(Fraction(1, fact))
     return acc
@@ -246,7 +233,7 @@ def todd_class(bundle: BundleClass) -> Cycle:
     x = bundle.variety
     lam = todd_series_coefficients(x.dim)
     arg = Cycle.zero(x)
-    for k, pk in enumerate(power_sums(bundle).sums, start=1):
+    for k, pk in enumerate(power_sums(bundle), start=1):
         arg = arg + pk.scale(lam[k])
     return exp_nilpotent(arg)
 

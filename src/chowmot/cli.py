@@ -156,19 +156,22 @@ def cmd_tangent(args) -> int:
 
 def cmd_euler(args) -> int:
     from .chern import chern_character, line_bundle
-    from .kshadow import KClass, euler_characteristic
+    from .kshadow import euler_characteristic
 
     if args.kclass is not None:
         data = _load_json(args.kclass)
         if not isinstance(data, dict) or not {"variety", "ch"} <= set(data):
             raise InvalidInputError("K-class must be an object with 'variety' and 'ch'")
-        kclass = KClass(Variety.from_json(data["variety"]), Cycle.from_json(data["ch"]))
+        variety = Variety.from_json(data["variety"])
+        ch = Cycle.from_json(data["ch"])
+        if ch.variety != variety:
+            raise InvalidInputError("Chern character lives on the wrong variety")
     else:
         if args.variety is None or args.line_bundle is None:
             raise InvalidInputError("provide either a K-class or both --variety and --line-bundle")
         bundle = line_bundle(_parse_variety(args.variety), _parse_degrees(args.line_bundle))
-        kclass = KClass(bundle.variety, chern_character(bundle))
-    value = _as_text(euler_characteristic(kclass))
+        ch = chern_character(bundle)
+    value = _as_text(euler_characteristic(ch))
     return _emit(args, value, {"euler_characteristic": value})
 
 
@@ -230,9 +233,9 @@ def cmd_orbit_compose(args) -> int:
     g = OrbitMorphism.from_json(_load_json(args.second))
     result = orbit_compose(f, g)
     text_lines = [f"{result.source} -> {result.target}"]
-    for i in result.indices():
-        text_lines.append(f"  offset {i}: {result.components[i].cycle}")
-    if not result.components:
+    for i, c in result.components.items():
+        text_lines.append(f"  offset {i}: {c.cycle}")
+    if result.corr.is_zero:
         text_lines.append("  zero")
     return _emit(args, "\n".join(text_lines), result.to_json())
 

@@ -21,64 +21,25 @@ from .ring import Cycle, Variety
 
 
 @dataclass(frozen=True)
-class KClass:
-    """A class in K_0(X) with rational coefficients, recorded by its Chern
-    character cycle.  Any cycle is legal; the rank is the constant term."""
-
-    variety: Variety
-    ch: Cycle
-
-    def __post_init__(self) -> None:
-        if self.ch.variety != self.variety:
-            raise InvalidInputError("Chern character lives on the wrong variety")
-
-    @property
-    def rank(self) -> Fraction:
-        return self.ch.coefficient((0,) * self.variety.num_factors)
-
-    def __add__(self, other: "KClass") -> "KClass":
-        if other.variety != self.variety:
-            raise DomainMismatchError("K-classes live on different varieties")
-        return KClass(self.variety, self.ch + other.ch)
-
-    def __neg__(self) -> "KClass":
-        return KClass(self.variety, -self.ch)
-
-    def __sub__(self, other: "KClass") -> "KClass":
-        return self + (-other)
-
-    def scale(self, scalar) -> "KClass":
-        return KClass(self.variety, self.ch.scale(scalar))
-
-    def tensor(self, other: "KClass") -> "KClass":
-        """Tensor product of K-classes: Chern characters multiply."""
-        if other.variety != self.variety:
-            raise DomainMismatchError("K-classes live on different varieties")
-        return KClass(self.variety, self.ch * other.ch)
-
-
-@dataclass(frozen=True)
 class KKernel:
-    """A K-class on X x Y regarded as a kernel from X to Y (the K-theoretic
-    shadow of a Fourier-Mukai kernel)."""
+    """A K-class on X x Y, recorded by its Chern character `ch`, regarded as
+    a kernel from X to Y (the K-theoretic shadow of a Fourier-Mukai kernel).
+    Any cycle on X x Y is legal; the rank is its constant term."""
 
     source: Variety
     target: Variety
-    kclass: KClass
+    ch: Cycle
 
     def __post_init__(self) -> None:
-        if self.kclass.variety != self.source * self.target:
+        if self.ch.variety != self.source * self.target:
             raise InvalidInputError(
-                f"kernel class lives on {self.kclass.variety}, expected {self.source * self.target}"
+                f"kernel class lives on {self.ch.variety}, expected {self.source * self.target}"
             )
 
     @classmethod
     def from_ch(cls, source: Variety, target: Variety, ch: Cycle) -> "KKernel":
-        return cls(source, target, KClass(source * target, ch))
-
-    @property
-    def ch(self) -> Cycle:
-        return self.kclass.ch
+        """The kernel with Chern character `ch`, as the constructor builds it."""
+        return cls(source, target, ch)
 
     def to_json(self) -> dict:
         return {
@@ -100,13 +61,14 @@ class KKernel:
         )
 
 
-def euler_characteristic(kclass: KClass) -> Fraction:
-    """chi(X, E) by Riemann-Roch: the degree of ch(E) * td(X), read as the
-    pairing sum_e ch[e] * prod_i td(P^{n_i})[n_i - e_i] with no product built."""
-    factors = kclass.variety.factors
+def euler_characteristic(ch: Cycle) -> Fraction:
+    """chi(X, E) of the K-class with Chern character `ch` by Riemann-Roch:
+    the degree of ch(E) * td(X), read as the pairing
+    sum_e ch[e] * prod_i td(P^{n_i})[n_i - e_i] with no product built."""
+    factors = ch.variety.factors
     series = [_todd_factor_series(n, Fraction(n + 1)) for n in factors]
     return sum((c * math.prod(t[n - e] for t, n, e in zip(series, factors, exps))
-                for exps, c in kclass.ch.terms.items()), Fraction(0))
+                for exps, c in ch.terms.items()), Fraction(0))
 
 
 def chow_image(kernel: KKernel) -> GradedCorrespondence:

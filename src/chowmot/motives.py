@@ -42,14 +42,22 @@ def _built(cls, *values):
 
 
 def _check_component(source: Motive, target: Motive, c: GradedCorrespondence, degree: int, what: str):
-    """A morphism component from outside must join the two varieties, have
-    pure degree `degree`, and be fixed by sandwiching with the idempotents."""
+    """A morphism component from outside must join the two varieties and
+    have pure degree `degree`."""
     if c.source != source.variety or c.target != target.variety:
         raise InvalidInputError(f"{what} does not match the motives' varieties")
     if not c.is_pure_degree(degree):
         raise InvalidInputError(f"{what} must have pure degree {degree}")
+
+
+def _check_sandwiched(source: Motive, target: Motive, c: GradedCorrespondence):
+    """A correspondence from outside must join the two varieties and be
+    fixed by sandwiching with the motive idempotents.  These have degree 0,
+    so a graded correspondence is fixed exactly when each graded part is."""
+    if c.source != source.variety or c.target != target.variety:
+        raise InvalidInputError("correspondence does not match the motives' varieties")
     if compose_graded(compose_graded(source.idempotent, c), target.idempotent) != c:
-        raise InvalidInputError(f"{what} is not fixed by the motive idempotents")
+        raise InvalidInputError("correspondence is not fixed by the motive idempotents")
 
 
 @dataclass(frozen=True)
@@ -118,6 +126,7 @@ class MotiveMorphism:
     def __post_init__(self) -> None:
         _check_component(self.source, self.target, self.corr,
                          self.target.twist - self.source.twist, "correspondence")
+        _check_sandwiched(self.source, self.target, self.corr)
 
     @staticmethod
     def zero(source: Motive, target: Motive) -> "MotiveMorphism":
@@ -328,59 +337,57 @@ class OrbitMorphism:
     family of components indexed by the twist offset i, the component at i
     being a morphism into the target twisted i steps.  Concretely component
     i is a sandwiched correspondence of pure degree (s - r) + i, so the
-    component family is the degree decomposition of a graded correspondence.
-    Zero components are not stored, and `components` is read-only."""
+    family is the degree decomposition of one graded correspondence, which
+    is what is stored; `components` is a read-only view of its nonzero
+    parts."""
 
     source: Motive
     target: Motive
-    components: Mapping[int, GradedCorrespondence]
+    corr: GradedCorrespondence
 
     def __post_init__(self) -> None:
-        base = self.target.twist - self.source.twist
-        clean: dict[int, GradedCorrespondence] = {}
-        for i, c in self.components.items():
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise InvalidInputError(f"component index must be an integer, got {i!r}")
-            if c.is_zero:
-                continue
-            _check_component(self.source, self.target, c, base + i, f"component {i}")
-            clean[i] = c
-        object.__setattr__(self, "components", MappingProxyType(clean))
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, frozenset(self.components.items())))
+        _check_sandwiched(self.source, self.target, self.corr)
 
     @staticmethod
     def identity(m: Motive) -> "OrbitMorphism":
-        return _built(OrbitMorphism, m, m, MappingProxyType({} if m.is_zero else {0: m.idempotent}))
+        return _built(OrbitMorphism, m, m, m.idempotent)
 
     @staticmethod
-    def from_graded(source: Motive, target: Motive, corr: GradedCorrespondence) -> "OrbitMorphism":
-        """Decompose a graded correspondence into orbit components: the
-        component at offset i is the degree (s - r) + i part."""
+    def from_components(source: Motive, target: Motive,
+                        components: Mapping[int, GradedCorrespondence]) -> "OrbitMorphism":
+        """The orbit morphism whose component at each offset i is
+        `components[i]`, which must join the two varieties and have pure
+        degree (s - r) + i."""
         base = target.twist - source.twist
-        comps = {d - base: corr.degree_component(d) for d in corr.degrees()}
-        return OrbitMorphism(source, target, comps)
+        corr = GradedCorrespondence.zero(source.variety, target.variety)
+        for i, c in components.items():
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise InvalidInputError(f"component index must be an integer, got {i!r}")
+            _check_component(source, target, c, base + i, f"component {i}")
+            corr = corr + c
+        return OrbitMorphism(source, target, corr)
 
     @staticmethod
     def from_morphism(f: MotiveMorphism) -> "OrbitMorphism":
-        return OrbitMorphism(f.source, f.target, {0: f.corr})
+        return OrbitMorphism(f.source, f.target, f.corr)
+
+    @property
+    def components(self) -> Mapping[int, GradedCorrespondence]:
+        base = self.target.twist - self.source.twist
+        return MappingProxyType({d - base: self.corr.degree_component(d) for d in self.corr.degrees()})
 
     def component(self, i: int) -> GradedCorrespondence:
-        if i in self.components:
-            return self.components[i]
-        return GradedCorrespondence.zero(self.source.variety, self.target.variety)
+        return self.corr.degree_component(self.target.twist - self.source.twist + i)
 
     def indices(self) -> list[int]:
-        return sorted(self.components)
+        base = self.target.twist - self.source.twist
+        return [d - base for d in self.corr.degrees()]
 
     def to_json(self) -> dict:
         return {
             "source": self.source.to_json(),
             "target": self.target.to_json(),
-            "components": {
-                str(i): self.components[i].to_json() for i in self.indices()
-            },
+            "components": {str(i): c.to_json() for i, c in self.components.items()},
         }
 
     @classmethod
@@ -400,25 +407,22 @@ class OrbitMorphism:
                 i = int(key)
             except ValueError as exc:
                 raise InvalidInputError(f"component key {key!r} is not an integer") from exc
+            # "01", " 1" or "1_0" would parse, and could collide with "1"
+            if str(i) != key:
+                raise InvalidInputError(f"component key {key!r} is not a plain integer")
             comps[i] = GradedCorrespondence.from_json(value)
-        return cls(source, target, comps)
+        return cls.from_components(source, target, comps)
 
 
 def orbit_compose(f: OrbitMorphism, g: OrbitMorphism) -> OrbitMorphism:
     """Composite in the orbit category (f first, then g): the component at
     offset k sums the composites of components at offsets i and j with
-    i + j = k.  Twisting shifts indices only, so each summand is a plain
-    composition of the underlying correspondences."""
+    i + j = k.  Twisting shifts indices only, and composition is bilinear
+    in the degrees, so this is one composition of the stored
+    correspondences."""
     if f.target != g.source:
         raise DomainMismatchError("orbit morphisms are not composable: object mismatch")
-    acc: dict[int, GradedCorrespondence] = {}
-    for i, ci in f.components.items():
-        for j, cj in g.components.items():
-            k = i + j
-            piece = compose_graded(ci, cj)
-            acc[k] = acc[k] + piece if k in acc else piece
-    kept = {k: c for k, c in acc.items() if not c.is_zero}
-    return _built(OrbitMorphism, f.source, g.target, MappingProxyType(kept))
+    return _built(OrbitMorphism, f.source, g.target, compose_graded(f.corr, g.corr))
 
 
 def degree_zero_rigidify(f: OrbitMorphism, g: OrbitMorphism) -> tuple[MotiveMorphism, MotiveMorphism]:
@@ -434,7 +438,7 @@ def degree_zero_rigidify(f: OrbitMorphism, g: OrbitMorphism) -> tuple[MotiveMorp
         raise DomainMismatchError("orbit morphisms do not form a round trip")
     if orbit_compose(f, g) != OrbitMorphism.identity(m) or orbit_compose(g, f) != OrbitMorphism.identity(n):
         raise PreconditionError("orbit morphisms are not mutually inverse")
-    if any(i < 0 for i in f.components) or any(j < 0 for j in g.components):
+    if any(i < 0 for i in f.indices()) or any(j < 0 for j in g.indices()):
         raise SupportConditionError("mutually inverse pair has components at negative offsets")
     # offset-0 components already passed the checks of a morphism m -> n
     f0 = _built(MotiveMorphism, m, n, f.component(0))
@@ -489,18 +493,12 @@ def orlov_pipeline(e: KKernel, f: KKernel) -> OrlovReport:
     if not support_ok:
         return OrlovReport(True, True, False, False, "tate-twist-only", floors, None)
     mx, my = motive_of(x), motive_of(y)
-    pair = degree_zero_rigidify(
-        OrbitMorphism.from_graded(mx, my, a), OrbitMorphism.from_graded(my, mx, b)
-    )
+    pair = degree_zero_rigidify(OrbitMorphism(mx, my, a), OrbitMorphism(my, mx, b))
     return OrlovReport(True, True, True, True, "exact-isomorphism", floors, pair)
 
 
-def compatibility_check(e: KKernel, f: KKernel,
-                        chow_side: GradedCorrespondence | None = None) -> bool:
+def compatibility_check(e: KKernel, f: KKernel) -> bool:
     """Verify Mukai functoriality for a composable kernel pair: the Mukai
     vector of the composite kernel equals the composite of the Mukai
-    vectors.  `chow_side` overrides the right-hand side, for negative
-    controls."""
-    if chow_side is None:
-        chow_side = compose_graded(chow_image(e), chow_image(f))
-    return chow_image(k_compose(e, f)) == chow_side
+    vectors."""
+    return chow_image(k_compose(e, f)) == compose_graded(chow_image(e), chow_image(f))

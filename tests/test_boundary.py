@@ -177,18 +177,18 @@ class TestMotivesBuiltUnchecked:
         rng = random.Random(75)
         for _ in range(40):
             a, b, c = (rng.choice(motives(rng)) for _ in range(3))
-            f = OrbitMorphism(a, b, {i: sandwiched(rng, a, b, i) for i in (-1, 0, 1)})
-            g = OrbitMorphism(b, c, {i: sandwiched(rng, b, c, i) for i in (0, 2)})
+            f = OrbitMorphism.from_components(a, b, {i: sandwiched(rng, a, b, i) for i in (-1, 0, 1)})
+            g = OrbitMorphism.from_components(b, c, {i: sandwiched(rng, b, c, i) for i in (0, 2)})
             r = orbit_compose(f, g)
-            assert OrbitMorphism(r.source, r.target, dict(r.components)) == r
+            assert OrbitMorphism.from_components(r.source, r.target, dict(r.components)) == r
             assert all(not comp.is_zero for comp in r.components.values())
 
     def test_orbit_composition_drops_cancelled_components(self):
         line = make_variety([1])
         m = motive_of(line)
         nil = GradedCorrespondence(line, line, Cycle.point_class(line * line))
-        f = OrbitMorphism(m, m, {0: m.idempotent, 1: nil})
-        g = OrbitMorphism(m, m, {0: m.idempotent, 1: -nil})
+        f = OrbitMorphism.from_components(m, m, {0: m.idempotent, 1: nil})
+        g = OrbitMorphism.from_components(m, m, {0: m.idempotent, 1: -nil})
         # offset 1 sums nil and -nil, offset 2 is nil o nil = 0
         assert dict(orbit_compose(f, g).components) == {0: m.idempotent}
         assert orbit_compose(f, g) == OrbitMorphism.identity(m)
@@ -196,7 +196,7 @@ class TestMotivesBuiltUnchecked:
     def test_orbit_identity(self):
         for m in (motive_of(make_variety([2])), lefschetz_motive(), zero_motive()):
             ident = OrbitMorphism.identity(m)
-            assert ident == OrbitMorphism(m, m, {0: m.idempotent})
+            assert ident == OrbitMorphism.from_components(m, m, {0: m.idempotent})
         assert OrbitMorphism.identity(zero_motive()).components == {}
 
     def test_rigidified_pair(self):
@@ -208,8 +208,8 @@ class TestMotivesBuiltUnchecked:
             nil = GradedCorrespondence(
                 x, x, random_cycle_in_codims(rng, x * x, list(range(x.dim + 1, 2 * x.dim + 1)))
             )
-            f = OrbitMorphism.from_graded(m, m, ident + nil)
-            g = OrbitMorphism.from_graded(m, m, _geometric_inverse(ident, nil))
+            f = OrbitMorphism(m, m, ident + nil)
+            g = OrbitMorphism(m, m, _geometric_inverse(ident, nil))
             f0, g0 = degree_zero_rigidify(f, g)
             assert rechecked(f0) == f0 and rechecked(g0) == g0
 
@@ -219,7 +219,7 @@ class TestOutsideInputStillChecked:
         lef = lefschetz_motive()
         diagonal = GradedCorrespondence.identity(make_variety([1]))
         with pytest.raises(InvalidInputError, match="not fixed by the motive idempotents"):
-            OrbitMorphism.from_graded(lef, lef, diagonal)
+            OrbitMorphism(lef, lef, diagonal)
 
     def test_orbit_from_json_rejects_wrong_degree(self):
         m = motive_of(make_variety([1]))

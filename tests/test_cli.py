@@ -53,6 +53,16 @@ class TestEuler:
         assert code == 0
         assert out.strip() == "0"
 
+    def test_kclass_json_checks_its_variety(self, capsys):
+        ch = json.loads(CYCLE_H_ON_P1)  # ch(O(1)) - ch(O) on the line
+        code, out, _ = run_cli(capsys, "euler", json.dumps({"variety": {"factors": [1]}, "ch": ch}))
+        assert code == 0
+        assert out.strip() == "1"
+        code, out, err = run_cli(capsys, "euler", json.dumps({"variety": {"factors": [2]}, "ch": ch}))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "wrong variety" in err
+
 
 class TestRing:
     def test_add(self, capsys):
@@ -271,6 +281,24 @@ class TestPipelines:
         code, out, _ = run_cli(capsys, "orbit-compose", f, g, "--format", "json")
         assert code == 0
         assert list(json.loads(out)["components"]) == ["0"]
+
+    @pytest.mark.parametrize("key", ["01", " 1", "1_0"])
+    def test_orbit_compose_rejects_non_canonical_offset_keys(self, capsys, key):
+        # each key parses with int(); the twist makes the point class a valid
+        # component at that offset, so only the key's spelling is wrong
+        point = {
+            "source": {"factors": [1]},
+            "target": {"factors": [1]},
+            "cycle": {"variety": {"factors": [1, 1]}, "terms": [{"exps": [1, 1], "coeff": "1"}]},
+        }
+        motive = json.loads(run_cli(capsys, "motive", "--variety", "[1]", "--format", "json")[1])
+        source = dict(motive, twist=int(key) - 1)
+        f = json.dumps({"source": source, "target": motive, "components": {key: point}})
+        g = json.dumps({"source": motive, "target": motive, "components": {"0": json.loads(DIAGONAL_P1)}})
+        code, out, err = run_cli(capsys, "orbit-compose", f, g)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_sqrt_todd_text(self, capsys):
         code, out, _ = run_cli(capsys, "sqrt-todd", "--variety", "[1]")

@@ -195,7 +195,7 @@ class TestImmutability:
 
     def test_orbit_components_are_read_only(self):
         m = motive_of(make_variety([1]))
-        for f in (OrbitMorphism.identity(m), OrbitMorphism(m, m, {0: m.idempotent}),
+        for f in (OrbitMorphism.identity(m), OrbitMorphism.from_components(m, m, {0: m.idempotent}),
                   orbit_compose(OrbitMorphism.identity(m), OrbitMorphism.identity(m))):
             with pytest.raises(TypeError):
                 f.components[3] = "junk"
@@ -204,10 +204,12 @@ class TestImmutability:
     def test_orbit_morphisms_hash_like_equality(self):
         m = motive_of(make_variety([1]))
         ident = OrbitMorphism.identity(m)
-        same = OrbitMorphism(m, m, {0: m.idempotent, 1: GradedCorrespondence.zero(m.variety, m.variety)})
+        same = OrbitMorphism.from_components(
+            m, m, {0: m.idempotent, 1: GradedCorrespondence.zero(m.variety, m.variety)})
         assert ident == same and hash(ident) == hash(same)
-        assert len({ident, same, OrbitMorphism(m, m, {})}) == 2
-        assert hash(OrbitMorphism.identity(zero_motive())) == hash(OrbitMorphism(zero_motive(), zero_motive(), {}))
+        assert len({ident, same, OrbitMorphism.from_components(m, m, {})}) == 2
+        zero = zero_motive()
+        assert hash(OrbitMorphism.identity(zero)) == hash(OrbitMorphism.from_components(zero, zero, {}))
 
 
 class TestSerialization:
