@@ -27,16 +27,6 @@ from .ring import Cycle, Variety
 # ---------------------------------------------------------------------------
 
 
-def _series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: order + 1 - i]):
-            out[i + j] += ai * bj
-    return out
-
-
 def _series_inv(a: list[Fraction], order: int) -> list[Fraction]:
     if a[0] == 0:
         raise SingularSeriesError("cannot invert a series with zero constant term")
@@ -51,16 +41,11 @@ def _series_inv(a: list[Fraction], order: int) -> list[Fraction]:
     return out
 
 
-def _series_log1p(u: list[Fraction], order: int) -> list[Fraction]:
-    # log(1 + u) for u with zero constant term
+def _series_log(t: list[Fraction], order: int) -> list[Fraction]:
+    # log(t) for t with constant term 1, from t' = g' t
     out = [Fraction(0)] * (order + 1)
-    power = [Fraction(0)] * (order + 1)
-    power[0] = Fraction(1)
-    for m in range(1, order + 1):
-        power = _series_mul(power, u, order)
-        sign = Fraction(1 if m % 2 == 1 else -1, m)
-        for k in range(order + 1):
-            out[k] += sign * power[k]
+    for k in range(1, order + 1):
+        out[k] = t[k] - sum((j * out[j] * t[k - j] for j in range(1, k)), Fraction(0)) / k
     return out
 
 
@@ -89,10 +74,7 @@ def todd_series_coefficients(order: int) -> tuple[Fraction, ...]:
     for j in range(order + 1):
         fact *= j + 1
         s[j] = Fraction((-1) ** j, fact)
-    t = _series_inv(s, order)  # x / (1 - e^{-x})
-    u = list(t)
-    u[0] = Fraction(0)
-    return tuple(_series_log1p(u, order))
+    return tuple(_series_log(_series_inv(s, order), order))  # log(x / (1 - e^{-x}))
 
 
 # ---------------------------------------------------------------------------

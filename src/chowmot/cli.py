@@ -21,9 +21,15 @@ from .ring import Cycle, Variety, _as_text, make_variety
 
 
 def _load_json(text: str):
-    """Inline JSON if the argument looks like JSON, else a file path."""
+    """Inline JSON if the argument looks like JSON, else a file path; a
+    file that cannot be read is an input error."""
     stripped = text.strip()
-    raw = stripped if stripped.startswith(("{", "[")) else Path(text).read_text()
+    try:
+        raw = stripped if stripped.startswith(("{", "[")) else Path(text).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise InvalidInputError(f"no such input file: {exc.filename}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise InvalidInputError(f"cannot read input file {text!r}: {exc}") from exc
     try:
         return json.loads(raw)
     except json.JSONDecodeError:
@@ -437,9 +443,6 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
               file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: no such input file: {exc.filename}", file=sys.stderr)
         return 1
     except ChowError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,14 @@ diagonal classes, and composition of correspondences.  Composition matches
 middle exponents: a term of the first cycle pairs with the terms of the
 second whose exponents on the middle factor complete it to the top
 monomial, which equals the pullback-intersect-pushforward pipeline through
-the triple product; a test holds the two routes together.
+the triple product; a test holds the two routes together.  The diagonal
+pushforward spreads each term directly by the projection formula, and the
+diagonal class is the pushforward of 1.
+
+`GradedCorrespondence(...)` and `from_json` check that the cycle lives on
+source x target; every correspondence built here from checked ones
+(identities, zeros, degree parts, transposes, sums, scalings, composites)
+is made by `ring._built` without that check.
 """
 
 from __future__ import annotations
@@ -13,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import Cycle, Variety
+from .ring import Cycle, Variety, _built
 
 
 @dataclass(frozen=True)
@@ -40,7 +48,7 @@ class FactorSelection:
 
     @cached_property
     def target(self) -> Variety:
-        return Variety._unchecked(tuple(self.source.factors[i] for i in self.selected))
+        return _built(Variety, tuple(self.source.factors[i] for i in self.selected))
 
     @property
     def unselected(self) -> tuple[int, ...]:
@@ -97,40 +105,32 @@ def permute_factors(a: Cycle, order: tuple[int, ...]) -> Cycle:
     k = a.variety.num_factors
     if sorted(order) != list(range(k)):
         raise InvalidInputError(f"{order!r} is not a permutation of 0..{k - 1}")
-    new_variety = Variety._unchecked(tuple(a.variety.factors[i] for i in order))
+    new_variety = _built(Variety, tuple(a.variety.factors[i] for i in order))
     return Cycle._sum(new_variety, ((tuple(exps[i] for i in order), c) for exps, c in a.terms.items()))
 
 
-def diagonal_class(variety: Variety) -> Cycle:
-    """Class of the diagonal embedding of X in X x X.
-
-    For a single P^n factor this is sum_{i} h1^i h2^{n-i}; for a product it
-    is the intersection of the per-factor diagonal classes pulled back to
-    the full square.
-    """
-    square = variety * variety
-    k = variety.num_factors
-    result = Cycle.one(square)
-    for i, n in enumerate(variety.factors):
-        terms = {}
-        for a in range(n + 1):
-            exps = [0] * (2 * k)
-            exps[i] = a
-            exps[k + i] = n - a
-            terms[tuple(exps)] = Fraction(1)
-        result = result * Cycle(square, terms)
-    return result
-
-
 def diagonal_pushforward(variety: Variety, g: Cycle) -> Cycle:
-    """Direct image of a class along the diagonal embedding, computed by the
-    projection formula: pull g back along the first projection and intersect
-    with the diagonal class.  Raises codimension by dim X."""
+    """Direct image of a class along the diagonal embedding of X in X x X.
+    By the projection formula it is p1^* g times the diagonal class, so a
+    monomial h^e goes to prod_i sum_{a=e_i}^{n_i} h_i^a h_i'^{n_i+e_i-a};
+    each term of g is spread directly.  Raises codimension by dim X."""
     if g.variety != variety:
         raise DomainMismatchError(f"cycle on {g.variety} is not a class on {variety}")
-    k = variety.num_factors
-    first = FactorSelection(variety * variety, tuple(range(k)))
-    return first.pullback(g) * diagonal_class(variety)
+    bounds = variety.factors
+
+    def spread(exps):
+        for first in product(*(range(e, n + 1) for e, n in zip(exps, bounds))):
+            yield first + tuple(n + e - a for n, e, a in zip(bounds, exps, first))
+
+    return Cycle._sum(variety * variety, (
+        (exps2, c) for exps, c in g.terms.items() for exps2 in spread(exps)
+    ))
+
+
+def diagonal_class(variety: Variety) -> Cycle:
+    """Class of the diagonal of X in X x X, the direct image of 1; for a
+    single P^n factor it is sum_{i} h1^i h2^{n-i}."""
+    return diagonal_pushforward(variety, Cycle.one(variety))
 
 
 @dataclass(frozen=True)
@@ -150,11 +150,11 @@ class GradedCorrespondence:
 
     @staticmethod
     def identity(variety: Variety) -> "GradedCorrespondence":
-        return GradedCorrespondence(variety, variety, diagonal_class(variety))
+        return _built(GradedCorrespondence, variety, variety, diagonal_class(variety))
 
     @staticmethod
     def zero(source: Variety, target: Variety) -> "GradedCorrespondence":
-        return GradedCorrespondence(source, target, Cycle.zero(source * target))
+        return _built(GradedCorrespondence, source, target, Cycle.zero(source * target))
 
     @property
     def is_zero(self) -> bool:
@@ -165,9 +165,8 @@ class GradedCorrespondence:
         return [k - base for k in self.cycle.codimensions()]
 
     def degree_component(self, d: int) -> "GradedCorrespondence":
-        return GradedCorrespondence(
-            self.source, self.target, self.cycle.graded_component(self.source.dim + d)
-        )
+        return _built(GradedCorrespondence, self.source, self.target,
+                      self.cycle.graded_component(self.source.dim + d))
 
     def is_pure_degree(self, d: int) -> bool:
         return self.cycle.is_homogeneous(self.source.dim + d)
@@ -177,9 +176,8 @@ class GradedCorrespondence:
         kx = self.source.num_factors
         ky = self.target.num_factors
         order = tuple(range(kx, kx + ky)) + tuple(range(kx))
-        return GradedCorrespondence(
-            self.target, self.source, permute_factors(self.cycle, order)
-        )
+        return _built(GradedCorrespondence, self.target, self.source,
+                      permute_factors(self.cycle, order))
 
     def then(self, other: "GradedCorrespondence") -> "GradedCorrespondence":
         return compose_graded(self, other)
@@ -187,17 +185,17 @@ class GradedCorrespondence:
     # correspondences between fixed varieties form a Q-module
     def __add__(self, other: "GradedCorrespondence") -> "GradedCorrespondence":
         self._require_parallel(other)
-        return GradedCorrespondence(self.source, self.target, self.cycle + other.cycle)
+        return _built(GradedCorrespondence, self.source, self.target, self.cycle + other.cycle)
 
     def __sub__(self, other: "GradedCorrespondence") -> "GradedCorrespondence":
         self._require_parallel(other)
-        return GradedCorrespondence(self.source, self.target, self.cycle - other.cycle)
+        return _built(GradedCorrespondence, self.source, self.target, self.cycle - other.cycle)
 
     def __neg__(self) -> "GradedCorrespondence":
-        return GradedCorrespondence(self.source, self.target, -self.cycle)
+        return _built(GradedCorrespondence, self.source, self.target, -self.cycle)
 
     def scale(self, scalar) -> "GradedCorrespondence":
-        return GradedCorrespondence(self.source, self.target, self.cycle.scale(scalar))
+        return _built(GradedCorrespondence, self.source, self.target, self.cycle.scale(scalar))
 
     def _require_parallel(self, other: "GradedCorrespondence") -> None:
         if self.source != other.source or self.target != other.target:
@@ -251,4 +249,4 @@ def compose_graded(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCo
         for exps, a in f.cycle.terms.items()
         for e_z, b in by_middle.get(tuple(n - e for n, e in zip(top, exps[kx:])), ())
     )
-    return GradedCorrespondence(f.source, g.target, Cycle._sum(f.source * g.target, pairs))
+    return _built(GradedCorrespondence, f.source, g.target, Cycle._sum(f.source * g.target, pairs))

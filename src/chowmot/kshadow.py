@@ -6,6 +6,10 @@ composition and the identity kernel follow from Grothendieck-Riemann-Roch.
 A kernel maps to its Mukai vector ch(E) * sqrt(td), a graded correspondence;
 that this respects composition is Mukai's theorem, which
 `motives.compatibility_check` tests.
+
+`KKernel(...)` and `KKernel.from_json` check that the class lives on
+source x target; the kernels and correspondences computed here from
+checked ones are made by `ring._built` without that check.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 from .chern import _todd_factor_series, _todd_power, mul_todd_power
 from .corr import GradedCorrespondence, compose_graded, diagonal_pushforward
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import Cycle, Variety
+from .ring import Cycle, Variety, _built
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,8 @@ class KKernel:
 
     @classmethod
     def from_ch(cls, source: Variety, target: Variety, ch: Cycle) -> "KKernel":
-        """The kernel with Chern character `ch`, as the constructor builds it."""
+        """The kernel with Chern character `ch`: the checked constructor
+        under a second name, kept for callers outside the package."""
         return cls(source, target, ch)
 
     def to_json(self) -> dict:
@@ -54,7 +59,7 @@ class KKernel:
             raise InvalidInputError(
                 f"kernel must be an object with 'source', 'target', 'ch', got {data!r}"
             )
-        return cls.from_ch(
+        return cls(
             Variety.from_json(data["source"]),
             Variety.from_json(data["target"]),
             Cycle.from_json(data["ch"]),
@@ -74,9 +79,8 @@ def euler_characteristic(ch: Cycle) -> Fraction:
 def chow_image(kernel: KKernel) -> GradedCorrespondence:
     """The graded correspondence attached to a kernel: its Mukai vector
     ch(E) * sqrt(td) on the product."""
-    return GradedCorrespondence(
-        kernel.source, kernel.target, mul_todd_power(kernel.ch, Fraction(1, 2))
-    )
+    return _built(GradedCorrespondence, kernel.source, kernel.target,
+                  mul_todd_power(kernel.ch, Fraction(1, 2)))
 
 
 def k_compose(e: KKernel, f: KKernel) -> KKernel:
@@ -87,10 +91,10 @@ def k_compose(e: KKernel, f: KKernel) -> KKernel:
         raise DomainMismatchError(f"middle variety mismatch: {e.target} vs {f.source}")
     twisted = mul_todd_power(f.ch, 1, range(f.source.num_factors))
     composed = compose_graded(
-        GradedCorrespondence(e.source, e.target, e.ch),
-        GradedCorrespondence(f.source, f.target, twisted),
+        _built(GradedCorrespondence, e.source, e.target, e.ch),
+        _built(GradedCorrespondence, f.source, f.target, twisted),
     )
-    return KKernel.from_ch(e.source, f.target, composed.cycle)
+    return _built(KKernel, e.source, f.target, composed.cycle)
 
 
 def identity_kernel(variety: Variety) -> KKernel:
@@ -98,7 +102,7 @@ def identity_kernel(variety: Variety) -> KKernel:
     structure sheaf: by GRR for the diagonal and the projection formula
     (the diagonal pulls td(X x X) back to td(X)^2), ch = diagonal_*(td(X)^-1)."""
     ch = diagonal_pushforward(variety, _todd_power(variety, Fraction(-1)))
-    return KKernel.from_ch(variety, variety, ch)
+    return _built(KKernel, variety, variety, ch)
 
 
 def support_codim_floor(cycle: Cycle) -> int | float:

@@ -9,16 +9,18 @@ but allows components at every twist offset; for these concrete objects an
 orbit morphism is exactly the degree decomposition of a graded
 correspondence, with the twist autoequivalence acting on indices only.
 
-Checks run on values from outside: the public constructors and `from_json`.
-Results that are correct by construction (composites, sums, identities, the
-pieces of a split idempotent, duals, tensor products and twists) are built
-unchecked by `_built`.
+Every value has two ways in.  Values from outside go through the public
+constructors and `from_json`, which keep every check.  Results that are
+correct by construction (the motive of a variety, the zero and Lefschetz
+motives, composites, sums, identities, the pieces of a split idempotent,
+duals, tensor products, twists, matrix products and the diagonal-sandwiched
+images of a kernel pair) are built unchecked by `ring._built`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from .corr import GradedCorrespondence, cartesian, compose_graded, permute_factors
@@ -29,16 +31,7 @@ from .errors import (
     SupportConditionError,
 )
 from .kshadow import KKernel, chow_image, k_compose, support_codim_floor
-from .ring import Cycle, Variety
-
-
-def _built(cls, *values):
-    """An instance of a frozen dataclass whose field values are correct by
-    construction, made without running its checks."""
-    obj = object.__new__(cls)
-    for field, value in zip(fields(cls), values):
-        object.__setattr__(obj, field.name, value)
-    return obj
+from .ring import Cycle, Variety, _built
 
 
 def _check_component(source: Motive, target: Motive, c: GradedCorrespondence, degree: int, what: str):
@@ -171,7 +164,7 @@ def compose_motive(f: MotiveMorphism, g: MotiveMorphism) -> MotiveMorphism:
 
 def motive_of(variety: Variety) -> Motive:
     """The motive of a variety: twist 0 and the diagonal as idempotent."""
-    return Motive(variety, 0, GradedCorrespondence.identity(variety))
+    return _built(Motive, variety, 0, GradedCorrespondence.identity(variety))
 
 
 def unit_motive() -> Motive:
@@ -182,7 +175,7 @@ def zero_motive() -> Motive:
     """The zero object, represented concretely on the point with the zero
     projector."""
     point = Variety(())
-    return Motive(point, 0, GradedCorrespondence.zero(point, point))
+    return _built(Motive, point, 0, GradedCorrespondence.zero(point, point))
 
 
 def lefschetz_motive() -> Motive:
@@ -190,8 +183,8 @@ def lefschetz_motive() -> Motive:
     [P^1 x point] = h2."""
     line = Variety((1,))
     square = line * line
-    beta = GradedCorrespondence(line, line, Cycle.hyperplane(square, 1))
-    return Motive(line, 0, beta)
+    beta = _built(GradedCorrespondence, line, line, Cycle.hyperplane(square, 1))
+    return _built(Motive, line, 0, beta)
 
 
 def tate_motive() -> Motive:
@@ -206,7 +199,8 @@ def tensor(m: Motive, n: Motive) -> Motive:
     product = m.variety * n.variety
     cycle = _external_product(m.variety, m.variety, n.variety, n.variety,
                               m.idempotent.cycle, n.idempotent.cycle)
-    return _built(Motive, product, m.twist + n.twist, GradedCorrespondence(product, product, cycle))
+    return _built(Motive, product, m.twist + n.twist,
+                  _built(GradedCorrespondence, product, product, cycle))
 
 
 def tensor_morphism(f: MotiveMorphism, g: MotiveMorphism) -> MotiveMorphism:
@@ -217,8 +211,8 @@ def tensor_morphism(f: MotiveMorphism, g: MotiveMorphism) -> MotiveMorphism:
     )
     source = tensor(f.source, g.source)
     target = tensor(f.target, g.target)
-    corr = GradedCorrespondence(source.variety, target.variety, cycle)
-    return MotiveMorphism(source, target, corr)
+    corr = _built(GradedCorrespondence, source.variety, target.variety, cycle)
+    return _built(MotiveMorphism, source, target, corr)
 
 
 def _external_product(x: Variety, x2: Variety, y: Variety, y2: Variety,
@@ -289,7 +283,7 @@ class FormalSum:
             )
             for i, s in enumerate(self.summands)
         )
-        return FormalSumMorphism(self, self, rows)
+        return _built(FormalSumMorphism, self, self, rows)
 
 
 @dataclass(frozen=True)
@@ -323,7 +317,7 @@ class FormalSumMorphism:
                     acc = acc + compose_motive(self.matrix[k][j], other.matrix[i][k])
                 row.append(acc)
             rows.append(tuple(row))
-        return FormalSumMorphism(self.source, other.target, tuple(rows))
+        return _built(FormalSumMorphism, self.source, other.target, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +360,6 @@ class OrbitMorphism:
             _check_component(source, target, c, base + i, f"component {i}")
             corr = corr + c
         return OrbitMorphism(source, target, corr)
-
-    @staticmethod
-    def from_morphism(f: MotiveMorphism) -> "OrbitMorphism":
-        return OrbitMorphism(f.source, f.target, f.corr)
 
     @property
     def components(self) -> Mapping[int, GradedCorrespondence]:
@@ -493,7 +483,8 @@ def orlov_pipeline(e: KKernel, f: KKernel) -> OrlovReport:
     if not support_ok:
         return OrlovReport(True, True, False, False, "tate-twist-only", floors, None)
     mx, my = motive_of(x), motive_of(y)
-    pair = degree_zero_rigidify(OrbitMorphism(mx, my, a), OrbitMorphism(my, mx, b))
+    # a and b are mutually inverse, so the diagonals sandwich them unchanged
+    pair = degree_zero_rigidify(_built(OrbitMorphism, mx, my, a), _built(OrbitMorphism, my, mx, b))
     return OrlovReport(True, True, True, True, "exact-isomorphism", floors, pair)
 
 

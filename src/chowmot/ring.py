@@ -6,12 +6,13 @@ stay below the per-variable nilpotency bounds.  The grading by total exponent
 is the codimension grading.  All coefficients are `fractions.Fraction`; no
 floating point appears anywhere in the engine.
 
-Checks run on values from outside: `Cycle(...)` and `Cycle.from_json`
-validate every term.  Results of the ring's own arithmetic are correct by
-construction and built unchecked by `Cycle._sum`, the one place where terms
-are summed and cancelled terms dropped.  Likewise `Variety(...)` checks its
-factors, and products and re-orderings of checked varieties are built by
-`Variety._unchecked`.
+Every value has two ways in.  Outside input goes through a checked
+constructor or `from_json`: `Cycle(...)` and `Cycle.from_json` validate every
+term, `Variety(...)` every factor.  Results the engine computes are correct
+by construction and skip the checks: cycles are built by `Cycle._sum`, the
+one place where terms are summed and cancelled terms dropped, and every
+frozen dataclass value (varieties here, correspondences, kernels and
+motives in the layers above) by `_built`.
 """
 
 from __future__ import annotations
@@ -47,13 +48,6 @@ class Variety:
                     f"factor dimensions must be nonnegative integers, got {n!r}"
                 )
 
-    @classmethod
-    def _unchecked(cls, factors: tuple[int, ...]) -> "Variety":
-        """A variety whose factors come from varieties already checked."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "factors", factors)
-        return obj
-
     @property
     def dim(self) -> int:
         return sum(self.factors)
@@ -67,7 +61,7 @@ class Variety:
         return not self.factors
 
     def __mul__(self, other: "Variety") -> "Variety":
-        return Variety._unchecked(self.factors + other.factors)
+        return _built(Variety, self.factors + other.factors)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -85,6 +79,18 @@ class Variety:
         if not isinstance(factors, list):
             raise InvalidInputError(f"'factors' must be a list, got {factors!r}")
         return make_variety(factors)
+
+
+def _built(cls, *values):
+    """An instance of a frozen dataclass from field values the engine
+    computed, correct by construction, made without running its checks.
+    The values follow the field order; the value classes declare no
+    ClassVar or InitVar, so `__dataclass_fields__` lists exactly the fields
+    (and reads faster than `dataclasses.fields`)."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def make_variety(dims: list[int] | tuple[int, ...]) -> Variety:

@@ -83,7 +83,7 @@ def random_correspondence(rng: random.Random, source: Variety, target: Variety,
 
 def random_kernel(rng: random.Random, source: Variety, target: Variety,
                   terms: int = 4) -> KKernel:
-    return KKernel.from_ch(source, target, random_cycle(rng, source * target, terms))
+    return KKernel(source, target, random_cycle(rng, source * target, terms))
 
 
 def random_cycle_in_codims(rng: random.Random, variety: Variety, codims: list[int],
@@ -464,7 +464,7 @@ def check_orlov_pipeline(rng: random.Random, samples: int) -> tuple[bool, str]:
     def twist_kernel(d: int) -> KKernel:
         base = identity_kernel(line)
         twist = chern_character(line_bundle(square, [d, 0]))
-        return KKernel.from_ch(line, line, base.ch * twist)
+        return KKernel(line, line, base.ch * twist)
 
     for d in range(-2, 3):
         report = orlov_pipeline(twist_kernel(d), twist_kernel(-d))
@@ -481,8 +481,8 @@ def check_orlov_pipeline(rng: random.Random, samples: int) -> tuple[bool, str]:
     ident = GradedCorrespondence.identity(line)
     shift = GradedCorrespondence(line, line, Cycle.one(square))
     back = series_inverse(sqrt_todd(square))
-    shifted = KKernel.from_ch(line, line, (ident + shift).cycle * back)
-    unshifted = KKernel.from_ch(line, line, _geometric_inverse(ident, shift).cycle * back)
+    shifted = KKernel(line, line, (ident + shift).cycle * back)
+    unshifted = KKernel(line, line, _geometric_inverse(ident, shift).cycle * back)
     report = orlov_pipeline(shifted, unshifted)
     if report.verdict != "tate-twist-only":
         problems.append(f"shifted control: verdict {report.verdict}")
@@ -509,7 +509,7 @@ def check_compatibility_triangle(rng: random.Random, samples: int) -> tuple[bool
         previous, source = kernel, target
     x = make_variety([1])  # a rank-1 kernel is a unit, so the control always shows
     ch = random_kernel(rng, x, x).ch
-    corrupted = KKernel.from_ch(x, x, ch - ch.graded_component(0) + Cycle.one(x * x))
+    corrupted = KKernel(x, x, ch - ch.graded_component(0) + Cycle.one(x * x))
     ident = identity_kernel(x)
     bare = compose_graded(  # normalization dropped
         GradedCorrespondence(x, x, corrupted.ch), GradedCorrespondence(x, x, ident.ch)

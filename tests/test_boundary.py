@@ -1,9 +1,11 @@
 """Validation happens once, at the boundary.
 
-Internal results are built without checks because they are correct by
-construction; these tests re-run the validating constructors on such results
-(they must accept them and rebuild equal objects), and make sure that input
-from outside is still rejected.
+Every value has two ways in: a checked constructor or `from_json` for input
+from outside, and `Cycle._sum` or `ring._built` for results the engine
+computes, which are correct by construction.  These tests re-run the
+validating constructors on such results (they must accept them and rebuild
+equal objects), check that the engine's own operations run no validator,
+and make sure that input from outside is still rejected.
 """
 
 import json
@@ -14,32 +16,51 @@ import pytest
 
 from chowmot import (
     Cycle,
+    DomainMismatchError,
+    FormalSum,
+    FormalSumMorphism,
     GradedCorrespondence,
     InvalidInputError,
+    KKernel,
     Motive,
     MotiveMorphism,
     OrbitMorphism,
     Variety,
     cartesian,
+    chern_character,
+    chow_image,
     compose_graded,
     compose_motive,
     degree_zero_rigidify,
+    diagonal_class,
+    diagonal_pushforward,
     dual,
+    identity_kernel,
+    k_compose,
     lefschetz_motive,
+    line_bundle,
     make_variety,
     motive_of,
     orbit_compose,
+    orlov_pipeline,
     permute_factors,
     split_idempotent,
     tate_motive,
     tate_twist,
     tensor,
+    tensor_morphism,
     unit_motive,
     zero_motive,
 )
 from chowmot.chern import exp_nilpotent, mul_todd_power
 from chowmot.corr import FactorSelection
-from chowmot.verify import _geometric_inverse, random_cycle, random_cycle_in_codims
+from chowmot.verify import (
+    _geometric_inverse,
+    random_correspondence,
+    random_cycle,
+    random_cycle_in_codims,
+    random_kernel,
+)
 
 VARIETIES = [make_variety(d) for d in ([], [1], [2], [1, 1], [1, 2], [2, 2], [1, 1, 1])]
 
@@ -121,6 +142,47 @@ class TestCyclesBuiltUnchecked:
             assert_clean(exp_nilpotent(u))
 
 
+def assert_rechecked_corr(c: GradedCorrespondence) -> None:
+    """The validating constructor accepts the correspondence unchanged."""
+    assert GradedCorrespondence(c.source, c.target, c.cycle) == c
+    assert_clean(c.cycle)
+
+
+class TestCorrespondencesBuiltUnchecked:
+    def test_correspondence_algebra(self):
+        rng = random.Random(78)
+        for _ in range(60):
+            x, y, z = (rng.choice(VARIETIES) for _ in range(3))
+            f, f2 = random_correspondence(rng, x, y, 8), random_correspondence(rng, x, y, 8)
+            g = random_correspondence(rng, y, z, 8)
+            q = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            for r in (GradedCorrespondence.identity(x), GradedCorrespondence.zero(x, y),
+                      f.transpose(), f + f2, f - f2, f - f, -f, f.scale(q), compose_graded(f, g),
+                      *(f.degree_component(d) for d in range(-x.dim - 1, y.dim + 2))):
+                assert_rechecked_corr(r)
+
+    def test_diagonal_pushforward(self):
+        rng = random.Random(79)
+        for x in VARIETIES:
+            assert_clean(diagonal_class(x))
+            for _ in range(5):
+                assert_clean(diagonal_pushforward(x, random_cycle(rng, x, 5)))
+
+    def test_kernels(self):
+        rng = random.Random(80)
+        pool = [make_variety(d) for d in ([], [1], [2], [1, 1])]
+        for _ in range(30):
+            x, y, z = (rng.choice(pool) for _ in range(3))
+            e, f = random_kernel(rng, x, y, 6), random_kernel(rng, y, z, 6)
+            composite = k_compose(e, f)
+            assert KKernel(composite.source, composite.target, composite.ch) == composite
+            assert_clean(composite.ch)
+            assert_rechecked_corr(chow_image(e))
+        for x in pool:
+            kernel = identity_kernel(x)
+            assert KKernel(x, x, kernel.ch) == kernel
+
+
 def sandwiched(rng, source: Motive, target: Motive, offset: int = 0) -> GradedCorrespondence:
     codim = source.variety.dim + target.twist - source.twist + offset
     raw = GradedCorrespondence(
@@ -144,6 +206,58 @@ def rechecked(f: MotiveMorphism) -> MotiveMorphism:
 
 
 class TestMotivesBuiltUnchecked:
+    def test_building_blocks(self):
+        rng = random.Random(81)
+        pool = [*(motive_of(make_variety(d)) for d in ([], [1], [2], [1, 1])),
+                zero_motive(), lefschetz_motive()]
+        for m in pool:
+            assert Motive(m.variety, m.twist, m.idempotent) == m
+            assert_rechecked_corr(m.idempotent)
+        for m in pool:
+            assert_rechecked_corr(tensor(m, rng.choice(pool)).idempotent)
+
+    def test_tensor_morphisms(self):
+        rng = random.Random(82)
+        for _ in range(20):
+            a, b, c, d = (rng.choice(motives(rng)) for _ in range(4))
+            r = tensor_morphism(MotiveMorphism(a, b, sandwiched(rng, a, b)),
+                                MotiveMorphism(c, d, sandwiched(rng, c, d)))
+            assert rechecked(r) == r
+            assert_rechecked_corr(r.corr)
+
+    def test_formal_sums(self):
+        rng = random.Random(83)
+
+        def random_matrix(s: FormalSum, t: FormalSum) -> FormalSumMorphism:
+            rows = tuple(tuple(MotiveMorphism(a, b, sandwiched(rng, a, b)) for a in s.summands)
+                         for b in t.summands)
+            return FormalSumMorphism(s, t, rows)
+
+        for _ in range(10):
+            s, t, u = (FormalSum(tuple(rng.choice(motives(rng)) for _ in range(rng.randint(1, 2))))
+                       for _ in range(3))
+            for r in (s.identity_morphism(), random_matrix(s, t).then(random_matrix(t, u))):
+                assert FormalSumMorphism(r.source, r.target, r.matrix) == r
+                assert all(rechecked(entry) == entry for row in r.matrix for entry in row)
+
+    def test_orlov_pipeline_images(self):
+        line = make_variety([1])
+        m = motive_of(line)
+
+        def twist_kernel(d: int) -> KKernel:
+            twist = chern_character(line_bundle(line * line, [d, 0]))
+            return KKernel(line, line, identity_kernel(line).ch * twist)
+
+        for d in range(-2, 3):
+            e, f = twist_kernel(d), twist_kernel(-d)
+            report = orlov_pipeline(e, f)
+            assert report.verdict == "exact-isomorphism"
+            # the images the pipeline sandwiches with the diagonals unchecked
+            for image in (chow_image(e), chow_image(f)):
+                assert OrbitMorphism(m, m, image).corr == image
+            f0, g0 = report.degree_zero_pair
+            assert rechecked(f0) == f0 and rechecked(g0) == g0
+
     def test_composites_and_sums(self):
         rng = random.Random(74)
         for _ in range(40):
@@ -214,7 +328,65 @@ class TestMotivesBuiltUnchecked:
             assert rechecked(f0) == f0 and rechecked(g0) == g0
 
 
+class TestEngineRunsNoValidator:
+    def test_internal_operations_skip_the_checks(self, monkeypatch):
+        rng = random.Random(84)
+        x, y = make_variety([1]), make_variety([2])
+        f, f2 = random_correspondence(rng, x, y, 6), random_correspondence(rng, x, y, 6)
+        g = random_correspondence(rng, y, x, 6)
+        e, k = random_kernel(rng, x, y, 6), random_kernel(rng, y, x, 6)
+        m, n = motive_of(x), lefschetz_motive()
+        mn = MotiveMorphism(m, n, sandwiched(rng, m, n))
+        nm = MotiveMorphism(n, m, sandwiched(rng, n, m))
+        s = FormalSum((m, n))
+        matrix = FormalSumMorphism(s, s, ((m.identity_morphism(), nm), (mn, n.identity_morphism())))
+        ident = identity_kernel(x)
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} re-validated an internal result")
+
+        for cls in (GradedCorrespondence, KKernel, Motive, MotiveMorphism, OrbitMorphism,
+                    FormalSumMorphism):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        for op in (
+            lambda: GradedCorrespondence.identity(y),
+            lambda: GradedCorrespondence.zero(x, y),
+            lambda: f.degree_component(1),
+            lambda: f.transpose(),
+            lambda: f + f2,
+            lambda: f - f2,
+            lambda: -f,
+            lambda: f.scale(3),
+            lambda: compose_graded(f, g),
+            lambda: chow_image(e),
+            lambda: k_compose(e, k),
+            lambda: identity_kernel(y),
+            lambda: motive_of(y),
+            lambda: zero_motive(),
+            lambda: lefschetz_motive(),
+            lambda: tensor(m, n),
+            lambda: tensor_morphism(mn, nm),
+            lambda: s.identity_morphism(),
+            lambda: matrix.then(matrix),
+        ):
+            op()
+        assert orlov_pipeline(ident, ident).verdict == "exact-isomorphism"
+
+
 class TestOutsideInputStillChecked:
+    def test_correspondence_and_kernel_constructors_reject_wrong_product(self):
+        x, y = make_variety([1]), make_variety([2])
+        for wrong in (Cycle.one(y * x), Cycle.one(x * x), Cycle.one(x)):
+            with pytest.raises(DomainMismatchError, match="expected"):
+                GradedCorrespondence(x, y, wrong)
+            with pytest.raises(InvalidInputError, match="expected"):
+                KKernel(x, y, wrong)
+            ends = {"source": x.to_json(), "target": y.to_json()}
+            with pytest.raises(DomainMismatchError, match="expected"):
+                GradedCorrespondence.from_json(dict(ends, cycle=wrong.to_json()))
+            with pytest.raises(InvalidInputError, match="expected"):
+                KKernel.from_json(dict(ends, ch=wrong.to_json()))
+
     def test_from_graded_rejects_unsandwiched(self):
         lef = lefschetz_motive()
         diagonal = GradedCorrespondence.identity(make_variety([1]))

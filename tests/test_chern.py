@@ -415,6 +415,45 @@ class TestGradedExp:
         assert exp_nilpotent(u).codimensions() == [0, 2, 4]
 
 
+def todd_generating_series(order: int) -> list[Fraction]:
+    """x / (1 - e^{-x}) up to x^order, inverting (1 - e^{-x}) / x term by term."""
+    s = [Fraction((-1) ** j, math.factorial(j + 1)) for j in range(order + 1)]
+    t = [Fraction(1)] + [Fraction(0)] * order
+    for k in range(1, order + 1):
+        t[k] = -sum(s[i] * t[k - i] for i in range(1, k + 1))
+    return t
+
+
+def power_series_log(t: list[Fraction], order: int) -> list[Fraction]:
+    """log(1 + u) = sum_m (-1)^(m+1) u^m / m with u = t - 1, the powers of u
+    built by truncated products."""
+    u = [Fraction(0)] + list(t[1:order + 1])
+    out = [Fraction(0)] * (order + 1)
+    power = [Fraction(1)] + [Fraction(0)] * order
+    for m in range(1, order + 1):
+        power = [sum((power[i] * u[k - i] for i in range(k + 1)), Fraction(0))
+                 for k in range(order + 1)]
+        out = [o + Fraction((-1) ** (m + 1), m) * p for o, p in zip(out, power)]
+    return out
+
+
+class TestSeriesLog:
+    @pytest.mark.parametrize("order", range(21))
+    def test_matches_power_series(self, order):
+        expected = power_series_log(todd_generating_series(order), order)
+        assert list(chern.todd_series_coefficients(order)) == expected
+        rng = random.Random(order)
+        t = [Fraction(1)] + [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(order)]
+        assert chern._series_log(t, order) == power_series_log(t, order)
+
+    def test_changed_coefficient_is_caught(self):
+        rng = random.Random(89)
+        for order in range(1, 21):
+            t = todd_generating_series(order)
+            t[rng.randint(1, order)] += Fraction(1, 7)
+            assert list(chern.todd_series_coefficients(order)) != power_series_log(t, order)
+
+
 class TestTangent:
     def test_point(self):
         t = tangent_class(POINT)

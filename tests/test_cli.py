@@ -100,7 +100,20 @@ class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "ring", "degree", "no/such/file.json")
         assert code == 1
-        assert "no such input file" in err
+        assert err == "error: no such input file: no/such/file.json\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("kind", ["directory", "empty-path", "not-utf8"])
+    def test_unreadable_input_fails_cleanly(self, capsys, tmp_path, monkeypatch, kind, fmt):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "inputs").mkdir()
+        (tmp_path / "bytes.json").write_bytes(b"\xff\xfe{}")
+        path = {"directory": "inputs", "empty-path": "", "not-utf8": "bytes.json"}[kind]
+        code, out, err = run_cli(capsys, "mu", path, "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert repr(path) in err
 
     def test_middle_variety_mismatch(self, capsys):
         other = json.dumps(
@@ -327,6 +340,7 @@ class TestPipelines:
 
 
 GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify_seed42.txt"
+GOLDEN_VERIFY_JSON = Path(__file__).parent / "golden" / "verify_seed42.json"
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +364,7 @@ class TestVerifyCommand:
     def test_json_format(self, capsys, verify_seed42):
         code, out, _ = run_cli(capsys, "verify", "--seed", "42", "--samples", "200", "--format", "json")
         assert code == 0
+        assert out == GOLDEN_VERIFY_JSON.read_text()
         results = json.loads(out)
         assert len(results) == 9
         assert all(r["passed"] for r in results)

@@ -262,6 +262,45 @@ class TestReferenceRoute:
         assert caught >= 50
 
 
+DIAGONAL_SHAPES = [(), (1,), (2,), (1, 1), (1, 2), (2, 2), (3, 3), (1, 1, 1)]
+
+
+def intersected_diagonal_pushforward(x, g):
+    """The projection-formula route: pull g back along the first projection
+    and intersect it with the per-factor diagonals, one `intersect` each."""
+    square, k = x * x, x.num_factors
+    result = FactorSelection(square, tuple(range(k))).pullback(g)
+    for i, n in enumerate(x.factors):
+        per_factor = {}
+        for a in range(n + 1):
+            exps = [0] * (2 * k)
+            exps[i], exps[k + i] = a, n - a
+            per_factor[tuple(exps)] = 1
+        result = result.intersect(Cycle(square, per_factor))
+    return result
+
+
+class TestDiagonalReferenceRoute:
+    @pytest.mark.parametrize("shape", DIAGONAL_SHAPES, ids=str)
+    def test_matches_pullback_times_diagonals(self, shape):
+        x = make_variety(shape)
+        rng = random.Random(61 + sum(shape))
+        assert diagonal_class(x) == intersected_diagonal_pushforward(x, Cycle.one(x))
+        for _ in range(20):
+            g = random_cycle(rng, x, 6)
+            assert diagonal_pushforward(x, g) == intersected_diagonal_pushforward(x, g)
+
+    def test_changed_coefficient_is_caught(self):
+        rng = random.Random(67)
+        for shape in DIAGONAL_SHAPES:
+            x = make_variety(shape)
+            g = random_cycle(rng, x, 6) + Cycle.one(x)
+            terms = dict(g.terms)
+            changed = rng.choice(sorted(terms))
+            terms[changed] += 1
+            assert diagonal_pushforward(x, g) != intersected_diagonal_pushforward(x, Cycle(x, terms))
+
+
 class TestComposeGraded:
     def test_identity_law(self):
         rng = random.Random(29)
