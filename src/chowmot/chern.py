@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, SingularSeriesError
-from .ring import Cycle, Variety
+from .ring import Cycle, Variety, _cycle, _nonzero
 
 # ---------------------------------------------------------------------------
 # univariate truncated series over Q (coefficient lists, a[k] is the x^k term)
@@ -88,15 +88,15 @@ def exp_nilpotent(u: Cycle) -> Cycle:
     g_j the codimension-j part of u, the codimension-k part of exp(u) is
     E_k = (1/k) sum_j j g_j E_{k-j}, from f' = g' f."""
     x = u.variety
-    if u.coefficient((0,) * x.num_factors) != 0:
+    if 0 in u._coeffs:  # key 0 is the constant monomial
         raise InvalidInputError("exp requires a cycle with zero constant term")
     weighted = [u.graded_component(j).scale(j) for j in range(x.dim + 1)]
     parts = [Cycle.one(x)]
     for k in range(1, x.dim + 1):
         pairs = [(weighted[j], parts[k - j]) for j in range(1, k + 1)]
-        part = sum((g * e for g, e in pairs if g.terms and e.terms), Cycle.zero(x))
+        part = sum((g * e for g, e in pairs if g._coeffs and e._coeffs), Cycle.zero(x))
         parts.append(part.scale(Fraction(1, k)))
-    return Cycle._sum(x, (term for part in parts for term in part.terms.items()))
+    return _cycle(x, {k: c for part in parts for k, c in part._coeffs.items()})
 
 
 def series_inverse(u: Cycle) -> Cycle:
@@ -242,14 +242,18 @@ def mul_todd_power(c: Cycle, s, factors=None) -> Cycle:
     default) of the univariate series (h_i/(1 - e^{-h_i}))^{s(n_i+1)}: one
     truncated convolution along each factor, no product of full cycles."""
     s = Fraction(s)
+    fields = c.variety._layout.fields
     for i in range(c.variety.num_factors) if factors is None else factors:
         n = c.variety.factors[i]
+        shift, mask = fields[i]
         series = _todd_factor_series(n, s * (n + 1))
-        c = Cycle._sum(c.variety, (
-            (exps[:i] + (exps[i] + k,) + exps[i + 1:], coeff * t)
-            for exps, coeff in c.terms.items()
-            for k, t in enumerate(series[: n + 1 - exps[i]])
-        ))
+        steps = [j << shift for j in range(n + 1)]
+        acc: dict = {}
+        for key, coeff in c._coeffs.items():
+            for step, t in zip(steps, series[: n + 1 - ((key >> shift) & mask)]):
+                k = key + step
+                acc[k] = acc[k] + coeff * t if k in acc else coeff * t
+        c = _nonzero(c.variety, acc)
     return c
 
 

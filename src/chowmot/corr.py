@@ -18,12 +18,10 @@ is made by `ring._built` without that check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from itertools import product
 
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import Cycle, Variety, _built
+from .ring import Cycle, Variety, _built, _cycle, _nonzero
 
 
 @dataclass(frozen=True)
@@ -63,15 +61,13 @@ class FactorSelection:
             raise DomainMismatchError(
                 f"cycle on {a.variety} cannot be pulled back along projection onto {self.target}"
             )
-        k = self.source.num_factors
-
-        def spread(exps):
-            new = [0] * k
-            for pos, i in enumerate(self.selected):
-                new[i] = exps[pos]
-            return tuple(new)
-
-        return Cycle._sum(self.source, ((spread(e), c) for e, c in a.terms.items()))
+        fields = self.source._layout.fields
+        moves = [(shift, mask, fields[i][0])
+                 for (shift, mask), i in zip(self.target._layout.fields, self.selected)]
+        return _cycle(self.source, {
+            sum(((k >> shift) & mask) << to for shift, mask, to in moves): c
+            for k, c in a._coeffs.items()
+        })
 
     def pushforward(self, a: Cycle) -> Cycle:
         """Direct image (integration over the projected-away factors): a term
@@ -82,21 +78,25 @@ class FactorSelection:
             raise DomainMismatchError(
                 f"cycle on {a.variety} cannot be pushed forward from {self.source}"
             )
-        bounds = self.source.factors
-        dropped = self.unselected
-        return Cycle._sum(self.target, (
-            (tuple(exps[i] for i in self.selected), coeff)
-            for exps, coeff in a.terms.items()
-            if all(exps[i] == bounds[i] for i in dropped)
-        ))
+        fields = self.source._layout.fields
+        dropped = sum(fields[i][1] << fields[i][0] for i in self.unselected)
+        top = self.source._layout.top & dropped
+        moves = [(*fields[i], to) for i, (to, _) in zip(self.selected, self.target._layout.fields)]
+        return _cycle(self.target, {
+            sum(((k >> shift) & mask) << to for shift, mask, to in moves): c
+            for k, c in a._coeffs.items() if k & dropped == top
+        })
 
 
 def cartesian(a: Cycle, b: Cycle) -> Cycle:
     """External product: the cycle on X x Y whose terms concatenate one term
-    of a with one term of b.  Bilinear and associative."""
-    return Cycle._sum(a.variety * b.variety, (
-        (e1 + e2, c1 * c2) for e1, c1 in a.terms.items() for e2, c2 in b.terms.items()
-    ))
+    of a with one term of b (X's key fields above Y's).  Bilinear and
+    associative."""
+    shift = b.variety._layout.bits
+    right = list(b._coeffs.items())
+    return _cycle(a.variety * b.variety, {
+        (k1 << shift) | k2: c1 * c2 for k1, c1 in a._coeffs.items() for k2, c2 in right
+    })
 
 
 def permute_factors(a: Cycle, order: tuple[int, ...]) -> Cycle:
@@ -106,25 +106,38 @@ def permute_factors(a: Cycle, order: tuple[int, ...]) -> Cycle:
     if sorted(order) != list(range(k)):
         raise InvalidInputError(f"{order!r} is not a permutation of 0..{k - 1}")
     new_variety = _built(Variety, tuple(a.variety.factors[i] for i in order))
-    return Cycle._sum(new_variety, ((tuple(exps[i] for i in order), c) for exps, c in a.terms.items()))
+    fields = a.variety._layout.fields
+    moves = [(*fields[i], to) for i, (to, _) in zip(order, new_variety._layout.fields)]
+    return _cycle(new_variety, {
+        sum(((key >> shift) & mask) << to for shift, mask, to in moves): c
+        for key, c in a._coeffs.items()
+    })
 
 
 def diagonal_pushforward(variety: Variety, g: Cycle) -> Cycle:
     """Direct image of a class along the diagonal embedding of X in X x X.
     By the projection formula it is p1^* g times the diagonal class, so a
     monomial h^e goes to prod_i sum_{a=e_i}^{n_i} h_i^a h_i'^{n_i+e_i-a};
-    each term of g is spread directly.  Raises codimension by dim X."""
+    each term of g is spread directly.  Terms of g spread to disjoint sets
+    of keys, since a_i + (n_i + e_i - a_i) recovers e_i.  Raises
+    codimension by dim X."""
     if g.variety != variety:
         raise DomainMismatchError(f"cycle on {g.variety} is not a class on {variety}")
-    bounds = variety.factors
+    layout = variety._layout
+    bits = layout.bits
+    fields = [(shift, mask, n) for (shift, mask), n in zip(layout.fields, variety.factors)]
 
-    def spread(exps):
-        for first in product(*(range(e, n + 1) for e, n in zip(exps, bounds))):
-            yield first + tuple(n + e - a for n, e, a in zip(bounds, exps, first))
+    def spread(key):
+        keys = [0]
+        for shift, mask, n in fields:
+            e = (key >> shift) & mask
+            parts = [((a << bits) | (n + e - a)) << shift for a in range(e, n + 1)]
+            keys = [k + part for k in keys for part in parts]
+        return keys
 
-    return Cycle._sum(variety * variety, (
-        (exps2, c) for exps, c in g.terms.items() for exps2 in spread(exps)
-    ))
+    return _cycle(variety * variety, {
+        k: c for key, c in g._coeffs.items() for k in spread(key)
+    })
 
 
 def diagonal_class(variety: Variety) -> Cycle:
@@ -239,14 +252,16 @@ def compose_graded(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCo
         raise DomainMismatchError(
             f"middle variety mismatch: {f.target} vs {g.source}"
         )
-    kx, ky = f.source.num_factors, f.target.num_factors
-    top = f.target.factors
-    by_middle: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]] = {}
-    for exps, b in g.cycle.terms.items():
-        by_middle.setdefault(exps[:ky], []).append((exps[ky:], b))
-    pairs = (
-        (exps[:kx] + e_z, a * b)
-        for exps, a in f.cycle.terms.items()
-        for e_z, b in by_middle.get(tuple(n - e for n, e in zip(top, exps[kx:])), ())
-    )
-    return _built(GradedCorrespondence, f.source, g.target, Cycle._sum(f.source * g.target, pairs))
+    y_bits, z_bits = f.target._layout.bits, g.target._layout.bits
+    y_mask, z_mask = (1 << y_bits) - 1, (1 << z_bits) - 1
+    top = f.target._layout.top
+    by_middle: dict[int, list] = {}
+    for k, b in g.cycle._coeffs.items():
+        by_middle.setdefault(k >> z_bits, []).append((k & z_mask, b))
+    acc: dict = {}
+    for k, a in f.cycle._coeffs.items():
+        x_part = (k >> y_bits) << z_bits
+        for kz, b in by_middle.get(top - (k & y_mask), ()):
+            key = x_part | kz
+            acc[key] = acc[key] + a * b if key in acc else a * b
+    return _built(GradedCorrespondence, f.source, g.target, _nonzero(f.source * g.target, acc))

@@ -71,9 +71,10 @@ def euler_characteristic(ch: Cycle) -> Fraction:
     the degree of ch(E) * td(X), read as the pairing
     sum_e ch[e] * prod_i td(P^{n_i})[n_i - e_i] with no product built."""
     factors = ch.variety.factors
-    series = [_todd_factor_series(n, Fraction(n + 1)) for n in factors]
-    return sum((c * math.prod(t[n - e] for t, n, e in zip(series, factors, exps))
-                for exps, c in ch.terms.items()), Fraction(0))
+    fields = [(shift, mask, n, _todd_factor_series(n, Fraction(n + 1)))
+              for (shift, mask), n in zip(ch.variety._layout.fields, factors)]
+    return sum((c * math.prod(t[n - ((key >> shift) & mask)] for shift, mask, n, t in fields)
+                for key, c in ch._coeffs.items()), Fraction(0))
 
 
 def chow_image(kernel: KKernel) -> GradedCorrespondence:

@@ -4,7 +4,9 @@ For X = P^{n_1} x ... x P^{n_k} the ring is Q[h_1, ..., h_k]/(h_i^{n_i+1}):
 a cycle class is a sparse rational combination of monomials whose exponents
 stay below the per-variable nilpotency bounds.  The grading by total exponent
 is the codimension grading.  All coefficients are `fractions.Fraction`; no
-floating point appears anywhere in the engine.
+floating point appears anywhere in the engine.  A monomial is stored as one
+packed integer key (`_Layout`), so a product of monomials is one addition
+and its truncation one mask test.
 
 Every value has two ways in.  Outside input goes through a checked
 constructor or `from_json`: `Cycle(...)` and `Cycle.from_json` validate every
@@ -17,10 +19,11 @@ motives in the layers above) by `_built`.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import cached_property
 from types import MappingProxyType
 
 from .errors import DomainMismatchError, InvalidInputError
@@ -68,6 +71,10 @@ class Variety:
             return "Spec(K)"
         return " x ".join(f"P^{n}" for n in self.factors)
 
+    @cached_property
+    def _layout(self) -> "_Layout":
+        return _layout_of(self.factors)
+
     def to_json(self) -> dict:
         return {"factors": list(self.factors)}
 
@@ -91,6 +98,49 @@ def _built(cls, *values):
     for name, value in zip(cls.__dataclass_fields__, values):
         object.__setattr__(obj, name, value)
     return obj
+
+
+class _Layout:
+    """Where each exponent of a monomial sits in its packed integer key.
+
+    Factor i owns a bit field of width w_i = max(1, n_i.bit_length()) + 1,
+    factor 0 the most significant, so keys sort like exponent tuples.  The
+    top bit of a field is a guard: it stays 0 in a key, and in
+    k1 + k2 + bias (bias holding 2^(w_i - 1) - 1 - n_i in field i) it is
+    set exactly when e1_i + e2_i > n_i, without a carry into the next field.
+    """
+
+    __slots__ = ("fields", "bits", "guard", "bias", "top")
+
+    def __init__(self, bounds: tuple[int, ...]):
+        fields = []
+        shift = guard = bias = top = 0
+        for n in reversed(bounds):
+            width = max(1, n.bit_length()) + 1
+            fields.append((shift, (1 << width) - 1))
+            guard |= 1 << (shift + width - 1)
+            bias |= ((1 << (width - 1)) - 1 - n) << shift
+            top |= n << shift
+            shift += width
+        self.fields = tuple(reversed(fields))  # (shift, mask) of each factor, factor 0 first
+        self.bits = shift
+        self.guard = guard
+        self.bias = bias
+        self.top = top  # key of the point class h_1^{n_1} ... h_k^{n_k}
+
+    def pack(self, exps) -> int:
+        return sum(e << shift for e, (shift, _) in zip(exps, self.fields))
+
+    def unpack(self, key: int) -> Exponents:
+        return tuple((key >> shift) & mask for shift, mask in self.fields)
+
+    def codim(self, key: int) -> int:
+        return sum((key >> shift) & mask for shift, mask in self.fields)
+
+
+@functools.lru_cache(maxsize=4096)
+def _layout_of(bounds: tuple[int, ...]) -> _Layout:
+    return _Layout(bounds)
 
 
 def make_variety(dims: list[int] | tuple[int, ...]) -> Variety:
@@ -146,41 +196,46 @@ def _checked(variety: Variety, items):
 class Cycle:
     """An element of the rational intersection ring of a `Variety`.
 
-    Stored sparsely as a map from exponent tuples to nonzero Fractions;
-    monomials at or above a nilpotency bound are dropped on construction, so
-    two equal classes always have identical term maps.  Instances are
-    immutable and hashable: `terms` is a read-only mapping, and every
-    operation returns a new cycle.
+    Stored sparsely as a map from packed monomial keys (see `_Layout`) to
+    nonzero Fractions; monomials at or above a nilpotency bound are dropped
+    on construction, so two equal classes always have identical maps.
+    Instances are immutable and hashable: `terms`, the read-only view keyed
+    by exponent tuples, is built on first access, and every operation
+    returns a new cycle.
     """
 
-    __slots__ = ("variety", "terms")
+    __slots__ = ("variety", "_coeffs", "_terms")
 
     def __init__(self, variety: Variety, terms: dict | None = None):
         if not isinstance(variety, Variety):
             raise InvalidInputError(f"expected a Variety, got {variety!r}")
-        self._fill(variety, _checked(variety, (terms or {}).items()))
+        self._fill(variety, _packed_sums(variety, _checked(variety, (terms or {}).items())))
 
-    def _fill(self, variety: Variety, pairs) -> "Cycle":
-        """Set the fields to the sum of the pairs, dropping cancelled terms."""
-        acc: dict[Exponents, Fraction] = {}
-        for e, c in pairs:
-            s = acc[e] + c if e in acc else c
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
+    def _fill(self, variety: Variety, coeffs: dict) -> "Cycle":
+        """Set the fields to a map of packed keys to nonzero coefficients."""
         object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "terms", MappingProxyType(acc))
+        object.__setattr__(self, "_coeffs", coeffs)
         return self
 
     @classmethod
     def _sum(cls, variety: Variety, pairs) -> "Cycle":
         """The sum of (exponents, Fraction) pairs made by the ring's own
         arithmetic, unchecked: every exponent must lie within the bounds."""
-        return object.__new__(cls)._fill(variety, pairs)
+        return object.__new__(cls)._fill(variety, _packed_sums(variety, pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cycle instances are immutable")
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only map from exponent tuples to nonzero Fractions."""
+        try:
+            return self._terms
+        except AttributeError:
+            unpack = self.variety._layout.unpack
+            view = MappingProxyType({unpack(k): c for k, c in self._coeffs.items()})
+            object.__setattr__(self, "_terms", view)
+            return view
 
     # -- constructors ------------------------------------------------------
 
@@ -213,27 +268,35 @@ class Cycle:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._coeffs
 
     def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        exps = tuple(exps)
+        bounds = self.variety.factors
+        if len(exps) == len(bounds) and all(
+                type(e) is int and 0 <= e <= n for e, n in zip(exps, bounds)):
+            return self._coeffs.get(self.variety._layout.pack(exps), Fraction(0))
+        return Fraction(0)
 
     def codimensions(self) -> list[int]:
         """Sorted list of codimensions in which the cycle has a nonzero term."""
-        return sorted({sum(e) for e in self.terms})
+        codim = self.variety._layout.codim
+        return sorted({codim(k) for k in self._coeffs})
 
     def is_homogeneous(self, k: int) -> bool:
         """True when every stored term has codimension exactly k (the zero
         cycle is homogeneous of every codimension)."""
-        return all(sum(e) == k for e in self.terms)
+        codim = self.variety._layout.codim
+        return all(codim(key) == k for key in self._coeffs)
 
     def graded_component(self, k: int) -> "Cycle":
-        return Cycle._sum(self.variety, ((e, c) for e, c in self.terms.items() if sum(e) == k))
+        codim = self.variety._layout.codim
+        return _cycle(self.variety, {key: c for key, c in self._coeffs.items() if codim(key) == k})
 
     def degree(self) -> Fraction:
         """Coefficient of the top monomial: the pushforward to Spec K of the
         top graded piece.  Lower-codimension components contribute 0."""
-        return self.terms.get(self.variety.factors, Fraction(0))
+        return self._coeffs.get(self.variety._layout.top, Fraction(0))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -247,10 +310,13 @@ class Cycle:
         if not isinstance(other, Cycle):
             return NotImplemented
         self._require_same_variety(other)
-        return Cycle._sum(self.variety, chain(self.terms.items(), other.terms.items()))
+        acc = dict(self._coeffs)
+        for k, c in other._coeffs.items():
+            acc[k] = acc[k] + c if k in acc else c
+        return _nonzero(self.variety, acc)
 
     def __neg__(self) -> "Cycle":
-        return Cycle._sum(self.variety, ((e, -c) for e, c in self.terms.items()))
+        return _cycle(self.variety, {k: -c for k, c in self._coeffs.items()})
 
     def __sub__(self, other: "Cycle") -> "Cycle":
         if not isinstance(other, Cycle):
@@ -271,22 +337,25 @@ class Cycle:
 
     def scale(self, scalar) -> "Cycle":
         scalar = _as_fraction(scalar)
-        return Cycle._sum(self.variety, ((e, scalar * c) for e, c in self.terms.items()))
+        if not scalar:
+            return _cycle(self.variety, {})
+        return _cycle(self.variety, {k: scalar * c for k, c in self._coeffs.items()})
 
     def intersect(self, other: "Cycle") -> "Cycle":
         """Truncated polynomial product; codimensions add, and any monomial
-        crossing a nilpotency bound is discarded."""
+        crossing a nilpotency bound is discarded by the guard-bit test."""
         self._require_same_variety(other)
-        bounds = self.variety.factors
-
-        def products():
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    if all(x <= n for x, n in zip(e, bounds)):
-                        yield e, c1 * c2
-
-        return Cycle._sum(self.variety, products())
+        layout = self.variety._layout
+        guard, bias = layout.guard, layout.bias
+        right = list(other._coeffs.items())
+        acc: dict[int, Fraction] = {}
+        for k1, c1 in self._coeffs.items():
+            kb = k1 + bias
+            for k2, c2 in right:
+                if not (kb + k2) & guard:
+                    k = k1 + k2
+                    acc[k] = acc[k] + c1 * c2 if k in acc else c1 * c2
+        return _nonzero(self.variety, acc)
 
     # -- comparison and display --------------------------------------------
 
@@ -294,17 +363,23 @@ class Cycle:
         return (
             isinstance(other, Cycle)
             and self.variety == other.variety
-            and self.terms == other.terms
+            and self._coeffs == other._coeffs
         )
 
     def __hash__(self) -> int:
-        return hash((self.variety, frozenset(self.terms.items())))
+        return hash((self.variety, frozenset(self._coeffs.items())))
+
+    def _sorted_terms(self):
+        """(exponents, coefficient) pairs in lexicographic order of the
+        exponents, which is the order of the packed keys."""
+        unpack = self.variety._layout.unpack
+        return [(unpack(k), c) for k, c in sorted(self._coeffs.items())]
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._coeffs:
             return "0"
         parts = []
-        for exps, coeff in sorted(self.terms.items()):
+        for exps, coeff in self._sorted_terms():
             factors = [
                 f"h{i + 1}" if e == 1 else f"h{i + 1}^{e}"
                 for i, e in enumerate(exps)
@@ -333,7 +408,7 @@ class Cycle:
             "variety": self.variety.to_json(),
             "terms": [
                 {"exps": list(e), "coeff": _as_text(c)}
-                for e, c in sorted(self.terms.items())
+                for e, c in self._sorted_terms()
             ],
         }
 
@@ -356,3 +431,24 @@ class Cycle:
                 raise InvalidInputError(f"'exps' must be a list of integers, got {exps!r}")
             pairs.append((exps, _as_fraction(item["coeff"])))
         return cls._sum(variety, _checked(variety, pairs))
+
+
+def _packed_sums(variety: Variety, pairs) -> dict:
+    """Packed key to summed coefficient of (exponents, Fraction) pairs,
+    without the cancelled terms."""
+    pack = variety._layout.pack
+    acc: dict[int, Fraction] = {}
+    for e, c in pairs:
+        k = pack(e)
+        acc[k] = acc[k] + c if k in acc else c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _cycle(variety: Variety, coeffs: dict) -> Cycle:
+    """The cycle with these packed terms, none of them zero; unchecked."""
+    return object.__new__(Cycle)._fill(variety, coeffs)
+
+
+def _nonzero(variety: Variety, acc: dict) -> Cycle:
+    """The cycle of accumulated packed terms, without the cancelled ones."""
+    return object.__new__(Cycle)._fill(variety, {k: c for k, c in acc.items() if c})
