@@ -16,11 +16,12 @@ rational series arithmetic rather than transcribed from tables.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, SingularSeriesError
-from .ring import Cycle, Variety, _cycle, _nonzero
+from .ring import Cycle, Variety, _reduced, _total
 
 # ---------------------------------------------------------------------------
 # univariate truncated series over Q (coefficient lists, a[k] is the x^k term)
@@ -88,15 +89,15 @@ def exp_nilpotent(u: Cycle) -> Cycle:
     g_j the codimension-j part of u, the codimension-k part of exp(u) is
     E_k = (1/k) sum_j j g_j E_{k-j}, from f' = g' f."""
     x = u.variety
-    if 0 in u._coeffs:  # key 0 is the constant monomial
+    if 0 in u._num:  # key 0 is the constant monomial
         raise InvalidInputError("exp requires a cycle with zero constant term")
     weighted = [u.graded_component(j).scale(j) for j in range(x.dim + 1)]
     parts = [Cycle.one(x)]
     for k in range(1, x.dim + 1):
         pairs = [(weighted[j], parts[k - j]) for j in range(1, k + 1)]
-        part = sum((g * e for g, e in pairs if g._coeffs and e._coeffs), Cycle.zero(x))
+        part = _total(x, [g * e for g, e in pairs if g._num and e._num])
         parts.append(part.scale(Fraction(1, k)))
-    return _cycle(x, {k: c for part in parts for k, c in part._coeffs.items()})
+    return _total(x, parts)
 
 
 def series_inverse(u: Cycle) -> Cycle:
@@ -191,9 +192,9 @@ def power_sums(bundle: BundleClass) -> tuple[Cycle, ...]:
     e = [bundle.chern(i) for i in range(d + 1)]
     p: list[Cycle] = []
     for k in range(1, d + 1):
-        acc = e[k].scale(Fraction((-1) ** (k - 1) * k))
+        acc = e[k].scale((-1) ** (k - 1) * k)
         for i in range(1, k):
-            acc = acc + (e[i] * p[k - i - 1]).scale(Fraction((-1) ** (i - 1)))
+            acc = acc + (e[i] * p[k - i - 1]).scale((-1) ** (i - 1))
         p.append(acc)
     return tuple(p)
 
@@ -201,7 +202,7 @@ def power_sums(bundle: BundleClass) -> tuple[Cycle, ...]:
 def chern_character(bundle: BundleClass) -> Cycle:
     """rank + sum_k p_k / k!, exact."""
     x = bundle.variety
-    acc = Cycle.one(x).scale(Fraction(bundle.rank))
+    acc = Cycle.one(x).scale(bundle.rank)
     fact = 1
     for k, pk in enumerate(power_sums(bundle), start=1):
         fact *= k
@@ -237,23 +238,37 @@ def _todd_factor_series(n: int, exponent: Fraction) -> tuple[Fraction, ...]:
     return tuple(_series_exp([exponent * c for c in todd_series_coefficients(n)], n))
 
 
+def _todd_factor_ints(n: int, exponent: Fraction) -> tuple[int, list[int]]:
+    """`_todd_factor_series` over one common denominator: (D, integers t_k)
+    with coefficient k equal to t_k / D."""
+    series = _todd_factor_series(n, exponent)
+    den = math.lcm(*(t.denominator for t in series))
+    return den, [t.numerator * (den // t.denominator) for t in series]
+
+
 def mul_todd_power(c: Cycle, s, factors=None) -> Cycle:
     """c * td^s, with td^s the product over the given factors (all by
     default) of the univariate series (h_i/(1 - e^{-h_i}))^{s(n_i+1)}: one
-    truncated convolution along each factor, no product of full cycles."""
+    truncated convolution along each factor, no product of full cycles.
+    Each series is scaled to integers over one denominator, so a factor
+    pass only shifts keys and adds integer products."""
     s = Fraction(s)
     fields = c.variety._layout.fields
     for i in range(c.variety.num_factors) if factors is None else factors:
         n = c.variety.factors[i]
         shift, mask = fields[i]
-        series = _todd_factor_series(n, s * (n + 1))
-        steps = [j << shift for j in range(n + 1)]
-        acc: dict = {}
-        for key, coeff in c._coeffs.items():
-            for step, t in zip(steps, series[: n + 1 - ((key >> shift) & mask)]):
+        den, series = _todd_factor_ints(n, s * (n + 1))
+        steps = [(j << shift, t) for j, t in enumerate(series) if t]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for key, v in c._num.items():
+            room = (n - ((key >> shift) & mask)) << shift
+            for step, t in steps:
+                if step > room:
+                    break
                 k = key + step
-                acc[k] = acc[k] + coeff * t if k in acc else coeff * t
-        c = _nonzero(c.variety, acc)
+                acc[k] = get(k, 0) + v * t
+        c = _reduced(c.variety, c._den * den, acc)
     return c
 
 

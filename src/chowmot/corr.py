@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import Cycle, Variety, _built, _cycle, _nonzero
+from .ring import Cycle, Variety, _built, _cancelled, _cycle, _reduced
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,9 @@ class FactorSelection:
         fields = self.source._layout.fields
         moves = [(shift, mask, fields[i][0])
                  for (shift, mask), i in zip(self.target._layout.fields, self.selected)]
-        return _cycle(self.source, {
-            sum(((k >> shift) & mask) << to for shift, mask, to in moves): c
-            for k, c in a._coeffs.items()
+        return _cycle(self.source, a._den, {
+            sum(((k >> shift) & mask) << to for shift, mask, to in moves): v
+            for k, v in a._num.items()
         })
 
     def pushforward(self, a: Cycle) -> Cycle:
@@ -82,9 +82,9 @@ class FactorSelection:
         dropped = sum(fields[i][1] << fields[i][0] for i in self.unselected)
         top = self.source._layout.top & dropped
         moves = [(*fields[i], to) for i, (to, _) in zip(self.selected, self.target._layout.fields)]
-        return _cycle(self.target, {
-            sum(((k >> shift) & mask) << to for shift, mask, to in moves): c
-            for k, c in a._coeffs.items() if k & dropped == top
+        return _cancelled(self.target, a._den, {
+            sum(((k >> shift) & mask) << to for shift, mask, to in moves): v
+            for k, v in a._num.items() if k & dropped == top
         })
 
 
@@ -93,9 +93,9 @@ def cartesian(a: Cycle, b: Cycle) -> Cycle:
     of a with one term of b (X's key fields above Y's).  Bilinear and
     associative."""
     shift = b.variety._layout.bits
-    right = list(b._coeffs.items())
-    return _cycle(a.variety * b.variety, {
-        (k1 << shift) | k2: c1 * c2 for k1, c1 in a._coeffs.items() for k2, c2 in right
+    right = list(b._num.items())
+    return _cancelled(a.variety * b.variety, a._den * b._den, {
+        (k1 << shift) | k2: v1 * v2 for k1, v1 in a._num.items() for k2, v2 in right
     })
 
 
@@ -108,9 +108,9 @@ def permute_factors(a: Cycle, order: tuple[int, ...]) -> Cycle:
     new_variety = _built(Variety, tuple(a.variety.factors[i] for i in order))
     fields = a.variety._layout.fields
     moves = [(*fields[i], to) for i, (to, _) in zip(order, new_variety._layout.fields)]
-    return _cycle(new_variety, {
-        sum(((key >> shift) & mask) << to for shift, mask, to in moves): c
-        for key, c in a._coeffs.items()
+    return _cycle(new_variety, a._den, {
+        sum(((key >> shift) & mask) << to for shift, mask, to in moves): v
+        for key, v in a._num.items()
     })
 
 
@@ -135,8 +135,8 @@ def diagonal_pushforward(variety: Variety, g: Cycle) -> Cycle:
             keys = [k + part for k in keys for part in parts]
         return keys
 
-    return _cycle(variety * variety, {
-        k: c for key, c in g._coeffs.items() for k in spread(key)
+    return _cycle(variety * variety, g._den, {
+        k: v for key, v in g._num.items() for k in spread(key)
     })
 
 
@@ -256,12 +256,14 @@ def compose_graded(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCo
     y_mask, z_mask = (1 << y_bits) - 1, (1 << z_bits) - 1
     top = f.target._layout.top
     by_middle: dict[int, list] = {}
-    for k, b in g.cycle._coeffs.items():
+    for k, b in g.cycle._num.items():
         by_middle.setdefault(k >> z_bits, []).append((k & z_mask, b))
-    acc: dict = {}
-    for k, a in f.cycle._coeffs.items():
+    acc: dict[int, int] = {}
+    get = acc.get
+    for k, a in f.cycle._num.items():
         x_part = (k >> y_bits) << z_bits
         for kz, b in by_middle.get(top - (k & y_mask), ()):
             key = x_part | kz
-            acc[key] = acc[key] + a * b if key in acc else a * b
-    return _built(GradedCorrespondence, f.source, g.target, _nonzero(f.source * g.target, acc))
+            acc[key] = get(key, 0) + a * b
+    composite = _reduced(f.source * g.target, f.cycle._den * g.cycle._den, acc)
+    return _built(GradedCorrespondence, f.source, g.target, composite)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import _todd_factor_series, _todd_power, mul_todd_power
+from .chern import _todd_factor_ints, _todd_power, mul_todd_power
 from .corr import GradedCorrespondence, compose_graded, diagonal_pushforward
 from .errors import DomainMismatchError, InvalidInputError
 from .ring import Cycle, Variety, _built
@@ -71,10 +71,12 @@ def euler_characteristic(ch: Cycle) -> Fraction:
     the degree of ch(E) * td(X), read as the pairing
     sum_e ch[e] * prod_i td(P^{n_i})[n_i - e_i] with no product built."""
     factors = ch.variety.factors
-    fields = [(shift, mask, n, _todd_factor_series(n, Fraction(n + 1)))
-              for (shift, mask), n in zip(ch.variety._layout.fields, factors)]
-    return sum((c * math.prod(t[n - ((key >> shift) & mask)] for shift, mask, n, t in fields)
-                for key, c in ch._coeffs.items()), Fraction(0))
+    per_factor = [_todd_factor_ints(n, Fraction(n + 1)) for n in factors]
+    fields = [(shift, mask, n, t)
+              for (shift, mask), n, (_, t) in zip(ch.variety._layout.fields, factors, per_factor)]
+    total = sum(v * math.prod(t[n - ((key >> shift) & mask)] for shift, mask, n, t in fields)
+                for key, v in ch._num.items())
+    return Fraction(total, ch._den * math.prod(den for den, _ in per_factor))
 
 
 def chow_image(kernel: KKernel) -> GradedCorrespondence:

@@ -3,18 +3,40 @@
 For X = P^{n_1} x ... x P^{n_k} the ring is Q[h_1, ..., h_k]/(h_i^{n_i+1}):
 a cycle class is a sparse rational combination of monomials whose exponents
 stay below the per-variable nilpotency bounds.  The grading by total exponent
-is the codimension grading.  All coefficients are `fractions.Fraction`; no
-floating point appears anywhere in the engine.  A monomial is stored as one
-packed integer key (`_Layout`), so a product of monomials is one addition
-and its truncation one mask test.
+is the codimension grading.  Arithmetic is exact; no floating point appears
+anywhere in the engine.
+
+Representation.  A cycle is integer numerators over one denominator, keyed
+by packed monomials (integer coefficients over a common denominator, as in
+FLINT's fmpq_poly; packed exponent vectors after Monagan and Pearce):
+
+- Key layout (`_Layout`): factor i owns a bit field of width
+  w_i = max(1, n_i.bit_length()) + 1, factor 0 in the most significant
+  field, so sorting keys sorts exponent tuples lexicographically.  X x Y
+  puts X's fields above Y's: a key of X x Y splits with one shift and one
+  mask, and on a key whose exponents stay within the bounds, top - key is
+  the complementary monomial, field by field.
+- Guard and bias: the top bit of each field is a guard bit, always 0 in a
+  stored key.  A product of monomials k1 * k2 is the key k1 + k2, and it
+  survives truncation exactly when (k1 + k2 + bias) & guard == 0, where
+  bias holds 2^(w_i - 1) - 1 - n_i in field i; no field carries into the
+  next.
+- Common denominator: `_den` is a positive int and `_num` maps keys to
+  nonzero ints, the coefficient of a key being `_num[key] / _den`.
+- Canonical form: gcd(_den, *_num.values()) == 1, and the zero cycle is
+  (1, {}).  Equal classes therefore have equal fields, and equality and
+  hashing compare (variety, _den, _num).  `Cycle.terms`, the public view
+  keyed by exponent tuples with Fraction values, is built on first access.
 
 Every value has two ways in.  Outside input goes through a checked
 constructor or `from_json`: `Cycle(...)` and `Cycle.from_json` validate every
 term, `Variety(...)` every factor.  Results the engine computes are correct
-by construction and skip the checks: cycles are built by `Cycle._sum`, the
-one place where terms are summed and cancelled terms dropped, and every
+by construction and skip the checks: cycles are built from integer
+numerators by `_cycle` (already canonical), `_cancelled` (cancels the
+common factor) or `_reduced` (also drops cancelled terms), and every
 frozen dataclass value (varieties here, correspondences, kernels and
-motives in the layers above) by `_built`.
+motives in the layers above) by `_built`.  `Cycle._sum` sums
+(exponents, Fraction) pairs into a cycle without checking them.
 """
 
 from __future__ import annotations
@@ -24,6 +46,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .errors import DomainMismatchError, InvalidInputError
@@ -148,11 +171,13 @@ def make_variety(dims: list[int] | tuple[int, ...]) -> Variety:
     return Variety(tuple(dims))
 
 
-def _as_fraction(value: object) -> Fraction:
+def _as_fraction(value: object) -> Fraction | int:
+    """An exact rational from outside the ring; an int is returned as it is,
+    since it has a numerator and a denominator like a Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         # an exponent is expanded, so one past Python's digit limit is refused
         limit = sys.get_int_max_str_digits()
@@ -196,32 +221,36 @@ def _checked(variety: Variety, items):
 class Cycle:
     """An element of the rational intersection ring of a `Variety`.
 
-    Stored sparsely as a map from packed monomial keys (see `_Layout`) to
-    nonzero Fractions; monomials at or above a nilpotency bound are dropped
-    on construction, so two equal classes always have identical maps.
-    Instances are immutable and hashable: `terms`, the read-only view keyed
-    by exponent tuples, is built on first access, and every operation
-    returns a new cycle.
+    Stored sparsely as `_num / _den`: `_num` maps packed monomial keys (see
+    `_Layout`) to nonzero integer numerators over the one positive
+    denominator `_den`, with gcd(_den, *numerators) == 1.  Monomials at or
+    above a nilpotency bound are dropped on construction, so two equal
+    classes always have identical fields.  Instances are immutable and
+    hashable: `terms`, the read-only view keyed by exponent tuples with
+    Fraction values, is built on first access, and every operation returns
+    a new cycle.
     """
 
-    __slots__ = ("variety", "_coeffs", "_terms")
+    __slots__ = ("variety", "_den", "_num", "_terms")
 
     def __init__(self, variety: Variety, terms: dict | None = None):
         if not isinstance(variety, Variety):
             raise InvalidInputError(f"expected a Variety, got {variety!r}")
-        self._fill(variety, _packed_sums(variety, _checked(variety, (terms or {}).items())))
+        self._fill(variety, *_over_common_denominator(
+            _packed_sums(variety, _checked(variety, (terms or {}).items()))))
 
-    def _fill(self, variety: Variety, coeffs: dict) -> "Cycle":
-        """Set the fields to a map of packed keys to nonzero coefficients."""
+    def _fill(self, variety: Variety, den: int, num: dict) -> "Cycle":
+        """Set the fields to a canonical denominator and numerator map."""
         object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_num", num)
         return self
 
     @classmethod
     def _sum(cls, variety: Variety, pairs) -> "Cycle":
         """The sum of (exponents, Fraction) pairs made by the ring's own
         arithmetic, unchecked: every exponent must lie within the bounds."""
-        return object.__new__(cls)._fill(variety, _packed_sums(variety, pairs))
+        return object.__new__(cls)._fill(variety, *_over_common_denominator(_packed_sums(variety, pairs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cycle instances are immutable")
@@ -232,8 +261,8 @@ class Cycle:
         try:
             return self._terms
         except AttributeError:
-            unpack = self.variety._layout.unpack
-            view = MappingProxyType({unpack(k): c for k, c in self._coeffs.items()})
+            unpack, den = self.variety._layout.unpack, self._den
+            view = MappingProxyType({unpack(k): Fraction(v, den) for k, v in self._num.items()})
             object.__setattr__(self, "_terms", view)
             return view
 
@@ -245,7 +274,7 @@ class Cycle:
 
     @classmethod
     def one(cls, variety: Variety) -> "Cycle":
-        return cls(variety, {(0,) * variety.num_factors: Fraction(1)})
+        return cls(variety, {(0,) * variety.num_factors: 1})
 
     @classmethod
     def monomial(cls, variety: Variety, exps, coeff=1) -> "Cycle":
@@ -257,46 +286,47 @@ class Cycle:
         if not 0 <= index < variety.num_factors:
             raise InvalidInputError(f"no factor {index} on {variety}")
         exps = tuple(1 if i == index else 0 for i in range(variety.num_factors))
-        return cls(variety, {exps: Fraction(1)})
+        return cls(variety, {exps: 1})
 
     @classmethod
     def point_class(cls, variety: Variety) -> "Cycle":
         """The top monomial h_1^{n_1} ... h_k^{n_k} (the class of a point)."""
-        return cls(variety, {variety.factors: Fraction(1)})
+        return cls(variety, {variety.factors: 1})
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def coefficient(self, exps) -> Fraction:
         exps = tuple(exps)
         bounds = self.variety.factors
         if len(exps) == len(bounds) and all(
                 type(e) is int and 0 <= e <= n for e, n in zip(exps, bounds)):
-            return self._coeffs.get(self.variety._layout.pack(exps), Fraction(0))
+            return Fraction(self._num.get(self.variety._layout.pack(exps), 0), self._den)
         return Fraction(0)
 
     def codimensions(self) -> list[int]:
         """Sorted list of codimensions in which the cycle has a nonzero term."""
         codim = self.variety._layout.codim
-        return sorted({codim(k) for k in self._coeffs})
+        return sorted({codim(k) for k in self._num})
 
     def is_homogeneous(self, k: int) -> bool:
         """True when every stored term has codimension exactly k (the zero
         cycle is homogeneous of every codimension)."""
         codim = self.variety._layout.codim
-        return all(codim(key) == k for key in self._coeffs)
+        return all(codim(key) == k for key in self._num)
 
     def graded_component(self, k: int) -> "Cycle":
         codim = self.variety._layout.codim
-        return _cycle(self.variety, {key: c for key, c in self._coeffs.items() if codim(key) == k})
+        return _cancelled(self.variety, self._den,
+                          {key: v for key, v in self._num.items() if codim(key) == k})
 
     def degree(self) -> Fraction:
         """Coefficient of the top monomial: the pushforward to Spec K of the
         top graded piece.  Lower-codimension components contribute 0."""
-        return self._coeffs.get(self.variety._layout.top, Fraction(0))
+        return Fraction(self._num.get(self.variety._layout.top, 0), self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -310,13 +340,10 @@ class Cycle:
         if not isinstance(other, Cycle):
             return NotImplemented
         self._require_same_variety(other)
-        acc = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            acc[k] = acc[k] + c if k in acc else c
-        return _nonzero(self.variety, acc)
+        return _total(self.variety, (self, other))
 
     def __neg__(self) -> "Cycle":
-        return _cycle(self.variety, {k: -c for k, c in self._coeffs.items()})
+        return _cycle(self.variety, self._den, {k: -v for k, v in self._num.items()})
 
     def __sub__(self, other: "Cycle") -> "Cycle":
         if not isinstance(other, Cycle):
@@ -337,9 +364,10 @@ class Cycle:
 
     def scale(self, scalar) -> "Cycle":
         scalar = _as_fraction(scalar)
-        if not scalar:
-            return _cycle(self.variety, {})
-        return _cycle(self.variety, {k: scalar * c for k, c in self._coeffs.items()})
+        p, q = scalar.numerator, scalar.denominator
+        if not p:
+            return _cycle(self.variety, 1, {})
+        return _cancelled(self.variety, self._den * q, {k: v * p for k, v in self._num.items()})
 
     def intersect(self, other: "Cycle") -> "Cycle":
         """Truncated polynomial product; codimensions add, and any monomial
@@ -347,15 +375,16 @@ class Cycle:
         self._require_same_variety(other)
         layout = self.variety._layout
         guard, bias = layout.guard, layout.bias
-        right = list(other._coeffs.items())
-        acc: dict[int, Fraction] = {}
-        for k1, c1 in self._coeffs.items():
+        right = list(other._num.items())
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k1, v1 in self._num.items():
             kb = k1 + bias
-            for k2, c2 in right:
+            for k2, v2 in right:
                 if not (kb + k2) & guard:
                     k = k1 + k2
-                    acc[k] = acc[k] + c1 * c2 if k in acc else c1 * c2
-        return _nonzero(self.variety, acc)
+                    acc[k] = get(k, 0) + v1 * v2
+        return _reduced(self.variety, self._den * other._den, acc)
 
     # -- comparison and display --------------------------------------------
 
@@ -363,20 +392,21 @@ class Cycle:
         return (
             isinstance(other, Cycle)
             and self.variety == other.variety
-            and self._coeffs == other._coeffs
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
-        return hash((self.variety, frozenset(self._coeffs.items())))
+        return hash((self.variety, self._den, frozenset(self._num.items())))
 
     def _sorted_terms(self):
-        """(exponents, coefficient) pairs in lexicographic order of the
+        """(exponents, Fraction) pairs in lexicographic order of the
         exponents, which is the order of the packed keys."""
-        unpack = self.variety._layout.unpack
-        return [(unpack(k), c) for k, c in sorted(self._coeffs.items())]
+        unpack, den = self.variety._layout.unpack, self._den
+        return [(unpack(k), Fraction(v, den)) for k, v in sorted(self._num.items())]
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._num:
             return "0"
         parts = []
         for exps, coeff in self._sorted_terms():
@@ -444,11 +474,43 @@ def _packed_sums(variety: Variety, pairs) -> dict:
     return {k: c for k, c in acc.items() if c}
 
 
-def _cycle(variety: Variety, coeffs: dict) -> Cycle:
-    """The cycle with these packed terms, none of them zero; unchecked."""
-    return object.__new__(Cycle)._fill(variety, coeffs)
+def _over_common_denominator(coeffs: dict) -> tuple[int, dict]:
+    """(den, num) of a map of nonzero Fractions, den the lcm of their
+    denominators.  Already in lowest terms: for each prime p dividing den,
+    the coefficient with the most factors p in its denominator keeps a
+    numerator prime to p."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
 
 
-def _nonzero(variety: Variety, acc: dict) -> Cycle:
-    """The cycle of accumulated packed terms, without the cancelled ones."""
-    return object.__new__(Cycle)._fill(variety, {k: c for k, c in acc.items() if c})
+def _cycle(variety: Variety, den: int, num: dict) -> Cycle:
+    """The cycle num / den, already canonical (no zero numerator, gcd 1);
+    unchecked."""
+    return object.__new__(Cycle)._fill(variety, den, num)
+
+
+def _cancelled(variety: Variety, den: int, num: dict) -> Cycle:
+    """The cycle num / den, with no zero numerator, in lowest terms."""
+    g = gcd(den, *num.values())
+    if g != 1:
+        den //= g
+        num = {k: v // g for k, v in num.items()}
+    return _cycle(variety, den, num)
+
+
+def _reduced(variety: Variety, den: int, acc: dict) -> Cycle:
+    """The cycle acc / den of accumulated numerators, without the cancelled
+    terms, in lowest terms."""
+    return _cancelled(variety, den, {k: v for k, v in acc.items() if v})
+
+
+def _total(variety: Variety, cycles) -> Cycle:
+    """The sum of cycles on one variety, over the lcm of their denominators."""
+    den = lcm(*(c._den for c in cycles))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for c in cycles:
+        m = den // c._den
+        for k, v in c._num.items():
+            acc[k] = get(k, 0) + v * m
+    return _reduced(variety, den, acc)
