@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, SingularSeriesError
-from .ring import Cycle, Variety, _reduced, _total
+from .ring import Cycle, Variety, _reduced, _total, require_budget
 
 # ---------------------------------------------------------------------------
 # univariate truncated series over Q (coefficient lists, a[k] is the x^k term)
@@ -69,6 +69,7 @@ def todd_series_coefficients(order: int) -> tuple[Fraction, ...]:
     """
     if order < 0:
         raise InvalidInputError("series order must be nonnegative")
+    require_budget(Variety(()), order)
     # (1 - e^{-x}) / x  =  sum_j (-1)^j x^j / (j+1)!
     s = [Fraction(0)] * (order + 1)
     fact = 1
@@ -189,6 +190,7 @@ def power_sums(bundle: BundleClass) -> tuple[Cycle, ...]:
     """
     x = bundle.variety
     d = x.dim
+    require_budget(x, d)
     e = [bundle.chern(i) for i in range(d + 1)]
     p: list[Cycle] = []
     for k in range(1, d + 1):
@@ -224,6 +226,7 @@ def todd_class(bundle: BundleClass) -> Cycle:
 def tangent_class(variety: Variety) -> BundleClass:
     """Tangent bundle class of a product of projective spaces: rank dim X and
     total Chern class prod_i (1 + h_i)^{n_i + 1} (Euler sequence, factorwise)."""
+    require_budget(variety, variety.dim)
     total = Cycle.one(variety)
     for i, n in enumerate(variety.factors):
         linear = Cycle.one(variety) + Cycle.hyperplane(variety, i)
@@ -254,7 +257,9 @@ def mul_todd_power(c: Cycle, s, factors=None) -> Cycle:
     pass only shifts keys and adds integer products."""
     s = Fraction(s)
     fields = c.variety._layout.fields
-    for i in range(c.variety.num_factors) if factors is None else factors:
+    factors = range(c.variety.num_factors) if factors is None else tuple(factors)
+    require_budget(c.variety, max((c.variety.factors[i] for i in factors), default=0))
+    for i in factors:
         n = c.variety.factors[i]
         shift, mask = fields[i]
         den, series = _todd_factor_ints(n, s * (n + 1))

@@ -303,6 +303,9 @@ def cmd_verify(args) -> int:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
             print(f"{r.name.ljust(width)}  {status.ljust(6)}  {r.detail}")
+    if args.timings:
+        for r in results:
+            print(f"{r.name}  {r.seconds:.3f} s", file=sys.stderr)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -423,6 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the built-in verification suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--timings", action="store_true",
+                   help="print each check's wall time in seconds to stderr")
     _add_format(p)
     p.set_defaults(func=cmd_verify)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import Cycle, Variety, _built, _cancelled, _cycle, _reduced
+from .ring import Cycle, Variety, _built, _cancelled, _cycle, _reduced, require_budget
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,8 @@ class FactorSelection:
             raise DomainMismatchError(
                 f"cycle on {a.variety} cannot be pulled back along projection onto {self.target}"
             )
-        fields = self.source._layout.fields
-        moves = [(shift, mask, fields[i][0])
-                 for (shift, mask), i in zip(self.target._layout.fields, self.selected)]
-        return _cycle(self.source, a._den, {
-            sum(((k >> shift) & mask) << to for shift, mask, to in moves): v
-            for k, v in a._num.items()
-        })
+        moves = _field_moves(self.target, self.source, enumerate(self.selected))
+        return _cycle(self.source, a._den, {_moved(k, moves): v for k, v in a._num.items()})
 
     def pushforward(self, a: Cycle) -> Cycle:
         """Direct image (integration over the projected-away factors): a term
@@ -81,11 +76,22 @@ class FactorSelection:
         fields = self.source._layout.fields
         dropped = sum(fields[i][1] << fields[i][0] for i in self.unselected)
         top = self.source._layout.top & dropped
-        moves = [(*fields[i], to) for i, (to, _) in zip(self.selected, self.target._layout.fields)]
+        moves = _field_moves(self.source, self.target, ((i, j) for j, i in enumerate(self.selected)))
         return _cancelled(self.target, a._den, {
-            sum(((k >> shift) & mask) << to for shift, mask, to in moves): v
-            for k, v in a._num.items() if k & dropped == top
+            _moved(k, moves): v for k, v in a._num.items() if k & dropped == top
         })
+
+
+def _field_moves(old: Variety, new: Variety, pairs) -> list[tuple[int, int, int]]:
+    """(shift, mask, new shift) for each (old factor, new factor) pair: how
+    one exponent field of a key on `old` moves into a key on `new`."""
+    old_fields, new_fields = old._layout.fields, new._layout.fields
+    return [(*old_fields[i], new_fields[j][0]) for i, j in pairs]
+
+
+def _moved(key: int, moves) -> int:
+    """The key with its fields moved; fields no move fills are 0."""
+    return sum(((key >> shift) & mask) << to for shift, mask, to in moves)
 
 
 def cartesian(a: Cycle, b: Cycle) -> Cycle:
@@ -106,12 +112,8 @@ def permute_factors(a: Cycle, order: tuple[int, ...]) -> Cycle:
     if sorted(order) != list(range(k)):
         raise InvalidInputError(f"{order!r} is not a permutation of 0..{k - 1}")
     new_variety = _built(Variety, tuple(a.variety.factors[i] for i in order))
-    fields = a.variety._layout.fields
-    moves = [(*fields[i], to) for i, (to, _) in zip(order, new_variety._layout.fields)]
-    return _cycle(new_variety, a._den, {
-        sum(((key >> shift) & mask) << to for shift, mask, to in moves): v
-        for key, v in a._num.items()
-    })
+    moves = _field_moves(a.variety, new_variety, ((i, j) for j, i in enumerate(order)))
+    return _cycle(new_variety, a._den, {_moved(k, moves): v for k, v in a._num.items()})
 
 
 def diagonal_pushforward(variety: Variety, g: Cycle) -> Cycle:
@@ -123,6 +125,7 @@ def diagonal_pushforward(variety: Variety, g: Cycle) -> Cycle:
     codimension by dim X."""
     if g.variety != variety:
         raise DomainMismatchError(f"cycle on {g.variety} is not a class on {variety}")
+    require_budget(variety * variety)
     layout = variety._layout
     bits = layout.bits
     fields = [(shift, mask, n) for (shift, mask), n in zip(layout.fields, variety.factors)]

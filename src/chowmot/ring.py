@@ -45,8 +45,7 @@ import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from types import MappingProxyType
 
 from .errors import DomainMismatchError, InvalidInputError
@@ -54,6 +53,12 @@ from .errors import DomainMismatchError, InvalidInputError
 Exponents = tuple[int, ...]
 
 _SCALARS = (int, Fraction)
+
+# Work budget of one operation, checked before it builds a dense class: the
+# monomials of its working ring (X for a class on X, X x X for a kernel or a
+# diagonal, X x Y for a correspondence) and the order of its series.
+MAX_MONOMIALS = 1 << 18
+MAX_SERIES_ORDER = 128
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,7 @@ class Variety:
             return "Spec(K)"
         return " x ".join(f"P^{n}" for n in self.factors)
 
-    @cached_property
+    @functools.cached_property
     def _layout(self) -> "_Layout":
         return _layout_of(self.factors)
 
@@ -164,6 +169,24 @@ class _Layout:
 @functools.lru_cache(maxsize=4096)
 def _layout_of(bounds: tuple[int, ...]) -> _Layout:
     return _Layout(bounds)
+
+
+def within_budget(monomials: int, order: int = 0) -> bool:
+    """True when a working ring of this many monomials and a series of this
+    order are both within the budget."""
+    return monomials <= MAX_MONOMIALS and order <= MAX_SERIES_ORDER
+
+
+def require_budget(variety: Variety, order: int = 0) -> None:
+    """Refuse, before any work, an operation whose working ring `variety` or
+    series order is over the budget."""
+    monomials = prod(n + 1 for n in variety.factors)
+    if not within_budget(monomials, order):
+        what = (f"series order {order}" if order > MAX_SERIES_ORDER
+                else f"working ring {variety} with {monomials} monomials")
+        raise InvalidInputError(
+            f"{what} is over the budget of {MAX_MONOMIALS} monomials and series order {MAX_SERIES_ORDER}"
+        )
 
 
 def make_variety(dims: list[int] | tuple[int, ...]) -> Variety:
@@ -236,8 +259,7 @@ class Cycle:
     def __init__(self, variety: Variety, terms: dict | None = None):
         if not isinstance(variety, Variety):
             raise InvalidInputError(f"expected a Variety, got {variety!r}")
-        self._fill(variety, *_over_common_denominator(
-            _packed_sums(variety, _checked(variety, (terms or {}).items()))))
+        self._fill(variety, *_from_fractions(variety, _checked(variety, (terms or {}).items())))
 
     def _fill(self, variety: Variety, den: int, num: dict) -> "Cycle":
         """Set the fields to a canonical denominator and numerator map."""
@@ -250,7 +272,7 @@ class Cycle:
     def _sum(cls, variety: Variety, pairs) -> "Cycle":
         """The sum of (exponents, Fraction) pairs made by the ring's own
         arithmetic, unchecked: every exponent must lie within the bounds."""
-        return object.__new__(cls)._fill(variety, *_over_common_denominator(_packed_sums(variety, pairs)))
+        return object.__new__(cls)._fill(variety, *_from_fractions(variety, pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cycle instances are immutable")
@@ -463,24 +485,20 @@ class Cycle:
         return cls._sum(variety, _checked(variety, pairs))
 
 
-def _packed_sums(variety: Variety, pairs) -> dict:
-    """Packed key to summed coefficient of (exponents, Fraction) pairs,
-    without the cancelled terms."""
+def _from_fractions(variety: Variety, pairs) -> tuple[int, dict]:
+    """(den, num) of the sum of (exponents, Fraction or int) pairs, without
+    the cancelled terms, den the lcm of the summed coefficients'
+    denominators.  That is already lowest terms: for each prime p dividing
+    den, the coefficient with the most factors p in its denominator keeps a
+    numerator prime to p."""
     pack = variety._layout.pack
     acc: dict[int, Fraction] = {}
     for e, c in pairs:
         k = pack(e)
         acc[k] = acc[k] + c if k in acc else c
-    return {k: c for k, c in acc.items() if c}
-
-
-def _over_common_denominator(coeffs: dict) -> tuple[int, dict]:
-    """(den, num) of a map of nonzero Fractions, den the lcm of their
-    denominators.  Already in lowest terms: for each prime p dividing den,
-    the coefficient with the most factors p in its denominator keeps a
-    numerator prime to p."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+    coeffs = [(k, c) for k, c in acc.items() if c]
+    den = lcm(*(c.denominator for _, c in coeffs))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs}
 
 
 def _cycle(variety: Variety, den: int, num: dict) -> Cycle:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chern import (
@@ -200,6 +201,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = field(default=0.0, compare=False)  # wall time of the check
 
 
 def check_hrr_line_bundles(rng: random.Random, samples: int) -> tuple[bool, str]:
@@ -556,9 +558,10 @@ def run_checks(seed: int, samples: int, names: list[str] | None = None) -> list[
     results = []
     for name, fn in selected:
         rng = random.Random(f"{seed}:{name}")
+        start = time.perf_counter()
         try:
             passed, detail = fn(rng, samples)
         except Exception as exc:  # noqa: BLE001 - report any failure as a check failure
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, passed, detail))
+        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
     return results

@@ -1,8 +1,8 @@
 """Validation happens once, at the boundary.
 
 Every value has two ways in: a checked constructor or `from_json` for input
-from outside, and `Cycle._sum` or `ring._built` for results the engine
-computes, which are correct by construction.  These tests re-run the
+from outside, and the private cycle builders of `ring` or `ring._built` for
+results the engine computes, which are correct by construction.  These tests re-run the
 validating constructors on such results (they must accept them and rebuild
 equal objects), check that the engine's own operations run no validator,
 and make sure that input from outside is still rejected.

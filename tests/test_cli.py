@@ -115,6 +115,20 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
         assert repr(path) in err
 
+    @pytest.mark.parametrize("argv", [
+        ["sqrt-todd", "--variety", "[3000]"],
+        ["identity-kernel", "--variety", "[9,9,9,9]"],
+        ["tangent", "--variety", "[3000]"],
+        ["diagonal", "--variety", "[9,9,9,9]"],
+        ["chern-character", "--variety", "[3000]", "--line-bundle", "[1]"],
+    ])
+    def test_over_budget_input_is_refused_up_front(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert "over the budget" in err
+
     def test_middle_variety_mismatch(self, capsys):
         other = json.dumps(
             {
@@ -370,6 +384,19 @@ class TestVerifyCommand:
         assert all(r["passed"] for r in results)
         rows = [line.split(None, 2) for line in verify_seed42[1].splitlines()[2:]]
         assert rows == [[r["name"], "PASS", r["detail"]] for r in results]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_timings_go_to_stderr_only(self, capsys, fmt):
+        from chowmot import verify
+
+        code, out, err = run_cli(capsys, "verify", "--seed", "42", "--timings", "--format", fmt)
+        assert code == 0
+        assert out == (GOLDEN_VERIFY if fmt == "text" else GOLDEN_VERIFY_JSON).read_text()
+        rows = [line.split("  ") for line in err.splitlines()]
+        assert [name for name, _ in rows] == [name for name, _ in verify.CHECKS]
+        for _, seconds in rows:
+            value, unit = seconds.split(" ")
+            assert unit == "s" and float(value) >= 0
 
     def test_raising_check_is_a_fail_row(self, capsys, monkeypatch):
         from chowmot import verify
