@@ -46,6 +46,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import lshift
 from types import MappingProxyType
 
 from .errors import DomainMismatchError, InvalidInputError
@@ -59,6 +60,9 @@ _SCALARS = (int, Fraction)
 # diagonal, X x Y for a correspondence) and the order of its series.
 MAX_MONOMIALS = 1 << 18
 MAX_SERIES_ORDER = 128
+
+# rings up to this many monomials keep every key they decode (see _Layout.unpack)
+_DECODED_MONOMIALS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ class Variety:
             return "Spec(K)"
         return " x ".join(f"P^{n}" for n in self.factors)
 
-    @functools.cached_property
+    @property
     def _layout(self) -> "_Layout":
         return _layout_of(self.factors)
 
@@ -138,7 +142,7 @@ class _Layout:
     set exactly when e1_i + e2_i > n_i, without a carry into the next field.
     """
 
-    __slots__ = ("fields", "bits", "guard", "bias", "top")
+    __slots__ = ("fields", "shifts", "bits", "guard", "bias", "top", "_decoded")
 
     def __init__(self, bounds: tuple[int, ...]):
         fields = []
@@ -151,24 +155,40 @@ class _Layout:
             top |= n << shift
             shift += width
         self.fields = tuple(reversed(fields))  # (shift, mask) of each factor, factor 0 first
+        self.shifts = tuple(shift for shift, _ in self.fields)
         self.bits = shift
         self.guard = guard
         self.bias = bias
         self.top = top  # key of the point class h_1^{n_1} ... h_k^{n_k}
+        # exponent tuples of the keys decoded so far, kept for small rings
+        self._decoded = {} if prod(n + 1 for n in bounds) <= _DECODED_MONOMIALS else None
 
     def pack(self, exps) -> int:
-        return sum(e << shift for e, (shift, _) in zip(exps, self.fields))
+        return sum(map(lshift, exps, self.shifts))
 
-    def unpack(self, key: int) -> Exponents:
-        return tuple((key >> shift) & mask for shift, mask in self.fields)
+    def unpack(self, keys: list[int]) -> list[Exponents]:
+        """The exponent tuples of the keys."""
+        decoded = self._decoded
+        if decoded is None:
+            return self._decode(keys)
+        try:
+            return [decoded[k] for k in keys]
+        except KeyError:
+            decoded.update(zip(keys, self._decode(keys)))
+            return [decoded[k] for k in keys]
+
+    def _decode(self, keys: list[int]) -> list[Exponents]:
+        if not self.fields:
+            return [()] * len(keys)
+        return list(zip(*([(k >> shift) & mask for k in keys] for shift, mask in self.fields)))
 
     def codim(self, key: int) -> int:
         return sum((key >> shift) & mask for shift, mask in self.fields)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _layout_of(bounds: tuple[int, ...]) -> _Layout:
-    return _Layout(bounds)
+    return _Layout(bounds)  # one per distinct variety
 
 
 def within_budget(monomials: int, order: int = 0) -> bool:
@@ -214,7 +234,7 @@ def _as_fraction(value: object) -> Fraction | int:
     raise InvalidInputError(f"coefficients must be exact rationals, got {value!r}")
 
 
-def _as_text(value: Fraction) -> str:
+def _as_text(value: Fraction | int) -> str:
     """A coefficient as text; one whose numerator or denominator is longer
     than Python's digit limit cannot be printed and is refused."""
     try:
@@ -226,19 +246,24 @@ def _as_text(value: Fraction) -> str:
 
 
 def _checked(variety: Variety, items):
-    """Validate (exponents, coefficient) pairs from outside the ring, and
-    drop monomials at or above a nilpotency bound."""
+    """Validate (exponents, coefficient) pairs from outside the ring, drop
+    monomials at or above a nilpotency bound, and yield the others as
+    (packed key, coefficient)."""
     bounds = variety.factors
+    shifts = variety._layout.shifts
     for exps, coeff in items:
         exps = tuple(exps)
         if len(exps) != len(bounds):
             raise InvalidInputError(f"exponent vector {exps} has wrong length for {variety}")
-        for e in exps:
+        key = 0
+        for e, n, shift in zip(exps, bounds, shifts):
             if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise InvalidInputError(f"exponents must be nonnegative integers, got {e!r}")
+            if key >= 0:
+                key = key | e << shift if e <= n else -1  # h_i^{n_i+1} = 0
         coeff = _as_fraction(coeff)
-        if all(e <= n for e, n in zip(exps, bounds)):  # h_i^{n_i+1} = 0
-            yield exps, coeff
+        if key >= 0:
+            yield key, coeff
 
 
 class Cycle:
@@ -259,7 +284,7 @@ class Cycle:
     def __init__(self, variety: Variety, terms: dict | None = None):
         if not isinstance(variety, Variety):
             raise InvalidInputError(f"expected a Variety, got {variety!r}")
-        self._fill(variety, *_from_fractions(variety, _checked(variety, (terms or {}).items())))
+        self._fill(variety, *_over_common_denominator(_checked(variety, (terms or {}).items())))
 
     def _fill(self, variety: Variety, den: int, num: dict) -> "Cycle":
         """Set the fields to a canonical denominator and numerator map."""
@@ -272,7 +297,8 @@ class Cycle:
     def _sum(cls, variety: Variety, pairs) -> "Cycle":
         """The sum of (exponents, Fraction) pairs made by the ring's own
         arithmetic, unchecked: every exponent must lie within the bounds."""
-        return object.__new__(cls)._fill(variety, *_from_fractions(variety, pairs))
+        pack = variety._layout.pack
+        return object.__new__(cls)._fill(variety, *_over_common_denominator((pack(e), c) for e, c in pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cycle instances are immutable")
@@ -283,8 +309,9 @@ class Cycle:
         try:
             return self._terms
         except AttributeError:
-            unpack, den = self.variety._layout.unpack, self._den
-            view = MappingProxyType({unpack(k): Fraction(v, den) for k, v in self._num.items()})
+            den = self._den
+            exps = self.variety._layout.unpack(list(self._num))
+            view = MappingProxyType({e: Fraction(v, den) for e, v in zip(exps, self._num.values())})
             object.__setattr__(self, "_terms", view)
             return view
 
@@ -421,17 +448,13 @@ class Cycle:
     def __hash__(self) -> int:
         return hash((self.variety, self._den, frozenset(self._num.items())))
 
-    def _sorted_terms(self):
-        """(exponents, Fraction) pairs in lexicographic order of the
-        exponents, which is the order of the packed keys."""
-        unpack, den = self.variety._layout.unpack, self._den
-        return [(unpack(k), Fraction(v, den)) for k, v in sorted(self._num.items())]
-
     def __str__(self) -> str:
         if not self._num:
             return "0"
         parts = []
-        for exps, coeff in self._sorted_terms():
+        keys = sorted(self._num)  # lexicographic order of the exponents
+        for k, exps in zip(keys, self.variety._layout.unpack(keys)):
+            coeff = Fraction(self._num[k], self._den)
             factors = [
                 f"h{i + 1}" if e == 1 else f"h{i + 1}^{e}"
                 for i, e in enumerate(exps)
@@ -456,11 +479,13 @@ class Cycle:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
+        num, den = self._num, self._den
+        keys = sorted(num)
         return {
             "variety": self.variety.to_json(),
             "terms": [
-                {"exps": list(e), "coeff": _as_text(c)}
-                for e, c in self._sorted_terms()
+                {"exps": list(e), "coeff": _as_text(num[k] if den == 1 else Fraction(num[k], den))}
+                for k, e in zip(keys, self.variety._layout.unpack(keys))
             ],
         }
 
@@ -482,23 +507,20 @@ class Cycle:
             if not isinstance(exps, list) or any(type(e) is not int for e in exps):
                 raise InvalidInputError(f"'exps' must be a list of integers, got {exps!r}")
             pairs.append((exps, _as_fraction(item["coeff"])))
-        return cls._sum(variety, _checked(variety, pairs))
+        return object.__new__(cls)._fill(variety, *_over_common_denominator(_checked(variety, pairs)))
 
 
-def _from_fractions(variety: Variety, pairs) -> tuple[int, dict]:
-    """(den, num) of the sum of (exponents, Fraction or int) pairs, without
+def _over_common_denominator(pairs) -> tuple[int, dict]:
+    """(den, num) of the sum of (packed key, Fraction or int) pairs, without
     the cancelled terms, den the lcm of the summed coefficients'
     denominators.  That is already lowest terms: for each prime p dividing
     den, the coefficient with the most factors p in its denominator keeps a
     numerator prime to p."""
-    pack = variety._layout.pack
-    acc: dict[int, Fraction] = {}
-    for e, c in pairs:
-        k = pack(e)
+    acc: dict[int, Fraction | int] = {}
+    for k, c in pairs:
         acc[k] = acc[k] + c if k in acc else c
-    coeffs = [(k, c) for k, c in acc.items() if c]
-    den = lcm(*(c.denominator for _, c in coeffs))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs}
+    den = lcm(*[c.denominator for c in acc.values()])  # a zero sum has denominator 1
+    return den, {k: c.numerator * (den // c.denominator) for k, c in acc.items() if c}
 
 
 def _cycle(variety: Variety, den: int, num: dict) -> Cycle:

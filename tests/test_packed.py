@@ -292,7 +292,7 @@ class TestCorrespondenceOperations:
 
 
 class TestCanonicalForm:
-    def test_three_routes_give_identical_fields(self):
+    def test_every_route_gives_identical_fields(self):
         x = make_variety([2, 3])
         cycle = Cycle(x, {(0, 0): Fraction(6, 4), (1, 2): Fraction(-10, 12), (2, 3): Fraction(4, 1)})
         parsed = Cycle.from_json({"variety": {"factors": [2, 3]}, "terms": [
@@ -304,7 +304,9 @@ class TestCanonicalForm:
         ]})
         b = Cycle(x, {(1, 2): Fraction(5, 6), (2, 0): Fraction(1, 7)})
         computed = cycle + b - b
-        for c in (cycle, parsed, computed):
+        summed = Cycle._sum(x, [((2, 3), Fraction(4)), ((1, 2), Fraction(-1, 2)), ((0, 0), Fraction(3, 4)),
+                                ((1, 2), Fraction(-1, 3)), ((0, 0), Fraction(3, 4))])
+        for c in (cycle, parsed, computed, summed):
             assert (c._den, c._num) == (cycle._den, cycle._num)
             assert hash(c) == hash(cycle) and c == cycle
             assert_canonical(c)
