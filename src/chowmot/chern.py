@@ -104,7 +104,7 @@ def exp_nilpotent(u: Cycle) -> Cycle:
 def series_inverse(u: Cycle) -> Cycle:
     """The unique cycle v with u * v = 1, for u with nonzero constant term,
     computed by the truncated geometric series."""
-    c0 = u.coefficient((0,) * u.variety.num_factors)
+    c0 = Fraction(u._num.get(0, 0), u._den)  # key 0 is the constant monomial
     if c0 == 0:
         raise SingularSeriesError("cycle has zero constant term, no inverse exists")
     w = u.scale(1 / c0) - Cycle.one(u.variety)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import Cycle, Variety, _built, _cancelled, _cycle, _reduced, require_budget
+from .ring import Cycle, Variety, _built, _cycle, _reduced, require_budget
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class FactorSelection:
         dropped = sum(fields[i][1] << fields[i][0] for i in self.unselected)
         top = self.source._layout.top & dropped
         moves = _field_moves(self.source, self.target, ((i, j) for j, i in enumerate(self.selected)))
-        return _cancelled(self.target, a._den, {
+        return _reduced(self.target, a._den, {
             _moved(k, moves): v for k, v in a._num.items() if k & dropped == top
         })
 
@@ -100,7 +100,7 @@ def cartesian(a: Cycle, b: Cycle) -> Cycle:
     associative."""
     shift = b.variety._layout.bits
     right = list(b._num.items())
-    return _cancelled(a.variety * b.variety, a._den * b._den, {
+    return _reduced(a.variety * b.variety, a._den * b._den, {
         (k1 << shift) | k2: v1 * v2 for k1, v1 in a._num.items() for k2, v2 in right
     })
 

@@ -32,8 +32,8 @@ Every value has two ways in.  Outside input goes through a checked
 constructor or `from_json`: `Cycle(...)` and `Cycle.from_json` validate every
 term, `Variety(...)` every factor.  Results the engine computes are correct
 by construction and skip the checks: cycles are built from integer
-numerators by `_cycle` (already canonical), `_cancelled` (cancels the
-common factor) or `_reduced` (also drops cancelled terms), and every
+numerators by `_cycle` (already canonical) or `_reduced` (drops cancelled
+terms and the common factor), and every
 frozen dataclass value (varieties here, correspondences, kernels and
 motives in the layers above) by `_built`.  `Cycle._sum` sums
 (exponents, Fraction) pairs into a cycle without checking them.
@@ -163,9 +163,6 @@ class _Layout:
         # exponent tuples of the keys decoded so far, kept for small rings
         self._decoded = {} if prod(n + 1 for n in bounds) <= _DECODED_MONOMIALS else None
 
-    def pack(self, exps) -> int:
-        return sum(map(lshift, exps, self.shifts))
-
     def unpack(self, keys: list[int]) -> list[Exponents]:
         """The exponent tuples of the keys."""
         decoded = self._decoded
@@ -202,11 +199,8 @@ def require_budget(variety: Variety, order: int = 0) -> None:
     series order is over the budget."""
     monomials = prod(n + 1 for n in variety.factors)
     if not within_budget(monomials, order):
-        what = (f"series order {order}" if order > MAX_SERIES_ORDER
-                else f"working ring {variety} with {monomials} monomials")
-        raise InvalidInputError(
-            f"{what} is over the budget of {MAX_MONOMIALS} monomials and series order {MAX_SERIES_ORDER}"
-        )
+        raise InvalidInputError(f"{variety} ({monomials} monomials) with series order {order} is over "
+                                f"the budget of {MAX_MONOMIALS} monomials and series order {MAX_SERIES_ORDER}")
 
 
 def make_variety(dims: list[int] | tuple[int, ...]) -> Variety:
@@ -297,8 +291,9 @@ class Cycle:
     def _sum(cls, variety: Variety, pairs) -> "Cycle":
         """The sum of (exponents, Fraction) pairs made by the ring's own
         arithmetic, unchecked: every exponent must lie within the bounds."""
-        pack = variety._layout.pack
-        return object.__new__(cls)._fill(variety, *_over_common_denominator((pack(e), c) for e, c in pairs))
+        shifts = variety._layout.shifts
+        pairs = ((sum(map(lshift, e, shifts)), c) for e, c in pairs)
+        return object.__new__(cls)._fill(variety, *_over_common_denominator(pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cycle instances are immutable")
@@ -349,12 +344,7 @@ class Cycle:
         return not self._num
 
     def coefficient(self, exps) -> Fraction:
-        exps = tuple(exps)
-        bounds = self.variety.factors
-        if len(exps) == len(bounds) and all(
-                type(e) is int and 0 <= e <= n for e, n in zip(exps, bounds)):
-            return Fraction(self._num.get(self.variety._layout.pack(exps), 0), self._den)
-        return Fraction(0)
+        return self.terms.get(tuple(exps), Fraction(0))
 
     def codimensions(self) -> list[int]:
         """Sorted list of codimensions in which the cycle has a nonzero term."""
@@ -369,8 +359,8 @@ class Cycle:
 
     def graded_component(self, k: int) -> "Cycle":
         codim = self.variety._layout.codim
-        return _cancelled(self.variety, self._den,
-                          {key: v for key, v in self._num.items() if codim(key) == k})
+        return _reduced(self.variety, self._den,
+                        {key: v for key, v in self._num.items() if codim(key) == k})
 
     def degree(self) -> Fraction:
         """Coefficient of the top monomial: the pushforward to Spec K of the
@@ -416,7 +406,7 @@ class Cycle:
         p, q = scalar.numerator, scalar.denominator
         if not p:
             return _cycle(self.variety, 1, {})
-        return _cancelled(self.variety, self._den * q, {k: v * p for k, v in self._num.items()})
+        return _reduced(self.variety, self._den * q, {k: v * p for k, v in self._num.items()})
 
     def intersect(self, other: "Cycle") -> "Cycle":
         """Truncated polynomial product; codimensions add, and any monomial
@@ -529,19 +519,15 @@ def _cycle(variety: Variety, den: int, num: dict) -> Cycle:
     return object.__new__(Cycle)._fill(variety, den, num)
 
 
-def _cancelled(variety: Variety, den: int, num: dict) -> Cycle:
-    """The cycle num / den, with no zero numerator, in lowest terms."""
+def _reduced(variety: Variety, den: int, acc: dict) -> Cycle:
+    """The cycle acc / den of accumulated numerators, without the cancelled
+    terms, in lowest terms."""
+    num = {k: v for k, v in acc.items() if v}
     g = gcd(den, *num.values())
     if g != 1:
         den //= g
         num = {k: v // g for k, v in num.items()}
     return _cycle(variety, den, num)
-
-
-def _reduced(variety: Variety, den: int, acc: dict) -> Cycle:
-    """The cycle acc / den of accumulated numerators, without the cancelled
-    terms, in lowest terms."""
-    return _cancelled(variety, den, {k: v for k, v in acc.items() if v})
 
 
 def _total(variety: Variety, cycles) -> Cycle:
