@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, SingularSeriesError
-from .ring import Cycle, Variety, _reduced, _total, require_budget
+from .ring import Cycle, Variety, _cycle, _reduced, _total, require_budget
 
 # ---------------------------------------------------------------------------
 # univariate truncated series over Q (coefficient lists, a[k] is the x^k term)
@@ -225,14 +225,14 @@ def todd_class(bundle: BundleClass) -> Cycle:
 
 def tangent_class(variety: Variety) -> BundleClass:
     """Tangent bundle class of a product of projective spaces: rank dim X and
-    total Chern class prod_i (1 + h_i)^{n_i + 1} (Euler sequence, factorwise)."""
-    require_budget(variety, variety.dim)
-    total = Cycle.one(variety)
-    for i, n in enumerate(variety.factors):
-        linear = Cycle.one(variety) + Cycle.hyperplane(variety, i)
-        for _ in range(n + 1):
-            total = total * linear
-    return BundleClass(variety, variety.dim, total)
+    total Chern class prod_i (1 + h_i)^{n_i + 1} (Euler sequence, factorwise),
+    whose coefficient at h^e is prod_i binomial(n_i + 1, e_i): one integer
+    per monomial of X."""
+    require_budget(variety)
+    num = {0: 1}
+    for (shift, _), n in zip(variety._layout.fields, variety.factors):
+        num = {k + (e << shift): v * math.comb(n + 1, e) for k, v in num.items() for e in range(n + 1)}
+    return BundleClass(variety, variety.dim, _cycle(variety, 1, num))
 
 
 @functools.cache

@@ -479,6 +479,17 @@ class TestTangent:
         )
         assert t.total_chern == expected
 
+    @pytest.mark.parametrize("factors", [[0], [4], [7, 8], [0, 3, 1], [2, 2, 2]])
+    def test_matches_the_euler_sequence_product(self, factors):
+        x = make_variety(factors)
+        expected = Cycle.one(x)
+        for i, n in enumerate(factors):
+            for _ in range(n + 1):
+                expected = expected * (Cycle.one(x) + Cycle.hyperplane(x, i))
+        t = tangent_class(x)
+        assert t.rank == x.dim and t.total_chern == expected
+        assert (t.total_chern._den, t.total_chern._num) == (expected._den, expected._num)
+
 
 class TestLineBundle:
     def test_trivial(self):

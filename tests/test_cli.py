@@ -118,7 +118,7 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["sqrt-todd", "--variety", "[3000]"],
         ["identity-kernel", "--variety", "[9,9,9,9]"],
-        ["tangent", "--variety", "[3000]"],
+        ["tangent", "--variety", "[9,9,9,9,9,9]"],
         ["diagonal", "--variety", "[9,9,9,9]"],
         ["chern-character", "--variety", "[3000]", "--line-bundle", "[1]"],
     ])
@@ -128,6 +128,11 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
         assert "over the budget" in err
+
+    def test_tangent_past_the_series_order_runs(self, capsys):
+        code, out, err = run_cli(capsys, "tangent", "--variety", "[257]")
+        assert code == 0 and err == ""
+        assert out.startswith("rank 257 bundle on P^257\nc = 1 + 258*h1 + ")
 
     def test_middle_variety_mismatch(self, capsys):
         other = json.dumps(

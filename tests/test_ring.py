@@ -256,34 +256,36 @@ class TestWorkBudget:
     """Operations that build dense classes from a small input refuse, before
     any work, a working ring or series order over the budget."""
 
-    def test_predicate_on_ring_sizes(self):
-        from chowmot.ring import MAX_MONOMIALS, MAX_SERIES_ORDER, within_budget
+    def test_require_budget_on_ring_sizes(self):
+        from chowmot.ring import MAX_MONOMIALS, MAX_SERIES_ORDER, require_budget
 
-        assert within_budget(1) and within_budget(MAX_MONOMIALS)
-        assert not within_budget(MAX_MONOMIALS + 1)
-        assert within_budget(MAX_MONOMIALS, MAX_SERIES_ORDER)
-        assert not within_budget(1, MAX_SERIES_ORDER + 1)
-        # (n + 1)^k monomials: [7]^6 is exactly 2^18, [9]^8 is 10^8
-        assert within_budget(8 ** 6) and not within_budget(8 ** 6 * 2) and not within_budget(10 ** 8)
-
-    def test_require_budget_measures_the_working_ring(self):
-        from chowmot.ring import require_budget
-
+        # (n + 1)^k monomials: [7]^6 is exactly 2^18, one more [1] doubles it, [9]^8 is 10^8
+        assert 8 ** 6 == MAX_MONOMIALS
         require_budget(make_variety([7, 7, 7]) * make_variety([7, 7, 7]))
-        require_budget(make_variety([]), 128)
+        require_budget(make_variety([MAX_MONOMIALS - 1]), MAX_SERIES_ORDER)
+        require_budget(make_variety([]), MAX_SERIES_ORDER)
         for variety, order in [(make_variety([7] * 6 + [1]), 0), (make_variety([9] * 8), 0),
-                               (make_variety([1]), 129)]:
+                               (make_variety([MAX_MONOMIALS]), 0), (make_variety([]), MAX_SERIES_ORDER + 1)]:
             with pytest.raises(InvalidInputError, match="over the budget"):
                 require_budget(variety, order)
 
     def test_dense_constructions_check_it(self):
         from chowmot import identity_kernel, sqrt_todd, tangent_class, todd_series_coefficients
+        from chowmot.ring import MAX_SERIES_ORDER
 
-        assert not sqrt_todd(make_variety([128])).is_zero
         for call in (lambda: identity_kernel(make_variety([9, 9, 9, 9])),
                      lambda: diagonal_class(make_variety([9, 9, 9, 9])),
                      lambda: sqrt_todd(make_variety([3000])),
-                     lambda: tangent_class(make_variety([3000])),
-                     lambda: todd_series_coefficients(129)):
+                     lambda: tangent_class(make_variety([9] * 6)),
+                     lambda: todd_series_coefficients(MAX_SERIES_ORDER + 1)):
             with pytest.raises(InvalidInputError, match="over the budget"):
                 call()
+
+    def test_inputs_at_the_budget_still_run(self):
+        from chowmot import sqrt_todd, tangent_class
+        from chowmot.ring import MAX_SERIES_ORDER
+
+        n = MAX_SERIES_ORDER
+        assert sqrt_todd(make_variety([n])).degree() != 0
+        # a tangent class computes no series, so only its ring counts
+        assert tangent_class(make_variety([n + 1])).total_chern.degree() == n + 2
