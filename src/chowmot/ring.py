@@ -417,9 +417,7 @@ class Cycle:
         if not self._num:
             return "0"
         parts = []
-        keys = sorted(self._num)  # lexicographic order of the exponents
-        for k, exps in zip(keys, self.variety._layout.unpack(keys)):
-            coeff = Fraction(self._num[k], self._den)
+        for exps, coeff in sorted(self.terms.items()):
             factors = [
                 f"h{i + 1}" if e == 1 else f"h{i + 1}^{e}"
                 for i, e in enumerate(exps)
