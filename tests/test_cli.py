@@ -451,3 +451,27 @@ class TestEntryPoint:
         assert proc.wait() == 1
         assert "Traceback" not in err
         assert "Exception ignored" not in err
+
+
+TRANSCRIPT = Path(__file__).parent / "golden" / "cli_transcript.json"
+
+
+class TestTranscript:
+    def test_every_recorded_call_replays_byte_identical(self, monkeypatch):
+        """`golden/cli_transcript.json` holds the argv, exit code, stdout and
+        stderr of help, usage errors, input errors, and text and JSON output
+        of every subcommand, recorded in-process with COLUMNS=80."""
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        cases = json.loads(TRANSCRIPT.read_text(encoding="utf-8"))
+        assert len(cases) > 100
+        differ = []
+        for case in cases:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(case["argv"]))
+            # argparse before Python 3.11 heads the option list differently
+            got = [code, *(s.getvalue().replace("\noptional arguments:\n", "\noptions:\n")
+                           for s in (out, err))]
+            if got != [case["code"], case["stdout"], case["stderr"]]:
+                differ.append(case["argv"])
+        assert differ == []

@@ -13,12 +13,19 @@ import pytest
 import chowmot
 
 SRC = str(Path(chowmot.__file__).resolve().parent.parent)
+CYCLE = json.dumps({"variety": {"factors": [1]}, "terms": [{"exps": [1], "coeff": "1"}]})
 KERNEL = json.dumps({
     "source": {"factors": [1]},
     "target": {"factors": [1]},
     "ch": {"variety": {"factors": [1, 1]},
            "terms": [{"exps": [1, 0], "coeff": "1"}, {"exps": [0, 1], "coeff": "1"}]},
 })
+DIAGONAL = json.dumps({"source": {"factors": [1]}, "target": {"factors": [1]},
+                       "cycle": json.loads(KERNEL)["ch"]})
+MOTIVE = {"variety": {"factors": [1]}, "twist": 0, "idempotent": json.loads(KERNEL)["ch"]}
+PROJECTOR = json.dumps({"variety": {"factors": [1, 1]}, "terms": [{"exps": [0, 1], "coeff": "1"}]})
+ORBIT = json.dumps({"source": MOTIVE, "target": MOTIVE, "components": {"0": json.loads(DIAGONAL)}})
+LINE_BUNDLE = ["--variety", "[1]", "--line-bundle", "[1]"]
 LOADED = """
 import contextlib, io, json, sys
 from chowmot.cli import main
@@ -40,14 +47,31 @@ def loaded_by(*argv):
     return set(modules)
 
 
+# one row per subcommand of the README table of layers
+SUBCOMMAND_LAYERS = [
+    (["ring", "degree", CYCLE], []),
+    (["compose", DIAGONAL, DIAGONAL], ["chowmot.corr"]),
+    (["transpose", DIAGONAL], ["chowmot.corr"]),
+    (["diagonal", "--variety", "[1]"], ["chowmot.corr"]),
+    (["sqrt-todd", "--variety", "[1]"], ["chowmot.chern"]),
+    (["tangent", "--variety", "[1]"], ["chowmot.chern"]),
+    (["todd", *LINE_BUNDLE], ["chowmot.chern"]),
+    (["chern-character", *LINE_BUNDLE], ["chowmot.chern"]),
+    (["euler", *LINE_BUNDLE], KERNELS),
+    (["mu", KERNEL], KERNELS),
+    (["identity-kernel", "--variety", "[1]"], KERNELS),
+    (["k-compose", KERNEL, KERNEL], KERNELS),
+    (["motive", "--variety", "[1]"], KERNELS + ["chowmot.motives"]),
+    (["split", json.dumps(MOTIVE), PROJECTOR], KERNELS + ["chowmot.motives"]),
+    (["orbit-compose", ORBIT, ORBIT], KERNELS + ["chowmot.motives"]),
+    (["orlov", KERNEL, KERNEL], KERNELS + ["chowmot.motives"]),
+    (["compat", KERNEL, KERNEL], KERNELS + ["chowmot.motives"]),
+    (["verify", "--seed", "1", "--samples", "2"], KERNELS + ["chowmot.motives", "chowmot.verify"]),
+]
+
+
 class TestCliLayers:
-    @pytest.mark.parametrize("argv, layers", [
-        (["sqrt-todd", "--variety", "[1]"], ["chowmot.chern"]),
-        (["identity-kernel", "--variety", "[1]"], KERNELS),
-        (["k-compose", KERNEL, KERNEL], KERNELS),
-        (["orlov", KERNEL, KERNEL], KERNELS + ["chowmot.motives"]),
-        (["verify", "--seed", "1", "--samples", "2"], KERNELS + ["chowmot.motives", "chowmot.verify"]),
-    ], ids=["sqrt-todd", "identity-kernel", "k-compose", "orlov", "verify"])
+    @pytest.mark.parametrize("argv, layers", SUBCOMMAND_LAYERS, ids=[argv[0] for argv, _ in SUBCOMMAND_LAYERS])
     def test_subcommand_loads_only_its_layers(self, argv, layers):
         assert loaded_by(*argv) == set(BASE + layers)
 
