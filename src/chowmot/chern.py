@@ -28,20 +28,6 @@ from .ring import Cycle, Variety, _cycle, _reduced, _total, require_budget
 # ---------------------------------------------------------------------------
 
 
-def _series_inv(a: list[Fraction], order: int) -> list[Fraction]:
-    if a[0] == 0:
-        raise SingularSeriesError("cannot invert a series with zero constant term")
-    out = [Fraction(0)] * (order + 1)
-    out[0] = 1 / a[0]
-    for k in range(1, order + 1):
-        s = Fraction(0)
-        for i in range(1, k + 1):
-            if i < len(a):
-                s += a[i] * out[k - i]
-        out[k] = -s / a[0]
-    return out
-
-
 def _series_log(t: list[Fraction], order: int) -> list[Fraction]:
     # log(t) for t with constant term 1, from t' = g' t
     out = [Fraction(0)] * (order + 1)
@@ -76,7 +62,8 @@ def todd_series_coefficients(order: int) -> tuple[Fraction, ...]:
     for j in range(order + 1):
         fact *= j + 1
         s[j] = Fraction((-1) ** j, fact)
-    return tuple(_series_log(_series_inv(s, order), order))  # log(x / (1 - e^{-x}))
+    # log(x / (1 - e^{-x})) = -log((1 - e^{-x}) / x), and s has constant term 1
+    return tuple(-c for c in _series_log(s, order))
 
 
 # ---------------------------------------------------------------------------

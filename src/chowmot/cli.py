@@ -4,17 +4,25 @@ Every subcommand accepts inputs either as paths to JSON files or as inline
 JSON, emits text or JSON (`--format`), and maps failures to exit codes:
 0 success, 1 domain or parse error, 2 usage error.
 
-Only `errors` and `ring` are imported here; each handler imports the layers
-it uses, so a cold call pays for no layer its subcommand does not need.
+Each subcommand is one row of `COMMANDS`, and the parser is built from that
+table alone, so adding a subcommand is adding a row.  A row names its
+inputs, then either its engine operation ("layer.name") and the text form of
+its result, which `run_command` prints or replaces by `to_json`, or its own
+handler.  Only `errors` and `ring` are imported up front: a row's classes
+and operation are imported and looked up when it runs, so a cold call loads
+no layer its subcommand does not use.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import ChowError, InvalidInputError
 from .ring import Cycle, Variety, _as_text, make_variety
@@ -45,11 +53,11 @@ def _parse_variety(text: str) -> Variety:
     return Variety.from_json(data)
 
 
-def _parse_degrees(text: str) -> list[int]:
-    data = _load_json(text)
-    if not isinstance(data, list) or not all(isinstance(d, int) for d in data):
-        raise InvalidInputError(f"expected a list of integer degrees, got {data!r}")
-    return data
+def _lookup(path: str):
+    """The object at "layer.name" (or "layer.Class.name"), importing the
+    layer on first use."""
+    layer, *names = path.split(".")
+    return functools.reduce(getattr, names, importlib.import_module(f"{__package__}.{layer}"))
 
 
 def _emit(args, text_value: str, json_value) -> int:
@@ -60,6 +68,58 @@ def _emit(args, text_value: str, json_value) -> int:
     return 0
 
 
+def _arg(*flags, **options) -> tuple:
+    """One `add_argument` call, as data."""
+    return flags, options
+
+
+_LINE_BUNDLE = (
+    _arg("--variety", help="shorthand: variety for a line bundle"),
+    _arg("--line-bundle", help="shorthand: degree list of a line bundle"),
+)
+
+
+def _line_bundle(args, alternative: str):
+    """The line bundle given by the `--variety` and `--line-bundle` shorthand."""
+    from .chern import line_bundle
+
+    if args.variety is None or args.line_bundle is None:
+        raise InvalidInputError(f"provide either {alternative} or both --variety and --line-bundle")
+    variety = _parse_variety(args.variety)
+    degrees = _load_json(args.line_bundle)
+    if not isinstance(degrees, list) or not all(isinstance(d, int) for d in degrees):
+        raise InvalidInputError(f"expected a list of integer degrees, got {degrees!r}")
+    return line_bundle(variety, degrees)
+
+
+# -- inputs: each is (its `add_argument` calls, the function that reads it) --
+
+
+def _json(dest: str, cls: str, help: str | None = None) -> tuple:
+    """A positional JSON value, inline or a path, read by `from_json` of the
+    class at `cls` ("layer.Class")."""
+    return (_arg(dest, help=help),), lambda args: _lookup(cls).from_json(_load_json(getattr(args, dest)))
+
+
+def _variety(help: str | None = None) -> tuple:
+    """The required `--variety`: a bracketed factor list or variety JSON."""
+    return (_arg("--variety", required=True, help=help),), lambda args: _parse_variety(args.variety)
+
+
+def _read_bundle(args):
+    if args.bundle is not None:
+        return _lookup("chern.BundleClass").from_json(_load_json(args.bundle))
+    return _line_bundle(args, "a bundle class")
+
+
+# a bundle class as JSON, or a line bundle by its shorthand
+_BUNDLE = (_arg("bundle", nargs="?", default=None, help="bundle class JSON (inline or path)"),
+           *_LINE_BUNDLE), _read_bundle
+
+
+# -- text forms, one per result type (a motive prints as `str`) --------------
+
+
 def _cycle_text(cycle: Cycle) -> str:
     return f"{cycle}  on {cycle.variety}"
 
@@ -68,100 +128,50 @@ def _corr_text(corr) -> str:
     return f"{corr.source} -> {corr.target}\n{corr.cycle}"
 
 
-# -- subcommand handlers -----------------------------------------------------
+def _kernel_text(kernel) -> str:
+    return f"{kernel.source} -> {kernel.target}\nch = {kernel.ch}"
 
 
-def cmd_ring(args) -> int:
+def _bundle_text(bundle) -> str:
+    return f"rank {bundle.rank} bundle on {bundle.variety}\nc = {bundle.total_chern}"
+
+
+def _orbit_text(morphism) -> str:
+    lines = [f"{morphism.source} -> {morphism.target}"]
+    lines += [f"  offset {i}: {c.cycle}" for i, c in morphism.components.items()]
+    if morphism.corr.is_zero:
+        lines.append("  zero")
+    return "\n".join(lines)
+
+
+# -- handlers of the subcommands whose output is not one text form or JSON ---
+
+
+def _ring(args) -> int:
     op = args.operation
     operands = args.operands
-    needs = {"add": 2, "intersect": 2, "scale": 2, "graded": 2, "degree": 1}[op]
+    needs = 1 if op == "degree" else 2
     if len(operands) != needs:
         raise InvalidInputError(f"ring {op} takes {needs} operand(s), got {len(operands)}")
-    if op == "add":
-        result = Cycle.from_json(_load_json(operands[0])) + Cycle.from_json(_load_json(operands[1]))
-    elif op == "intersect":
-        result = Cycle.from_json(_load_json(operands[0])) * Cycle.from_json(_load_json(operands[1]))
+    if op == "degree":
+        value = _as_text(Cycle.from_json(_load_json(operands[0])).degree())
+        return _emit(args, value, {"degree": value})
+    if op in ("add", "intersect"):
+        a, b = (Cycle.from_json(_load_json(text)) for text in operands)
+        result = a + b if op == "add" else a * b
     elif op == "scale":
         result = Cycle.from_json(_load_json(operands[1])).scale(operands[0])
-    elif op == "graded":
+    else:
         try:
             k = int(operands[0])
         except ValueError as exc:
             raise InvalidInputError(f"graded component index must be an integer, got {operands[0]!r}") from exc
         result = Cycle.from_json(_load_json(operands[1])).graded_component(k)
-    else:
-        value = _as_text(Cycle.from_json(_load_json(operands[0])).degree())
-        return _emit(args, value, {"degree": value})
     return _emit(args, _cycle_text(result), result.to_json())
 
 
-def cmd_compose(args) -> int:
-    from .corr import GradedCorrespondence, compose_graded
-
-    f = GradedCorrespondence.from_json(_load_json(args.first))
-    g = GradedCorrespondence.from_json(_load_json(args.second))
-    result = compose_graded(f, g)
-    return _emit(args, _corr_text(result), result.to_json())
-
-
-def cmd_transpose(args) -> int:
-    from .corr import GradedCorrespondence
-
-    result = GradedCorrespondence.from_json(_load_json(args.correspondence)).transpose()
-    return _emit(args, _corr_text(result), result.to_json())
-
-
-def cmd_diagonal(args) -> int:
-    from .corr import GradedCorrespondence
-
-    variety = _parse_variety(args.variety)
-    result = GradedCorrespondence.identity(variety)
-    return _emit(args, _corr_text(result), result.to_json())
-
-
-def _bundle_from_args(args):
-    from .chern import BundleClass, line_bundle
-
-    if args.bundle is not None:
-        return BundleClass.from_json(_load_json(args.bundle))
-    if args.variety is None or args.line_bundle is None:
-        raise InvalidInputError(
-            "provide either a bundle class or both --variety and --line-bundle"
-        )
-    return line_bundle(_parse_variety(args.variety), _parse_degrees(args.line_bundle))
-
-
-def cmd_chern_character(args) -> int:
+def _euler(args) -> int:
     from .chern import chern_character
-
-    result = chern_character(_bundle_from_args(args))
-    return _emit(args, _cycle_text(result), result.to_json())
-
-
-def cmd_todd(args) -> int:
-    from .chern import todd_class
-
-    result = todd_class(_bundle_from_args(args))
-    return _emit(args, _cycle_text(result), result.to_json())
-
-
-def cmd_sqrt_todd(args) -> int:
-    from .chern import sqrt_todd
-
-    result = sqrt_todd(_parse_variety(args.variety))
-    return _emit(args, _cycle_text(result), result.to_json())
-
-
-def cmd_tangent(args) -> int:
-    from .chern import tangent_class
-
-    result = tangent_class(_parse_variety(args.variety))
-    text = f"rank {result.rank} bundle on {result.variety}\nc = {result.total_chern}"
-    return _emit(args, text, result.to_json())
-
-
-def cmd_euler(args) -> int:
-    from .chern import chern_character, line_bundle
     from .kshadow import euler_characteristic
 
     if args.kclass is not None:
@@ -173,53 +183,15 @@ def cmd_euler(args) -> int:
         if ch.variety != variety:
             raise InvalidInputError("Chern character lives on the wrong variety")
     else:
-        if args.variety is None or args.line_bundle is None:
-            raise InvalidInputError("provide either a K-class or both --variety and --line-bundle")
-        bundle = line_bundle(_parse_variety(args.variety), _parse_degrees(args.line_bundle))
-        ch = chern_character(bundle)
+        ch = chern_character(_line_bundle(args, "a K-class"))
     value = _as_text(euler_characteristic(ch))
     return _emit(args, value, {"euler_characteristic": value})
 
 
-def cmd_mu(args) -> int:
-    from .kshadow import KKernel, chow_image
-
-    kernel = KKernel.from_json(_load_json(args.kernel))
-    result = chow_image(kernel)
-    return _emit(args, _corr_text(result), result.to_json())
-
-
-def cmd_k_compose(args) -> int:
-    from .kshadow import KKernel, k_compose
-
-    e = KKernel.from_json(_load_json(args.first))
-    f = KKernel.from_json(_load_json(args.second))
-    result = k_compose(e, f)
-    text = f"{result.source} -> {result.target}\nch = {result.ch}"
-    return _emit(args, text, result.to_json())
-
-
-def cmd_identity_kernel(args) -> int:
-    from .kshadow import identity_kernel
-
-    result = identity_kernel(_parse_variety(args.variety))
-    text = f"{result.source} -> {result.target}\nch = {result.ch}"
-    return _emit(args, text, result.to_json())
-
-
-def cmd_motive(args) -> int:
-    from .motives import motive_of
-
-    result = motive_of(_parse_variety(args.variety))
-    return _emit(args, str(result), result.to_json())
-
-
-def cmd_split(args) -> int:
+def _split(args, motive, cycle) -> int:
     from .corr import GradedCorrespondence
-    from .motives import Motive, MotiveMorphism, split_idempotent
+    from .motives import MotiveMorphism, split_idempotent
 
-    motive = Motive.from_json(_load_json(args.motive))
-    cycle = Cycle.from_json(_load_json(args.projector))
     corr = GradedCorrespondence(motive.variety, motive.variety, cycle)
     projector = MotiveMorphism(motive, motive, corr)
     image, section, retraction = split_idempotent(motive, projector)
@@ -232,37 +204,15 @@ def cmd_split(args) -> int:
     return _emit(args, text, payload)
 
 
-def cmd_orbit_compose(args) -> int:
-    from .motives import OrbitMorphism, orbit_compose
-
-    f = OrbitMorphism.from_json(_load_json(args.first))
-    g = OrbitMorphism.from_json(_load_json(args.second))
-    result = orbit_compose(f, g)
-    text_lines = [f"{result.source} -> {result.target}"]
-    for i, c in result.components.items():
-        text_lines.append(f"  offset {i}: {c.cycle}")
-    if result.corr.is_zero:
-        text_lines.append("  zero")
-    return _emit(args, "\n".join(text_lines), result.to_json())
-
-
-def cmd_orlov(args) -> int:
-    from .kshadow import KKernel
+def _orlov(args, e, f) -> int:
     from .motives import orlov_pipeline
 
-    e = KKernel.from_json(_load_json(args.first))
-    f = KKernel.from_json(_load_json(args.second))
     report = orlov_pipeline(e, f)
-    payload = {
-        "mutually_inverse": report.mutually_inverse,
-        "isomorphic_modulo_twist": report.isomorphic_modulo_twist,
-        "support_ok": report.support_ok,
-        "exact_isomorphism": report.exact_isomorphism,
-        "verdict": report.verdict,
-        "support_floors": [
-            "inf" if floor == float("inf") else floor for floor in report.support_floors
-        ],
-    }
+    fields = ("mutually_inverse", "isomorphic_modulo_twist", "support_ok", "exact_isomorphism", "verdict")
+    payload = {name: getattr(report, name) for name in fields}
+    payload["support_floors"] = [
+        "inf" if floor == float("inf") else floor for floor in report.support_floors
+    ]
     if report.degree_zero_pair is not None:
         f0, g0 = report.degree_zero_pair
         payload["degree_zero_forward"] = f0.corr.to_json()
@@ -276,45 +226,109 @@ def cmd_orlov(args) -> int:
     return _emit(args, "\n".join(text_lines), payload)
 
 
-def cmd_compat(args) -> int:
-    from .kshadow import KKernel
+def _compat(args, e, f) -> int:
     from .motives import compatibility_check
 
-    e = KKernel.from_json(_load_json(args.first))
-    f = KKernel.from_json(_load_json(args.second))
     verdict = compatibility_check(e, f)
     _emit(args, "true" if verdict else "false", {"compatible": verdict})
     return 0 if verdict else 1
 
 
-def cmd_verify(args) -> int:
+def _verify(args) -> int:
     from .verify import run_checks
 
     results = run_checks(args.seed, args.samples)
-    if args.format == "json":
-        payload = [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ]
-        print(json.dumps(payload, indent=2))
-    else:
-        width = max(len(r.name) for r in results)
-        print(f"{'check'.ljust(width)}  result  detail")
-        print(f"{'-' * width}  ------  ------")
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{r.name.ljust(width)}  {status.ljust(6)}  {r.detail}")
+    width = max(len(r.name) for r in results)
+    table = [f"{'check'.ljust(width)}  result  detail", f"{'-' * width}  ------  ------"]
+    for r in results:
+        table.append(f"{r.name.ljust(width)}  {('PASS' if r.passed else 'FAIL').ljust(6)}  {r.detail}")
+    payload = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+    _emit(args, "\n".join(table), payload)
     if args.timings:
         for r in results:
             print(f"{r.name}  {r.seconds:.3f} s", file=sys.stderr)
     return 0 if all(r.passed for r in results) else 1
 
 
-# -- parser ------------------------------------------------------------------
+# -- the table ---------------------------------------------------------------
 
 
-def _add_format(sub) -> None:
-    sub.add_argument("--format", choices=["text", "json"], default="text",
-                     help="output format (default text)")
+class Command(NamedTuple):
+    """One subcommand: its inputs, then either the engine operation at `op`
+    with the text form of its result, or its own `handler` and further
+    `arguments` (made by `_arg`)."""
+
+    name: str
+    help: str
+    inputs: tuple = ()
+    op: str | None = None
+    text: Callable | None = None
+    handler: Callable | None = None
+    arguments: tuple = ()
+
+
+_CORR = "corr.GradedCorrespondence"
+_KERNEL = "kshadow.KKernel"
+_ORBIT = "motives.OrbitMorphism"
+
+COMMANDS = (
+    Command("ring", "cycle arithmetic in the intersection ring", handler=_ring, arguments=(
+        _arg("operation", choices=["add", "intersect", "scale", "graded", "degree"]),
+        _arg("operands", nargs="+",
+             help="cycle JSON (inline or path); scale takes a rational first, graded an integer"),
+    )),
+    Command("compose", "compose two graded correspondences",
+            (_json("first", _CORR), _json("second", _CORR)), "corr.compose_graded", _corr_text),
+    Command("transpose", "transpose a graded correspondence",
+            (_json("correspondence", _CORR),), f"{_CORR}.transpose", _corr_text),
+    Command("diagonal", "the diagonal correspondence of a variety",
+            (_variety('e.g. "[1,2]" for P^1 x P^2'),), f"{_CORR}.identity", _corr_text),
+    Command("chern-character", "Chern character of a bundle class",
+            (_BUNDLE,), "chern.chern_character", _cycle_text),
+    Command("todd", "Todd class of a bundle class", (_BUNDLE,), "chern.todd_class", _cycle_text),
+    Command("sqrt-todd", "square root of the Todd class of a variety",
+            (_variety(),), "chern.sqrt_todd", _cycle_text),
+    Command("tangent", "tangent bundle class of a variety",
+            (_variety(),), "chern.tangent_class", _bundle_text),
+    Command("euler", "Euler characteristic by Riemann-Roch", handler=_euler, arguments=(
+        _arg("kclass", nargs="?", default=None, help="K-class JSON with 'variety' and 'ch'"),
+        *_LINE_BUNDLE,
+    )),
+    Command("mu", "graded correspondence attached to a kernel",
+            (_json("kernel", _KERNEL),), "kshadow.chow_image", _corr_text),
+    Command("k-compose", "compose two K-theory kernels",
+            (_json("first", _KERNEL), _json("second", _KERNEL)), "kshadow.k_compose", _kernel_text),
+    Command("identity-kernel", "kernel of the identity functor",
+            (_variety(),), "kshadow.identity_kernel", _kernel_text),
+    Command("motive", "the motive of a variety", (_variety(),), "motives.motive_of", str),
+    Command("split", "split an idempotent endomorphism of a motive",
+            (_json("motive", "motives.Motive", "motive JSON"),
+             _json("projector", "ring.Cycle", "cycle JSON of the projector correspondence")),
+            handler=_split),
+    Command("orbit-compose", "compose two orbit morphisms",
+            (_json("first", _ORBIT), _json("second", _ORBIT)), "motives.orbit_compose", _orbit_text),
+    Command("orlov", "run the derived-equivalence pipeline on a kernel pair",
+            (_json("first", _KERNEL), _json("second", _KERNEL)), handler=_orlov),
+    Command("compat", "check Mukai functoriality on a composable kernel pair",
+            (_json("first", _KERNEL), _json("second", _KERNEL)), handler=_compat),
+    Command("verify", "run the built-in verification suites", handler=_verify, arguments=(
+        _arg("--seed", type=int, default=0),
+        _arg("--samples", type=int, default=200),
+        _arg("--timings", action="store_true",
+             help="print each check's wall time in seconds to stderr"),
+    )),
+)
+
+
+def run_command(args) -> int:
+    """Run the row of the parsed subcommand: read its inputs, then hand them
+    to its handler, or call its operation and print the result."""
+    row = args.row
+    values = [read(args) for _, read in row.inputs]
+    if row.handler is not None:
+        return row.handler(args, *values)
+    result = _lookup(row.op)(*values)
+    return _emit(args, row.text(result), result.to_json())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,113 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "and Chow motives on products of projective spaces.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("ring", help="cycle arithmetic in the intersection ring")
-    p.add_argument("operation", choices=["add", "intersect", "scale", "graded", "degree"])
-    p.add_argument("operands", nargs="+",
-                   help="cycle JSON (inline or path); scale takes a rational first, graded an integer")
-    _add_format(p)
-    p.set_defaults(func=cmd_ring)
-
-    p = sub.add_parser("compose", help="compose two graded correspondences")
-    p.add_argument("first")
-    p.add_argument("second")
-    _add_format(p)
-    p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser("transpose", help="transpose a graded correspondence")
-    p.add_argument("correspondence")
-    _add_format(p)
-    p.set_defaults(func=cmd_transpose)
-
-    p = sub.add_parser("diagonal", help="the diagonal correspondence of a variety")
-    p.add_argument("--variety", required=True, help='e.g. "[1,2]" for P^1 x P^2')
-    _add_format(p)
-    p.set_defaults(func=cmd_diagonal)
-
-    for name, handler, help_text in [
-        ("chern-character", cmd_chern_character, "Chern character of a bundle class"),
-        ("todd", cmd_todd, "Todd class of a bundle class"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("bundle", nargs="?", default=None,
-                       help="bundle class JSON (inline or path)")
-        p.add_argument("--variety", help="shorthand: variety for a line bundle")
-        p.add_argument("--line-bundle", help="shorthand: degree list of a line bundle")
-        _add_format(p)
-        p.set_defaults(func=handler)
-
-    p = sub.add_parser("sqrt-todd", help="square root of the Todd class of a variety")
-    p.add_argument("--variety", required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_sqrt_todd)
-
-    p = sub.add_parser("tangent", help="tangent bundle class of a variety")
-    p.add_argument("--variety", required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_tangent)
-
-    p = sub.add_parser("euler", help="Euler characteristic by Riemann-Roch")
-    p.add_argument("kclass", nargs="?", default=None,
-                   help="K-class JSON with 'variety' and 'ch'")
-    p.add_argument("--variety", help="shorthand: variety for a line bundle")
-    p.add_argument("--line-bundle", help="shorthand: degree list of a line bundle")
-    _add_format(p)
-    p.set_defaults(func=cmd_euler)
-
-    p = sub.add_parser("mu", help="graded correspondence attached to a kernel")
-    p.add_argument("kernel")
-    _add_format(p)
-    p.set_defaults(func=cmd_mu)
-
-    p = sub.add_parser("k-compose", help="compose two K-theory kernels")
-    p.add_argument("first")
-    p.add_argument("second")
-    _add_format(p)
-    p.set_defaults(func=cmd_k_compose)
-
-    p = sub.add_parser("identity-kernel", help="kernel of the identity functor")
-    p.add_argument("--variety", required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_identity_kernel)
-
-    p = sub.add_parser("motive", help="the motive of a variety")
-    p.add_argument("--variety", required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_motive)
-
-    p = sub.add_parser("split", help="split an idempotent endomorphism of a motive")
-    p.add_argument("motive", help="motive JSON")
-    p.add_argument("projector", help="cycle JSON of the projector correspondence")
-    _add_format(p)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("orbit-compose", help="compose two orbit morphisms")
-    p.add_argument("first")
-    p.add_argument("second")
-    _add_format(p)
-    p.set_defaults(func=cmd_orbit_compose)
-
-    p = sub.add_parser("orlov", help="run the derived-equivalence pipeline on a kernel pair")
-    p.add_argument("first")
-    p.add_argument("second")
-    _add_format(p)
-    p.set_defaults(func=cmd_orlov)
-
-    p = sub.add_parser("compat", help="check Mukai functoriality on a composable kernel pair")
-    p.add_argument("first")
-    p.add_argument("second")
-    _add_format(p)
-    p.set_defaults(func=cmd_compat)
-
-    p = sub.add_parser("verify", help="run the built-in verification suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--timings", action="store_true",
-                   help="print each check's wall time in seconds to stderr")
-    _add_format(p)
-    p.set_defaults(func=cmd_verify)
-
+    for row in COMMANDS:
+        p = sub.add_parser(row.name, help=row.help)
+        for flags, options in (*(a for arguments, _ in row.inputs for a in arguments), *row.arguments):
+            p.add_argument(*flags, **options)
+        p.add_argument("--format", choices=["text", "json"], default="text",
+                       help="output format (default text)")
+        p.set_defaults(row=row)
     return parser
 
 
@@ -440,11 +354,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    if not hasattr(args, "func"):
+    if not hasattr(args, "row"):
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        return run_command(args)
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
               file=sys.stderr)

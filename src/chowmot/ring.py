@@ -35,8 +35,7 @@ by construction and skip the checks: cycles are built from integer
 numerators by `_cycle` (already canonical), `_reduced` (drops cancelled
 terms and the common factor) or `_total` (sums cycles), and every frozen
 dataclass value (varieties here, correspondences, kernels and motives in
-the layers above) by `_built`.  `Cycle._sum` sums (exponents, Fraction)
-pairs into a cycle without checking them.
+the layers above) by `_built`.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import lshift
 from types import MappingProxyType
 
 from .errors import DomainMismatchError, InvalidInputError
@@ -261,14 +259,6 @@ class Cycle:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_num", num)
         return self
-
-    @classmethod
-    def _sum(cls, variety: Variety, pairs) -> "Cycle":
-        """The sum of (exponents, Fraction) pairs made by the ring's own
-        arithmetic, unchecked: every exponent must lie within the bounds."""
-        shifts = variety._layout.shifts
-        pairs = ((sum(map(lshift, e, shifts)), c) for e, c in pairs)
-        return object.__new__(cls)._fill(variety, *_over_common_denominator(pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cycle instances are immutable")
