@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, SingularSeriesError
-from .ring import Cycle, Variety, _cycle, _reduced, _total, require_budget
+from .ring import Cycle, Variety, _cycle, _reduced, _total, _Value, require_budget
 
 # ---------------------------------------------------------------------------
 # univariate truncated series over Q (coefficient lists, a[k] is the x^k term)
@@ -110,8 +109,7 @@ def series_inverse(u: Cycle) -> Cycle:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BundleClass:
+class BundleClass(_Value):
     """Rank plus total Chern class: the seed for every characteristic class.
 
     The constant term of `total_chern` must be 1.  For an honest bundle

@@ -20,6 +20,7 @@ import functools
 import importlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -210,9 +211,7 @@ def _orlov(args, e, f) -> int:
     report = orlov_pipeline(e, f)
     fields = ("mutually_inverse", "isomorphic_modulo_twist", "support_ok", "exact_isomorphism", "verdict")
     payload = {name: getattr(report, name) for name in fields}
-    payload["support_floors"] = [
-        "inf" if floor == float("inf") else floor for floor in report.support_floors
-    ]
+    payload["support_floors"] = ["inf" if floor is None else floor for floor in report.support_floors]
     if report.degree_zero_pair is not None:
         f0, g0 = report.degree_zero_pair
         payload["degree_zero_forward"] = f0.corr.to_json()
@@ -340,6 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     for row in COMMANDS:
         p = sub.add_parser(row.name, help=row.help)
+        # "-3/4" is a value, as argparse reads "-3" and "-0.75"
+        p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
         for flags, options in (*(a for arguments, _ in row.inputs for a in arguments), *row.arguments):
             p.add_argument(*flags, **options)
         p.add_argument("--format", choices=["text", "json"], default="text",

@@ -17,15 +17,13 @@ is made by `ring._built` without that check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import Cycle, Variety, _built, _cycle, _reduced, require_budget
+from .ring import Cycle, Variety, _built, _cycle, _reduced, _Value, require_budget
 
 
-@dataclass(frozen=True)
-class FactorSelection:
+class FactorSelection(_Value):
     """A projection of a product onto a sub-product of its factors, given by
     the strictly increasing list of retained factor indices."""
 
@@ -149,8 +147,7 @@ def diagonal_class(variety: Variety) -> Cycle:
     return diagonal_pushforward(variety, Cycle.one(variety))
 
 
-@dataclass(frozen=True)
-class GradedCorrespondence:
+class GradedCorrespondence(_Value):
     """A cycle on X x Y regarded as a morphism from X to Y; its degree-d part
     is the codimension (dim X + d) graded component of the cycle."""
 

@@ -15,17 +15,15 @@ checked ones are made by `ring._built` without that check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import _todd_factor_ints, _todd_power, mul_todd_power
 from .corr import GradedCorrespondence, compose_graded, diagonal_pushforward
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import Cycle, Variety, _built
+from .ring import Cycle, Variety, _built, _Value
 
 
-@dataclass(frozen=True)
-class KKernel:
+class KKernel(_Value):
     """A K-class on X x Y, recorded by its Chern character `ch`, regarded as
     a kernel from X to Y (the K-theoretic shadow of a Fourier-Mukai kernel).
     Any cycle on X x Y is legal; the rank is its constant term."""
@@ -108,8 +106,8 @@ def identity_kernel(variety: Variety) -> KKernel:
     return _built(KKernel, variety, variety, ch)
 
 
-def support_codim_floor(cycle: Cycle) -> int | float:
-    """Smallest codimension carrying a nonzero component; the zero cycle
-    returns infinity (a sentinel larger than any dimension in use)."""
+def support_codim_floor(cycle: Cycle) -> int | None:
+    """Smallest codimension carrying a nonzero component; None for the zero
+    cycle, which has no component."""
     codims = cycle.codimensions()
-    return codims[0] if codims else math.inf
+    return codims[0] if codims else None

@@ -20,7 +20,6 @@ images of a kernel pair) are built unchecked by `ring._built`.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .corr import GradedCorrespondence, cartesian, compose_graded, permute_factors
@@ -31,7 +30,7 @@ from .errors import (
     SupportConditionError,
 )
 from .kshadow import KKernel, chow_image, k_compose, support_codim_floor
-from .ring import Cycle, Variety, _built
+from .ring import Cycle, Variety, _built, _Value
 
 
 def _check_component(source: Motive, target: Motive, c: GradedCorrespondence, degree: int, what: str):
@@ -53,8 +52,7 @@ def _check_sandwiched(source: Motive, target: Motive, c: GradedCorrespondence):
         raise InvalidInputError("correspondence is not fixed by the motive idempotents")
 
 
-@dataclass(frozen=True)
-class Motive:
+class Motive(_Value):
     """A triple (X, twist, idempotent) with the idempotent a degree-zero
     self-correspondence of X satisfying a o a = a; both conditions are
     checked on construction."""
@@ -107,8 +105,7 @@ class Motive:
         return cls(variety, twist, GradedCorrespondence(variety, variety, cycle))
 
 
-@dataclass(frozen=True)
-class MotiveMorphism:
+class MotiveMorphism(_Value):
     """A correspondence of pure degree (target twist - source twist) that is
     fixed by sandwiching with the two idempotents."""
 
@@ -262,8 +259,7 @@ def split_idempotent(m: Motive, p: MotiveMorphism) -> tuple[Motive, MotiveMorphi
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormalSum:
+class FormalSum(_Value):
     """A formal direct sum of motives; morphisms between sums are matrices."""
 
     summands: tuple[Motive, ...]
@@ -286,8 +282,7 @@ class FormalSum:
         return _built(FormalSumMorphism, self, self, rows)
 
 
-@dataclass(frozen=True)
-class FormalSumMorphism:
+class FormalSumMorphism(_Value):
     """A matrix of motive morphisms; entry [i][j] maps source summand j to
     target summand i, and composition is matrix composition."""
 
@@ -325,8 +320,7 @@ class FormalSumMorphism:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitMorphism:
+class OrbitMorphism(_Value):
     """A morphism in the category of motives with twists forgotten: a finite
     family of components indexed by the twist offset i, the component at i
     being a morphism into the target twisted i steps.  Concretely component
@@ -443,8 +437,7 @@ def degree_zero_rigidify(f: OrbitMorphism, g: OrbitMorphism) -> tuple[MotiveMorp
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrlovReport:
+class OrlovReport(_Value):
     """Outcome of the derived-equivalence pipeline for a kernel pair."""
 
     mutually_inverse: bool
@@ -452,7 +445,7 @@ class OrlovReport:
     support_ok: bool
     exact_isomorphism: bool
     verdict: str
-    support_floors: tuple[int | float, int | float]
+    support_floors: tuple[int | None, int | None]
     degree_zero_pair: tuple[MotiveMorphism, MotiveMorphism] | None
 
 
@@ -479,7 +472,7 @@ def orlov_pipeline(e: KKernel, f: KKernel) -> OrlovReport:
     floors = (support_codim_floor(a.cycle), support_codim_floor(b.cycle))
     if not inverse:
         return OrlovReport(False, False, False, False, "not-equivalent", floors, None)
-    support_ok = floors[0] >= n and floors[1] >= n
+    support_ok = all(floor is None or floor >= n for floor in floors)
     if not support_ok:
         return OrlovReport(True, True, False, False, "tate-twist-only", floors, None)
     mx, my = motive_of(x), motive_of(y)

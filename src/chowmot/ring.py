@@ -33,8 +33,8 @@ constructor or `from_json`: `Cycle(...)` and `Cycle.from_json` validate every
 term, `Variety(...)` every factor.  Results the engine computes are correct
 by construction and skip the checks: cycles are built from integer
 numerators by `_cycle` (already canonical), `_reduced` (drops cancelled
-terms and the common factor) or `_total` (sums cycles), and every frozen
-dataclass value (varieties here, correspondences, kernels and motives in
+terms and the common factor) or `_total` (sums cycles), and every value of
+the `_Value` base (varieties here, correspondences, kernels and motives in
 the layers above) by `_built`.
 """
 
@@ -42,9 +42,9 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import attrgetter
 from types import MappingProxyType
 
 from .errors import DomainMismatchError, InvalidInputError
@@ -64,8 +64,54 @@ MAX_MONOMIALS = 1 << 18
 MAX_SERIES_ORDER = 256
 
 
-@dataclass(frozen=True)
-class Variety:
+class _Value:
+    """Base of the engine's immutable values.  A subclass lists its fields
+    as annotations, a default as a class attribute, and in `uncompared` the
+    fields that `==` and `hash` skip: values of one class compare and hash
+    by the tuple of the others.  Construction runs `__post_init__`."""
+
+    def __init_subclass__(cls, uncompared=()):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        compared = [name for name in cls._fields if name not in uncompared]
+        cls._key = attrgetter(*compared)  # a bare value, not a tuple, for one field
+        if len(compared) == 1:
+            cls.__hash__ = lambda self: hash((self._key(self),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # keywords and defaults, checked
+            given = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            if (len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):])
+                    or len(given) < len(fields)):
+                raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
+            args = [given[name] for name in fields]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    __delattr__ = __setattr__
+
+
+class Variety(_Value):
     """A finite product of projective spaces, recorded as the tuple of factor
     dimensions.  The empty tuple is the point Spec K; factor order matters
     (``X * Y`` and ``Y * X`` are different presentations related by
@@ -120,13 +166,11 @@ class Variety:
 
 
 def _built(cls, *values):
-    """An instance of a frozen dataclass from field values the engine
+    """An instance of a `_Value` class from field values the engine
     computed, correct by construction, made without running its checks.
-    The values follow the field order; the value classes declare no
-    ClassVar or InitVar, so `__dataclass_fields__` lists exactly the fields
-    (and reads faster than `dataclasses.fields`)."""
+    The values follow the field order of `cls._fields`."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
+    for name, value in zip(cls._fields, values):
         object.__setattr__(obj, name, value)
     return obj
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chern import (
@@ -41,7 +40,7 @@ from .motives import (
     split_idempotent,
     unit_motive,
 )
-from .ring import Cycle, Variety, make_variety
+from .ring import Cycle, Variety, _Value, make_variety
 
 # varieties of dimension <= 4 used by the randomized algebra checks
 ALGEBRA_POOL = [
@@ -196,12 +195,11 @@ def split_bundle_oracle(variety: Variety) -> tuple[BundleClass, Cycle, Cycle]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Value, uncompared=("seconds",)):
     name: str
     passed: bool
     detail: str
-    seconds: float = field(default=0.0, compare=False)  # wall time of the check
+    seconds: float = 0.0  # wall time of the check
 
 
 def check_hrr_line_bundles(rng: random.Random, samples: int) -> tuple[bool, str]:

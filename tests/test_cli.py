@@ -77,6 +77,21 @@ class TestRing:
         assert code == 0
         assert out.strip() == "1"
 
+    @pytest.mark.parametrize("factor, coeff", [("-3/4", "-3/4"), ("-3", "-3"), ("-0.75", "-3/4")])
+    def test_scale_by_a_negative_number(self, capsys, factor, coeff):
+        """A negative factor is a value, not an option, with or without `--`."""
+        for argv in (("ring", "scale", factor, CYCLE_H_ON_P1),
+                     ("ring", "scale", "--", factor, CYCLE_H_ON_P1)):
+            assert run_cli(capsys, *argv) == (0, f"{coeff}*h1  on P^1\n", "")
+            code, out, err = run_cli(capsys, *argv[:2], "--format", "json", *argv[2:])
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {"variety": {"factors": [1]},
+                                       "terms": [{"exps": [1], "coeff": coeff}]}
+
+    def test_unknown_option_is_still_refused(self, capsys):
+        code, _, err = run_cli(capsys, "ring", "scale", "-x", CYCLE_H_ON_P1)
+        assert code == 2 and "unrecognized arguments: -x" in err
+
     def test_wrong_operand_count(self, capsys):
         code, _, err = run_cli(capsys, "ring", "add", CYCLE_H_ON_P1)
         assert code == 1

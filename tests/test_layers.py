@@ -1,6 +1,6 @@
-"""A cold CLI call loads only the layers its subcommand uses, and the
-package exports resolve on first access to the objects of their home
-modules."""
+"""A cold CLI call loads only the layers its subcommand uses and neither
+`dataclasses` nor `inspect`, and the package exports resolve on first
+access to the objects of their home modules."""
 
 import json
 import os
@@ -31,7 +31,8 @@ import contextlib, io, json, sys
 from chowmot.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("chowmot"))]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                                if m.startswith("chowmot") or m in ("dataclasses", "inspect"))]))
 """
 BASE = ["chowmot", "chowmot.cli", "chowmot.errors", "chowmot.ring"]
 KERNELS = ["chowmot.chern", "chowmot.corr", "chowmot.kshadow"]
@@ -73,6 +74,8 @@ SUBCOMMAND_LAYERS = [
 class TestCliLayers:
     @pytest.mark.parametrize("argv, layers", SUBCOMMAND_LAYERS, ids=[argv[0] for argv, _ in SUBCOMMAND_LAYERS])
     def test_subcommand_loads_only_its_layers(self, argv, layers):
+        """Besides the layers, the values' base builds no class at start-up
+        through `dataclasses`, whose import brings in `inspect`."""
         assert loaded_by(*argv) == set(BASE + layers)
 
 

@@ -1,0 +1,132 @@
+"""The contract of the engine's immutable values, the classes on the `_Value`
+base of `ring`: equality within one class by the compared fields, a hash
+equal to that of their tuple, the repr of a frozen record, no assignment or
+deletion, defaults, and construction by position or keyword."""
+
+import pytest
+
+from chowmot.chern import line_bundle
+from chowmot.corr import FactorSelection, GradedCorrespondence
+from chowmot.kshadow import identity_kernel
+from chowmot.motives import (
+    FormalSum,
+    FormalSumMorphism,
+    OrbitMorphism,
+    orlov_pipeline,
+    unit_motive,
+)
+from chowmot.ring import Variety, _built, _Value
+from chowmot.verify import CheckResult
+
+P = "Variety(factors=())"
+CYCLE_ONE = "<Cycle 1 on Spec(K)>"
+DIAGONAL = f"GradedCorrespondence(source={P}, target={P}, cycle={CYCLE_ONE})"
+UNIT = f"Motive(variety={P}, twist=0, idempotent={DIAGONAL})"
+UNIT_ID = f"MotiveMorphism(source={UNIT}, target={UNIT}, corr={DIAGONAL})"
+SUM = f"FormalSum(summands=({UNIT},))"
+
+
+def samples():
+    """One value of every class, its compared fields, its other fields and
+    its repr, all as they read when the classes were frozen dataclasses."""
+    point = Variety(())
+    unit = unit_motive()
+    one = unit.identity_morphism()
+    s = FormalSum((unit,))
+    return [
+        (Variety((1, 2)), ("factors",), (), "Variety(factors=(1, 2))"),
+        (line_bundle(point, []), ("variety", "rank", "total_chern"), (),
+         f"BundleClass(variety={P}, rank=1, total_chern={CYCLE_ONE})"),
+        (FactorSelection(Variety((1, 2)), (1,)), ("source", "selected"), (),
+         "FactorSelection(source=Variety(factors=(1, 2)), selected=(1,))"),
+        (GradedCorrespondence.identity(point), ("source", "target", "cycle"), (), DIAGONAL),
+        (identity_kernel(point), ("source", "target", "ch"), (),
+         f"KKernel(source={P}, target={P}, ch={CYCLE_ONE})"),
+        (unit, ("variety", "twist", "idempotent"), (), UNIT),
+        (one, ("source", "target", "corr"), (), UNIT_ID),
+        (s, ("summands",), (), SUM),
+        (FormalSumMorphism(s, s, ((one,),)), ("source", "target", "matrix"), (),
+         f"FormalSumMorphism(source={SUM}, target={SUM}, matrix=(({UNIT_ID},),))"),
+        (OrbitMorphism.identity(unit), ("source", "target", "corr"), (),
+         f"OrbitMorphism(source={UNIT}, target={UNIT}, corr={DIAGONAL})"),
+        (orlov_pipeline(identity_kernel(point), identity_kernel(point)),
+         ("mutually_inverse", "isomorphic_modulo_twist", "support_ok", "exact_isomorphism",
+          "verdict", "support_floors", "degree_zero_pair"), (),
+         "OrlovReport(mutually_inverse=True, isomorphic_modulo_twist=True, support_ok=True, "
+         "exact_isomorphism=True, verdict='exact-isomorphism', support_floors=(0, 0), "
+         f"degree_zero_pair=({UNIT_ID}, {UNIT_ID}))"),
+        (CheckResult("hrr", True, "ok", 0.25), ("name", "passed", "detail"), ("seconds",),
+         "CheckResult(name='hrr', passed=True, detail='ok', seconds=0.25)"),
+    ]
+
+
+def violations(value, compared, other, expected_repr) -> list[str]:
+    """Every way in which `value` breaks the contract."""
+    found = []
+    fields = [getattr(value, name) for name in compared + other]
+    if hash(value) != hash(tuple(getattr(value, name) for name in compared)):
+        found.append("hash")
+    if repr(value) != expected_repr:
+        found.append("repr")
+    twin = _built(type(value), *fields)
+    if not (twin == value and hash(twin) == hash(value)) or twin != value:
+        found.append("equality")
+    if value.__eq__(object()) is not NotImplemented or value == object():
+        found.append("equality with another class")
+    for name in (*compared, *other, "other"):
+        for change in (lambda: setattr(value, name, None), lambda: delattr(value, name)):
+            try:
+                change()
+                found.append(f"{name} is writable")
+            except AttributeError:
+                pass
+    if [getattr(value, name) for name in compared + other] != fields:
+        found.append("changed")
+    return found
+
+
+class TestValueContract:
+    def test_every_value_class_has_a_sample(self):
+        assert {type(value) for value, *_ in samples()} == set(_Value.__subclasses__())
+
+    def test_every_value_keeps_the_contract(self):
+        for value, compared, other, expected_repr in samples():
+            assert violations(value, compared, other, expected_repr) == [], type(value).__name__
+
+    def test_hash_leaving_out_a_field_is_caught(self, monkeypatch):
+        """Negative control: a base whose hash skips the last compared field
+        fails the contract on every class."""
+        for value, compared, other, expected_repr in samples():
+            def partial_hash(self, names=compared[:-1]):
+                return hash(tuple(getattr(self, name) for name in names))
+
+            monkeypatch.setattr(type(value), "__hash__", partial_hash)
+            assert "hash" in violations(value, compared, other, expected_repr), type(value).__name__
+
+    def test_equal_fields_of_different_classes_are_unequal(self):
+        point = Variety(())
+        unit = unit_motive()
+        pairs = [(GradedCorrespondence.identity(point), identity_kernel(point)),
+                 (OrbitMorphism.identity(unit), unit.identity_morphism())]
+        for a, b in pairs:
+            assert a != b and not a == b and len({a, b}) == 2
+
+    def test_check_results_differing_only_in_seconds_are_equal(self):
+        fast, slow = CheckResult("hrr", True, "ok", 0.25), CheckResult("hrr", True, "ok", 9.0)
+        assert fast == slow and hash(fast) == hash(slow) and len({fast, slow}) == 1
+        assert fast != CheckResult("hrr", False, "ok", 0.25)
+        assert CheckResult("hrr", True, "ok").seconds == 0.0
+        assert CheckResult(name="hrr", passed=True, detail="ok", seconds=9.0).seconds == 9.0
+
+    def test_selection_target_is_built_once(self):
+        sel = FactorSelection(Variety((1, 2)), (1,))
+        assert sel.target is sel.target and sel.target == Variety((2,))
+        assert sel == FactorSelection(Variety((1, 2)), (1,))
+
+    def test_construction_takes_positions_and_keywords(self):
+        assert Variety(factors=[1, 2]) == Variety((1, 2)) == Variety([1, 2])
+        assert CheckResult("hrr", True, detail="ok", seconds=1.0).seconds == 1.0
+        for bad in (lambda: Variety(), lambda: Variety((1,), (2,)), lambda: Variety(shape=(1,)),
+                    lambda: Variety((1,), factors=(1,)), lambda: CheckResult("hrr", True)):
+            with pytest.raises(TypeError):
+                bad()
