@@ -7,10 +7,11 @@ total Chern class, and exponentiated grade by grade (`exp_nilpotent`).
 Powers of the Todd class of a variety (td, its square root, their inverses)
 are instead taken factor by factor: the Todd class is multiplicative and
 td(P^n) = (h/(1 - e^{-h}))^{n+1}, so a cycle is multiplied by td^s one
-univariate series at a time (`mul_todd_power`).  A test ties the two routes
-together on a ladder of varieties.  The universal coefficient series (for
-the Todd class, logarithms, exponentials) are computed at runtime by exact
-rational series arithmetic rather than transcribed from tables.
+univariate series at a time (`mul_todd_power`), each series computed once
+per process and shared.  A test ties the two routes together on a ladder of
+varieties.  The universal coefficient series (for the Todd class,
+logarithms, exponentials) are computed at runtime by exact rational series
+arithmetic rather than transcribed from tables.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInputError, SingularSeriesError
-from .ring import Cycle, Variety, _cycle, _reduced, _total, _Value, require_budget
+from .ring import CACHE_ENTRIES, Cycle, Variety, _cycle, _reduced, _total, _Value, require_budget
 
 # ---------------------------------------------------------------------------
 # univariate truncated series over Q (coefficient lists, a[k] is the x^k term)
@@ -220,18 +221,16 @@ def tangent_class(variety: Variety) -> BundleClass:
     return BundleClass(variety, variety.dim, _cycle(variety, 1, num))
 
 
-@functools.cache
-def _todd_factor_series(n: int, exponent: Fraction) -> tuple[Fraction, ...]:
-    """(x / (1 - e^{-x}))^exponent up to x^n, as exp(exponent * log-Todd)."""
-    return tuple(_series_exp([exponent * c for c in todd_series_coefficients(n)], n))
-
-
-def _todd_factor_ints(n: int, exponent: Fraction) -> tuple[int, list[int]]:
-    """`_todd_factor_series` over one common denominator: (D, integers t_k)
-    with coefficient k equal to t_k / D."""
-    series = _todd_factor_series(n, exponent)
+@functools.lru_cache(maxsize=CACHE_ENTRIES)
+def _todd_factor_series(n: int, s) -> tuple[int, tuple[int, ...]]:
+    """td(P^n)^s = (x / (1 - e^{-x}))^{s(n+1)} up to x^n, as
+    exp(s(n+1) * log-Todd), over one common denominator: (D, integers t_k)
+    with coefficient k equal to t_k / D.  Computed once per (n, s) and
+    shared; callers never mutate it."""
+    exponent = Fraction(s) * (n + 1)
+    series = _series_exp([exponent * c for c in todd_series_coefficients(n)], n)
     den = math.lcm(*(t.denominator for t in series))
-    return den, [t.numerator * (den // t.denominator) for t in series]
+    return den, tuple(t.numerator * (den // t.denominator) for t in series)
 
 
 def mul_todd_power(c: Cycle, s, factors=None) -> Cycle:
@@ -240,14 +239,13 @@ def mul_todd_power(c: Cycle, s, factors=None) -> Cycle:
     truncated convolution along each factor, no product of full cycles.
     Each series is scaled to integers over one denominator, so a factor
     pass only shifts keys and adds integer products."""
-    s = Fraction(s)
     fields = c.variety._layout.fields
     factors = range(c.variety.num_factors) if factors is None else tuple(factors)
     require_budget(c.variety, max((c.variety.factors[i] for i in factors), default=0))
     for i in factors:
         n = c.variety.factors[i]
         shift, mask = fields[i]
-        den, series = _todd_factor_ints(n, s * (n + 1))
+        den, series = _todd_factor_series(n, s)
         steps = [(j << shift, t) for j, t in enumerate(series) if t]
         acc: dict[int, int] = {}
         get = acc.get

@@ -330,14 +330,17 @@ def run_command(args) -> int:
     return _emit(args, row.text(result), result.to_json())
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(rows=COMMANDS) -> argparse.ArgumentParser:
+    """The parser of the given rows, all by default; a parser of some rows
+    still names every subcommand in its usage line."""
     parser = argparse.ArgumentParser(
         prog="chowmot",
         description="Exact intersection calculus, characteristic classes, "
                     "and Chow motives on products of projective spaces.",
     )
-    sub = parser.add_subparsers(dest="command")
-    for row in COMMANDS:
+    every = "{%s}" % ",".join(row.name for row in COMMANDS)
+    sub = parser.add_subparsers(dest="command", metavar=None if rows is COMMANDS else every)
+    for row in rows:
         p = sub.add_parser(row.name, help=row.help)
         # "-3/4" is a value, as argparse reads "-3" and "-0.75"
         p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
@@ -350,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a cold call builds only the subcommand it names, when argv starts with one
+    parser = build_parser([row for row in COMMANDS if argv and argv[0] == row.name] or COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -7,7 +7,8 @@ second whose exponents on the middle factor complete it to the top
 monomial, which equals the pullback-intersect-pushforward pipeline through
 the triple product; a test holds the two routes together.  The diagonal
 pushforward spreads each term directly by the projection formula, and the
-diagonal class is the pushforward of 1.
+diagonal class is the pushforward of 1; `GradedCorrespondence.identity`
+computes it once per variety and shares it.
 
 `GradedCorrespondence(...)` and `from_json` check that the cycle lives on
 source x target; every correspondence built here from checked ones
@@ -17,10 +18,10 @@ is made by `ring._built` without that check.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import Cycle, Variety, _built, _cycle, _reduced, _Value, require_budget
+from .ring import CACHE_ENTRIES, Cycle, Variety, _built, _cycle, _reduced, _Value, require_budget
 
 
 class FactorSelection(_Value):
@@ -162,7 +163,10 @@ class GradedCorrespondence(_Value):
             )
 
     @staticmethod
+    @lru_cache(maxsize=CACHE_ENTRIES)
     def identity(variety: Variety) -> "GradedCorrespondence":
+        """The diagonal class, the identity morphism of `variety`: computed
+        once per variety and shared; callers never mutate it."""
         return _built(GradedCorrespondence, variety, variety, diagonal_class(variety))
 
     @staticmethod

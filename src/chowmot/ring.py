@@ -63,6 +63,11 @@ _SCALARS = (int, Fraction)
 MAX_MONOMIALS = 1 << 18
 MAX_SERIES_ORDER = 256
 
+# Entries of each cache of values computed once per process (README,
+# "Computed once per process"): above the 11 diagonals and 9 Todd series of
+# `verify`; within the budget an entry takes at most 85 KiB.
+CACHE_ENTRIES = 64
+
 
 class _Value:
     """Base of the engine's immutable values.  A subclass lists its fields
@@ -293,9 +298,8 @@ class Cycle:
     __slots__ = ("variety", "_den", "_num", "_terms")
 
     def __init__(self, variety: Variety, terms: dict | None = None):
-        if not isinstance(variety, Variety):
-            raise InvalidInputError(f"expected a Variety, got {variety!r}")
-        self._fill(variety, *_over_common_denominator(_checked(variety, (terms or {}).items())))
+        self._fill(_require_variety(variety),
+                   *_over_common_denominator(_checked(variety, (terms or {}).items())))
 
     def _fill(self, variety: Variety, den: int, num: dict) -> "Cycle":
         """Set the fields to a canonical denominator and numerator map."""
@@ -323,11 +327,11 @@ class Cycle:
 
     @classmethod
     def zero(cls, variety: Variety) -> "Cycle":
-        return cls(variety, {})
+        return _cycle(_require_variety(variety), 1, {})
 
     @classmethod
     def one(cls, variety: Variety) -> "Cycle":
-        return cls(variety, {(0,) * variety.num_factors: 1})
+        return _cycle(_require_variety(variety), 1, {0: 1})  # key 0 is the constant monomial
 
     @classmethod
     def monomial(cls, variety: Variety, exps, coeff=1) -> "Cycle":
@@ -516,8 +520,17 @@ def _over_common_denominator(pairs) -> tuple[int, dict]:
     acc: dict[int, Fraction | int] = {}
     for k, c in pairs:
         acc[k] = acc[k] + c if k in acc else c
+    if all(type(c) is int for c in acc.values()):  # no Fraction: den is 1, no lcm
+        return 1, {k: c for k, c in acc.items() if c}
     den = lcm(*[c.denominator for c in acc.values()])  # a zero sum has denominator 1
     return den, {k: c.numerator * (den // c.denominator) for k, c in acc.items() if c}
+
+
+def _require_variety(variety: Variety) -> Variety:
+    """The argument, checked to be a `Variety`."""
+    if not isinstance(variety, Variety):
+        raise InvalidInputError(f"expected a Variety, got {variety!r}")
+    return variety
 
 
 def _cycle(variety: Variety, den: int, num: dict) -> Cycle:

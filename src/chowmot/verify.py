@@ -68,11 +68,13 @@ KERNEL_POOL = [(1,), (1, 1), (2,)]
 
 def random_cycle(rng: random.Random, variety: Variety, terms: int = 4,
                  lo: int = -5, hi: int = 5) -> Cycle:
-    """A sparse cycle with integer coefficients in [lo, hi]."""
+    """A sparse cycle with integer coefficients in [lo, hi], drawn by
+    `randrange` in the stream of `randint`, which costs a call more."""
     acc: dict[tuple[int, ...], int] = {}
+    width = hi - lo + 1
     for _ in range(terms):
-        exps = tuple(rng.randint(0, n) for n in variety.factors)
-        acc[exps] = acc.get(exps, 0) + rng.randint(lo, hi)
+        exps = tuple(rng.randrange(n + 1) for n in variety.factors)
+        acc[exps] = acc.get(exps, 0) + lo + rng.randrange(width)
     return Cycle(variety, acc)
 
 

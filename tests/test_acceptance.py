@@ -11,7 +11,10 @@ import time
 
 import pytest
 
-from chowmot.verify import CHECKS
+from chowmot.corr import GradedCorrespondence
+from chowmot.kshadow import KKernel
+from chowmot.ring import Cycle, make_variety
+from chowmot.verify import ALGEBRA_POOL, CHECKS, random_correspondence, random_cycle, random_kernel
 
 SEED = 42
 CHECK_BY_NAME = dict(CHECKS)
@@ -78,3 +81,26 @@ def test_criterion_8_compatibility_triangle():
 def test_criterion_9_chern_character_basis():
     # ch(O(0)), ..., ch(O(-n)) are linearly independent on P^n for n <= 4
     run_criterion(9, "chern-character-basis")
+
+
+def randint_cycle(rng, variety, terms=4, lo=-5, hi=5):
+    """The reference draw of `random_cycle`, by `randint`."""
+    acc = {}
+    for _ in range(terms):
+        exps = tuple(rng.randint(0, n) for n in variety.factors)
+        acc[exps] = acc.get(exps, 0) + rng.randint(lo, hi)
+    return Cycle(variety, acc)
+
+
+def test_random_inputs_keep_the_randint_stream():
+    # the golden files pin only the detail strings, so a drift in the
+    # stream of verify's random inputs would go unseen without this
+    pool = [make_variety(factors) for factors in ALGEBRA_POOL]
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for i, x in enumerate(pool):
+            y = pool[(i + seed) % len(pool)]
+            assert random_cycle(rng, x, 6, -3, 7) == randint_cycle(ref, x, 6, -3, 7)
+            assert random_correspondence(rng, x, y) == GradedCorrespondence(x, y, randint_cycle(ref, x * y))
+            assert random_kernel(rng, y, x, 2) == KKernel(y, x, randint_cycle(ref, y * x, 2))
+        assert rng.random() == ref.random()

@@ -434,6 +434,9 @@ class TestOutsideInputStillChecked:
                 Cycle(x, terms)
         with pytest.raises(InvalidInputError):
             Cycle.monomial(x, (0, 1, 0))
+        for make in (Cycle, Cycle.zero, Cycle.one):
+            with pytest.raises(InvalidInputError):
+                make([1, 1])
         assert Cycle(x, {(2, 0): 1, (0, 1): 0}).is_zero
         data = {"variety": {"factors": [1]}, "terms": [{"exps": [2], "coeff": "1"}]}
         assert Cycle.from_json(data).is_zero

@@ -304,10 +304,9 @@ class TestFactorwiseTodd:
     def test_corrupted_factor_series_is_caught(self, factors, monkeypatch):
         real = chern._todd_factor_series
 
-        def corrupted(n, exponent):
-            coeffs = list(real(n, exponent))
-            coeffs[-1] += 1
-            return tuple(coeffs)
+        def corrupted(n, s):
+            den, coeffs = real(n, s)
+            return den, coeffs[:-1] + (coeffs[-1] + den,)  # the top coefficient plus 1
 
         monkeypatch.setattr(chern, "_todd_factor_series", corrupted)
         failed = factorwise_todd_disagreements(make_variety(factors))
@@ -325,12 +324,18 @@ MUL_LADDER = [[], [1], [2], [1, 1], [2, 2], [3, 3], [2, 2, 2]]
 TODD_EXPONENTS = (Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(-1, 2))
 
 
+def factor_series(n, s):
+    """td(P^n)^s up to x^n as Fractions, from the engine's (D, integers) form."""
+    den, coeffs = REAL_FACTOR_SERIES(n, s)
+    return tuple(Fraction(t, den) for t in coeffs)
+
+
 def dense_todd_power(x, s, factors):
     """td^s on the chosen factors as a dense cycle: every monomial takes the
     product of the per-factor series coefficients (a factor left out
     contributes 1)."""
     series = [
-        REAL_FACTOR_SERIES(n, s * (n + 1)) if i in factors else (Fraction(1),) + (Fraction(0),) * n
+        factor_series(n, s) if i in factors else (Fraction(1),) + (Fraction(0),) * n
         for i, n in enumerate(x.factors)
     ]
     terms = {
@@ -363,10 +368,9 @@ class TestMulToddPower:
 
     @pytest.mark.parametrize("factors", MUL_LADDER[1:])
     def test_corrupted_factor_series_is_caught(self, factors, monkeypatch):
-        def corrupted(n, exponent):
-            coeffs = list(REAL_FACTOR_SERIES(n, exponent))
-            coeffs[-1] += 1
-            return tuple(coeffs)
+        def corrupted(n, s):
+            den, coeffs = REAL_FACTOR_SERIES(n, s)
+            return den, coeffs[:-1] + (coeffs[-1] + den,)  # the top coefficient plus 1
 
         monkeypatch.setattr(chern, "_todd_factor_series", corrupted)
         x = make_variety(factors)

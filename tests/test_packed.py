@@ -114,7 +114,8 @@ def ref_compose(f, g, kx, top_y):
 def ref_mul_todd_power(a, s, bounds, factors):
     for i in factors:
         n = bounds[i]
-        series = chern._todd_factor_series(n, s * (n + 1))
+        den, ints = chern._todd_factor_series(n, s)
+        series = [Fraction(t, den) for t in ints]
         a = accumulate(
             (e[:i] + (e[i] + j,) + e[i + 1:], c * series[j])
             for e, c in a.items() for j in range(n + 1 - e[i])
@@ -132,7 +133,8 @@ def ref_exp(u, bounds):
 
 
 def ref_euler(ch, bounds):
-    series = [chern._todd_factor_series(n, Fraction(n + 1)) for n in bounds]
+    series = [[Fraction(t, den) for t in ints]
+              for den, ints in (chern._todd_factor_series(n, 1) for n in bounds)]
     return sum((c * math.prod(t[n - x] for t, n, x in zip(series, bounds, e))
                 for e, c in ch.items()), Fraction(0))
 
