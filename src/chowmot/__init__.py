@@ -9,6 +9,7 @@ for the layers it uses.  Each access reads the name from its home module.
 """
 
 import importlib
+import sys
 
 _HOMES = {
     "chern": (
@@ -36,16 +37,16 @@ _HOMES = {
     ),
     "ring": ("Cycle", "Variety", "make_variety"),
 }
-_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_HOME = {name: f"{__name__}.{module}" for module, names in _HOMES.items() for name in names}
 
 __all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    module = _HOME.get(name)
-    if module is None:
+    home = _HOME.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return getattr(sys.modules.get(home) or importlib.import_module(home), name)
 
 
 def __dir__() -> list[str]:

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInputError, SingularSeriesError
-from .ring import CACHE_ENTRIES, Cycle, Variety, _cycle, _reduced, _total, _Value, require_budget
+from .ring import CACHE_ENTRIES, Cycle, Variety, _cycle, _reduced, _total, _Value, make_variety, require_budget
 
 # ---------------------------------------------------------------------------
 # univariate truncated series over Q (coefficient lists, a[k] is the x^k term)
@@ -55,7 +55,7 @@ def todd_series_coefficients(order: int) -> tuple[Fraction, ...]:
     """
     if order < 0:
         raise InvalidInputError("series order must be nonnegative")
-    require_budget(Variety(()), order)
+    require_budget(make_variety(()), order)
     # (1 - e^{-x}) / x  =  sum_j (-1)^j x^j / (j+1)!
     s = [Fraction(0)] * (order + 1)
     fact = 1

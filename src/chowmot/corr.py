@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import CACHE_ENTRIES, Cycle, Variety, _built, _cycle, _reduced, _Value, require_budget
+from .ring import CACHE_ENTRIES, Cycle, Variety, _built, _cycle, _reduced, _Value, _variety, require_budget
 
 
 class FactorSelection(_Value):
@@ -45,7 +45,7 @@ class FactorSelection(_Value):
 
     @cached_property
     def target(self) -> Variety:
-        return _built(Variety, tuple(self.source.factors[i] for i in self.selected))
+        return _variety(tuple(self.source.factors[i] for i in self.selected))
 
     @property
     def unselected(self) -> tuple[int, ...]:
@@ -110,7 +110,7 @@ def permute_factors(a: Cycle, order: tuple[int, ...]) -> Cycle:
     k = a.variety.num_factors
     if sorted(order) != list(range(k)):
         raise InvalidInputError(f"{order!r} is not a permutation of 0..{k - 1}")
-    new_variety = _built(Variety, tuple(a.variety.factors[i] for i in order))
+    new_variety = _variety(tuple(a.variety.factors[i] for i in order))
     moves = _field_moves(a.variety, new_variety, ((i, j) for j, i in enumerate(order)))
     return _cycle(new_variety, a._den, {_moved(k, moves): v for k, v in a._num.items()})
 

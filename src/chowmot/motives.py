@@ -30,7 +30,7 @@ from .errors import (
     SupportConditionError,
 )
 from .kshadow import KKernel, chow_image, k_compose, support_codim_floor
-from .ring import Cycle, Variety, _built, _Value
+from .ring import Cycle, Variety, _built, _Value, make_variety
 
 
 def _check_component(source: Motive, target: Motive, c: GradedCorrespondence, degree: int, what: str):
@@ -165,20 +165,20 @@ def motive_of(variety: Variety) -> Motive:
 
 
 def unit_motive() -> Motive:
-    return motive_of(Variety(()))
+    return motive_of(make_variety(()))
 
 
 def zero_motive() -> Motive:
     """The zero object, represented concretely on the point with the zero
     projector."""
-    point = Variety(())
+    point = make_variety(())
     return _built(Motive, point, 0, GradedCorrespondence.zero(point, point))
 
 
 def lefschetz_motive() -> Motive:
     """The summand of the projective line cut out by the projector
     [P^1 x point] = h2."""
-    line = Variety((1,))
+    line = make_variety((1,))
     square = line * line
     beta = _built(GradedCorrespondence, line, line, Cycle.hyperplane(square, 1))
     return _built(Motive, line, 0, beta)

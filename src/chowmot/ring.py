@@ -36,6 +36,15 @@ numerators by `_cycle` (already canonical), `_reduced` (drops cancelled
 terms and the common factor) or `_total` (sums cycles), and every value of
 the `_Value` base (varieties here, correspondences, kernels and motives in
 the layers above) by `_built`.
+
+Varieties are shared: `make_variety`, `Variety.from_json` and the engine's
+products, selection targets and permutations return the one variety of a
+factor tuple from a bounded table (`_variety`).  The checked routes check
+the factors before the lookup, since (True,) and (1.0,) are keys equal to
+(1,).  A variety stores its key layout and hash on first use, and `==`
+tests identity first; sharing is only that fast path, so a variety made
+any other way (`Variety(...)`, a copy, an unpickled one) compares and
+hashes alike.
 """
 
 from __future__ import annotations
@@ -68,6 +77,10 @@ MAX_SERIES_ORDER = 256
 # `verify`; within the budget an entry takes at most 85 KiB.
 CACHE_ENTRIES = 64
 
+# Entries of the table of shared varieties (`_variety`): above the 94
+# distinct varieties `verify` makes; an entry takes about 1 KiB.
+VARIETY_ENTRIES = 128
+
 
 class _Value:
     """Base of the engine's immutable values.  A subclass lists its fields
@@ -80,7 +93,7 @@ class _Value:
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
         compared = [name for name in cls._fields if name not in uncompared]
         cls._key = attrgetter(*compared)  # a bare value, not a tuple, for one field
-        if len(compared) == 1:
+        if len(compared) == 1 and "__hash__" not in cls.__dict__:
             cls.__hash__ = lambda self: hash((self._key(self),))
 
     def __init__(self, *args, **kwargs):
@@ -99,6 +112,8 @@ class _Value:
         pass
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._key(self) == self._key(other)
         return NotImplemented
@@ -120,18 +135,24 @@ class Variety(_Value):
     """A finite product of projective spaces, recorded as the tuple of factor
     dimensions.  The empty tuple is the point Spec K; factor order matters
     (``X * Y`` and ``Y * X`` are different presentations related by
-    transposition)."""
+    transposition).  Its key layout and hash are computed on first use and
+    then stored on it."""
 
     factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.factors, tuple):
-            object.__setattr__(self, "factors", tuple(self.factors))
-        for n in self.factors:
-            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-                raise InvalidInputError(
-                    f"factor dimensions must be nonnegative integers, got {n!r}"
-                )
+        object.__setattr__(self, "factors", make_variety(self.factors).factors)
+
+    @functools.cached_property
+    def _layout(self) -> "_Layout":
+        return _Layout(self.factors)
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.factors,))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -146,16 +167,12 @@ class Variety(_Value):
         return not self.factors
 
     def __mul__(self, other: "Variety") -> "Variety":
-        return _built(Variety, self.factors + other.factors)
+        return _variety(self.factors + other.factors)
 
     def __str__(self) -> str:
         if not self.factors:
             return "Spec(K)"
         return " x ".join(f"P^{n}" for n in self.factors)
-
-    @property
-    def _layout(self) -> "_Layout":
-        return _layout_of(self.factors)
 
     def to_json(self) -> dict:
         return {"factors": list(self.factors)}
@@ -214,9 +231,11 @@ class _Layout:
         return sum((key >> shift) & mask for shift, mask in self.fields)
 
 
-@functools.cache
-def _layout_of(bounds: tuple[int, ...]) -> _Layout:
-    return _Layout(bounds)  # one per distinct variety, a few ints each
+@functools.lru_cache(maxsize=VARIETY_ENTRIES)
+def _variety(factors: tuple[int, ...]) -> Variety:
+    """The shared variety of a tuple of plain nonnegative ints, which the
+    engine computed or a checked route validated."""
+    return _built(Variety, factors)
 
 
 def require_budget(variety: Variety, order: int = 0) -> None:
@@ -230,8 +249,13 @@ def require_budget(variety: Variety, order: int = 0) -> None:
 
 
 def make_variety(dims: list[int] | tuple[int, ...]) -> Variety:
-    """Product of projective spaces of the given dimensions; [] is Spec K."""
-    return Variety(tuple(dims))
+    """Product of projective spaces of the given dimensions; [] is Spec K.
+    Equal dimensions give one shared variety."""
+    factors = tuple(dims)
+    for n in factors:  # before the lookup: (True,) and (1.0,) are keys equal to (1,)
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise InvalidInputError(f"factor dimensions must be nonnegative integers, got {n!r}")
+    return _variety(factors)
 
 
 def _as_fraction(value: object) -> Fraction | int:

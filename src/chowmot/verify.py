@@ -40,7 +40,7 @@ from .motives import (
     split_idempotent,
     unit_motive,
 )
-from .ring import Cycle, Variety, _Value, make_variety
+from .ring import Cycle, Variety, _reduced, _Value, make_variety
 
 # varieties of dimension <= 4 used by the randomized algebra checks
 ALGEBRA_POOL = [
@@ -69,13 +69,15 @@ KERNEL_POOL = [(1,), (1, 1), (2,)]
 def random_cycle(rng: random.Random, variety: Variety, terms: int = 4,
                  lo: int = -5, hi: int = 5) -> Cycle:
     """A sparse cycle with integer coefficients in [lo, hi], drawn by
-    `randrange` in the stream of `randint`, which costs a call more."""
-    acc: dict[tuple[int, ...], int] = {}
+    `randrange` in the stream of `randint`, which costs a call more, and
+    summed on packed keys."""
+    acc: dict[int, int] = {}
     width = hi - lo + 1
+    fields = list(zip(variety.factors, variety._layout.shifts))
     for _ in range(terms):
-        exps = tuple(rng.randrange(n + 1) for n in variety.factors)
-        acc[exps] = acc.get(exps, 0) + lo + rng.randrange(width)
-    return Cycle(variety, acc)
+        key = sum(rng.randrange(n + 1) << shift for n, shift in fields)
+        acc[key] = acc.get(key, 0) + lo + rng.randrange(width)
+    return _reduced(variety, 1, acc)
 
 
 def random_correspondence(rng: random.Random, source: Variety, target: Variety,

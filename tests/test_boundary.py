@@ -53,6 +53,7 @@ from chowmot import (
     zero_motive,
 )
 from chowmot.chern import exp_nilpotent, mul_todd_power
+from chowmot.cli import main
 from chowmot.corr import FactorSelection
 from chowmot.verify import (
     _geometric_inverse,
@@ -419,6 +420,25 @@ class TestOutsideInputStillChecked:
                 make_variety(factors)
             with pytest.raises(InvalidInputError, match="nonnegative integers"):
                 Variety.from_json({"factors": factors})
+
+    @pytest.mark.parametrize("factors", [[True], [2, True], [1.0]])
+    def test_validation_comes_before_sharing(self, capsys, factors):
+        """(True,) and (1.0,) are keys equal to (1,) with equal hashes, so a
+        table of shared varieties looked up before validating would hand
+        out the shared P^1 or P^2 x P^1 for them."""
+        shared = make_variety([1]), make_variety([2, 1])
+        for route in (
+            lambda: Variety(tuple(factors)),
+            lambda: make_variety(factors),
+            lambda: Variety.from_json({"factors": factors}),
+            lambda: Cycle.from_json({"variety": {"factors": factors}, "terms": []}),
+        ):
+            with pytest.raises(InvalidInputError, match="nonnegative integers"):
+                route()
+        assert main(["sqrt-todd", "--variety", json.dumps(factors)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: factor dimensions")
+        assert make_variety([1]) is shared[0] and make_variety([2, 1]) is shared[1]
 
     def test_motive_from_json_rejects_non_idempotent(self):
         line = make_variety([1])

@@ -1,21 +1,36 @@
-"""Values computed once per process and shared: the diagonal of a variety
+"""Values computed once per process and shared: the variety of a factor
+tuple (`ring._variety`), the diagonal of a variety
 (`GradedCorrespondence.identity`) and the Todd series of a factor
 (`chern._todd_factor_series`).  A shared value is safe only while no
 operation mutates its operands, so a battery of operations runs on the
 shared values and each must still equal a fresh computation afterwards; a
-negative control shows that an operation mutating its input is caught."""
+negative control shows that an operation mutating its input is caught.
+Sharing a variety is only a fast path: one made outside the table compares
+and hashes as the shared one does."""
 
+import copy
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
 from chowmot import chern
 from chowmot.chern import sqrt_todd, variety_todd
-from chowmot.corr import GradedCorrespondence
+from chowmot.corr import FactorSelection, GradedCorrespondence, permute_factors
 from chowmot.kshadow import chow_image, euler_characteristic, identity_kernel, k_compose
 from chowmot.motives import OrbitMorphism, degree_zero_rigidify, motive_of
-from chowmot.ring import CACHE_ENTRIES, make_variety
-from chowmot.verify import ALGEBRA_POOL
+from chowmot.ring import (
+    CACHE_ENTRIES,
+    VARIETY_ENTRIES,
+    Cycle,
+    Variety,
+    _built,
+    _Layout,
+    _variety,
+    make_variety,
+)
+from chowmot.verify import ALGEBRA_POOL, random_cycle
 
 VARIETIES = [make_variety(factors) for factors in ALGEBRA_POOL]
 EXPONENTS = (1, Fraction(1, 2), -1, Fraction(-1, 2))
@@ -26,10 +41,10 @@ CACHES = (GradedCorrespondence.identity, chern._todd_factor_series)
 def empty_caches():
     """Each test starts and ends with empty caches, so a value one test
     corrupts reaches no other test."""
-    for cache in CACHES:
+    for cache in (*CACHES, _variety):
         cache.cache_clear()
     yield
-    for cache in CACHES:
+    for cache in (*CACHES, _variety):
         cache.cache_clear()
 
 
@@ -89,3 +104,64 @@ def test_an_operation_mutating_its_input_is_caught(monkeypatch):
     for x in VARIETIES:
         battery(x)
     assert stale_values() == VARIETIES
+
+
+def routes(factors):
+    """The variety of `factors` by every route that returns the shared one:
+    the checked `make_variety` and `from_json`, and the engine's products,
+    selection targets and permutations."""
+    rng = random.Random(len(factors))
+    x = make_variety(factors)
+    k = len(factors)
+    yield x
+    yield Variety.from_json({"factors": list(factors)})
+    yield Cycle.from_json({"variety": {"factors": list(factors)}, "terms": []}).variety
+    yield make_variety(factors[:1]) * make_variety(factors[1:])
+    yield FactorSelection(x * x, tuple(range(k))).target
+    yield FactorSelection(make_variety((3,)) * x, tuple(range(1, k + 1))).target
+    yield permute_factors(random_cycle(rng, x), tuple(range(k))).variety
+
+
+def test_every_route_returns_the_shared_variety():
+    for factors in ALGEBRA_POOL:
+        shared = make_variety(factors)
+        assert all(route is shared for route in routes(factors)), factors
+        fresh = Variety(factors)  # the checked constructor makes its own object
+        assert fresh == shared and hash(fresh) == hash(shared) and fresh.factors is shared.factors
+
+
+def test_layout_and_hash_are_stored_once():
+    for factors in ALGEBRA_POOL:
+        x = make_variety(factors)
+        expected = _Layout(factors)
+        assert [getattr(x._layout, name) for name in _Layout.__slots__] == [
+            getattr(expected, name) for name in _Layout.__slots__
+        ]
+        assert hash(x) == x._hash == hash((factors,))
+        assert x._layout is x._layout and vars(x).keys() == {"factors", "_layout", "_hash"}
+
+
+@pytest.mark.parametrize("remake", [
+    copy.copy,
+    copy.deepcopy,
+    lambda x: pickle.loads(pickle.dumps(x)),
+    lambda x: _built(Variety, x.factors),
+    lambda x: Variety(list(x.factors)),
+], ids=["copy", "deepcopy", "pickle", "built", "constructor"])
+def test_varieties_made_outside_the_table_compare_and_hash_alike(remake):
+    for factors in ALGEBRA_POOL:
+        for x in (make_variety(factors), _built(Variety, factors)):
+            hash(x), x._layout  # stored before some of the copies
+            twin = remake(x)
+            assert twin == x and x == twin and hash(twin) == hash(x) and not twin != x
+            assert twin.factors == x.factors and twin._layout.top == x._layout.top
+            assert GradedCorrespondence.identity(twin) is GradedCorrespondence.identity(x)
+            assert GradedCorrespondence.identity(twin) == GradedCorrespondence.identity.__wrapped__(twin)
+            assert twin * twin == x * x and twin != make_variety((*factors, 1))
+
+
+def test_the_table_keeps_its_bound():
+    assert _variety.cache_info().maxsize == VARIETY_ENTRIES
+    made = [make_variety((n,)) * make_variety((1, n % 3)) for n in range(2 * VARIETY_ENTRIES)]
+    assert _variety.cache_info().currsize == VARIETY_ENTRIES
+    assert made[0] == make_variety((0, 1, 0)) and made[0] is not make_variety((0, 1, 0))  # evicted
