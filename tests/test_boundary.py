@@ -8,8 +8,10 @@ equal objects), check that the engine's own operations run no validator,
 and make sure that input from outside is still rejected.
 """
 
+import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -55,6 +57,7 @@ from chowmot import (
 from chowmot.chern import exp_nilpotent, mul_todd_power
 from chowmot.cli import main
 from chowmot.corr import FactorSelection
+from chowmot.ring import MAX_MONOMIALS
 from chowmot.verify import (
     _geometric_inverse,
     random_correspondence,
@@ -460,3 +463,40 @@ class TestOutsideInputStillChecked:
         assert Cycle(x, {(2, 0): 1, (0, 1): 0}).is_zero
         data = {"variety": {"factors": [1]}, "terms": [{"exps": [2], "coeff": "1"}]}
         assert Cycle.from_json(data).is_zero
+
+
+class TestComposeBudget:
+    """`compose_graded` refuses, before any work, operands whose term pairs
+    and composite ring are both over the work budget."""
+
+    @staticmethod
+    def spread_pair(factors):
+        """Every monomial of X with coefficient 1, as X -> point and
+        point -> X: their composite has every monomial of X x X."""
+        x, point = make_variety(factors), make_variety([])
+        ones = {e: 1 for e in itertools.product(*(range(n + 1) for n in factors))}
+        return (GradedCorrespondence(x, point, Cycle(x, ones)),
+                GradedCorrespondence(point, x, Cycle(x, ones)))
+
+    def test_oversized_composite_is_refused_up_front(self, capsys, tmp_path):
+        f, g = self.spread_pair([15, 15, 15])  # 4,096 terms each, 16.7M in the composite
+        start = time.perf_counter()
+        with pytest.raises(InvalidInputError, match="over the budget"):
+            compose_graded(f, g)
+        assert time.perf_counter() - start < 1.0
+        first, second = tmp_path / "f.json", tmp_path / "g.json"
+        first.write_text(json.dumps(f.to_json()))
+        second.write_text(json.dumps(g.to_json()))
+        for fmt in ("text", "json"):
+            start = time.perf_counter()
+            code = main(["compose", str(first), str(second), "--format", fmt])
+            out, err = capsys.readouterr()
+            assert time.perf_counter() - start < 2.0
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1 and "over the budget" in err
+
+    def test_many_term_pairs_on_a_small_ring_still_run(self):
+        x = make_variety([4, 4])  # the dense pairs of compose-large: 390,625 pairs, 625 monomials
+        dense = GradedCorrespondence(x, x, Cycle(x * x, {e: 1 for e in itertools.product(range(5), repeat=4)}))
+        assert len(dense.cycle.terms) ** 2 > MAX_MONOMIALS
+        assert not compose_graded(dense, dense).is_zero

@@ -455,16 +455,16 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "10"
 
     def test_reader_closing_early_is_quiet(self):
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "chowmot", "sqrt-todd", "--variety", "[2,2]",
              "--format", "json"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-        )
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait() == 1
+        ) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 1
         assert "Traceback" not in err
         assert "Exception ignored" not in err
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +16,8 @@ from chowmot import (
     diagonal_pushforward,
     make_variety,
 )
+from chowmot import corr
+from chowmot.corr import PACKED_MAX_BITS, PACKED_MIN_PARTNERS
 from chowmot.verify import random_correspondence, random_cycle
 
 POINT = make_variety([])
@@ -228,6 +232,39 @@ def _random_triple(rng):
     return random_correspondence(rng, x, y, 8), random_correspondence(rng, y, z, 8)
 
 
+def _monomials(variety):
+    return list(itertools.product(*(range(n + 1) for n in variety.factors)))
+
+
+def dense_correspondence(rng, source, target, share=1.0, coeffs=tuple(range(1, 10))):
+    """A correspondence on the given share of the cells of source x target,
+    each coefficient drawn from `coeffs` with a random sign."""
+    cells = [a + b for a in _monomials(source) for b in _monomials(target)]
+    chosen = rng.sample(cells, max(1, round(share * len(cells))))
+    terms = {e: rng.choice((-1, 1)) * rng.choice(coeffs) for e in chosen}
+    return GradedCorrespondence(source, target, Cycle(source * target, terms))
+
+
+# (X, Y, Z) with X, Y and Z different, some of them the point; Z has at
+# least PACKED_MIN_PARTNERS monomials, so dense rows of g take the packed path
+DENSE_TRIPLES = [((1,), (2,), (3, 3)), ((), (1, 2), (2, 2)), ((2,), (), (1, 1, 1)),
+                 ((1, 1), (3,), (4, 3)), ((), (), (7,)), ((1, 2), (2, 1), (8,))]
+
+
+@pytest.fixture
+def packed_calls(monkeypatch):
+    """The arguments of every call of the packed contraction."""
+    calls = []
+    contract = corr._contract_packed
+
+    def spy(f, g, rows, w):
+        calls.append((f, g, w))
+        return contract(f, g, rows, w)
+
+    monkeypatch.setattr(corr, "_contract_packed", spy)
+    return calls
+
+
 class TestReferenceRoute:
     def test_matches_triple_product(self):
         rng = random.Random(53)
@@ -260,6 +297,174 @@ class TestReferenceRoute:
             assert compose_graded(f, g).cycle != triple_product_composite(corrupted, g)
             caught += 1
         assert caught >= 50
+
+    @pytest.mark.parametrize("shapes", DENSE_TRIPLES, ids=str)
+    def test_dense_pairs_match_triple_product(self, shapes, packed_calls):
+        """Every cell, and half the cells, with integer and Fraction
+        coefficients: the packed contraction against the oracle."""
+        x, y, z = map(make_variety, shapes)
+        rng = random.Random(f"dense:{shapes}")
+        for share in (1.0, 0.5):
+            for coeffs in (tuple(range(1, 10)), (Fraction(1, 2), Fraction(7, 3), 5)):
+                f = dense_correspondence(rng, x, y, share, coeffs)
+                g = dense_correspondence(rng, y, z, share, coeffs)
+                assert compose_graded(f, g).cycle == triple_product_composite(f, g)
+        assert len(packed_calls) >= 2  # the dense ones; half the cells may take the dict loop
+
+
+def both_contractions(f, g, w=None):
+    """The packed (at slot width w, `_slot_width` by default) and the dict
+    contraction of f and g, the dict one without its cancelled entries."""
+    rows = corr._middle_rows(g)
+    packed = corr._contract_packed(f, g, rows, corr._slot_width(f, g) if w is None else w)
+    return packed, {k: v for k, v in corr._contract_dict(f, g, rows).items() if v}
+
+
+def on(source, target, terms):
+    return GradedCorrespondence(source, target, Cycle(source * target, terms))
+
+
+class TestPackedContraction:
+    """The packed and the dict contraction called directly on the same
+    operands; `_contract_packed` is exact for every width from `_slot_width`
+    on."""
+
+    P6 = make_variety([6])
+
+    def test_random_dense_pairs_agree(self):
+        rng = random.Random(71)
+        for shapes in DENSE_TRIPLES:
+            x, y, z = map(make_variety, shapes)
+            for share in (1.0, 0.5, 0.1):
+                f, g = dense_correspondence(rng, x, y, share), dense_correspondence(rng, y, z, share)
+                packed, by_dict = both_contractions(f, g)
+                assert packed == by_dict
+                assert packed == both_contractions(f, g, PACKED_MAX_BITS)[0]
+
+    def test_negative_slots_borrow_from_the_next(self):
+        # every slot of R_x is negative except the top one, so each borrows
+        # from the slot above it; the unpacked values must not
+        y, z = P1, make_variety([1, 1])
+        f = on(POINT, y, {(0,): 1, (1,): -2})
+        g = on(y, z, {(1, 0, 0): -3, (1, 0, 1): 1, (1, 1, 0): -1, (1, 1, 1): 4,
+                      (0, 0, 0): 1, (0, 0, 1): 1, (0, 1, 0): 2, (0, 1, 1): 1})
+        packed, by_dict = both_contractions(f, g)
+        assert packed == by_dict
+        assert [packed[k] for k in sorted(packed)] == [-5, -1, -5, 2]
+
+    def test_fractions_with_different_denominators(self):
+        x, y, z = make_variety([1]), make_variety([2]), make_variety([3])
+        rng = random.Random(73)
+        f = dense_correspondence(rng, x, y, coeffs=(Fraction(1, 3), Fraction(5, 6), Fraction(7, 4)))
+        g = dense_correspondence(rng, y, z, coeffs=(Fraction(2, 7), Fraction(9, 5), 3))
+        assert f.cycle._den != g.cycle._den
+        packed, by_dict = both_contractions(f, g)
+        assert packed == by_dict
+        h = compose_graded(f, g)
+        assert h.cycle == triple_product_composite(f, g)
+        assert h.cycle.terms[(1, 3)] == sum(f.cycle.terms[(1, e)] * g.cycle.terms[(2 - e, 3)] for e in range(3))
+
+    def test_cancelled_slot_and_row_are_dropped(self):
+        # rows r_y of g by middle exponent y: R_x for x = 1 is r_0 - r_1,
+        # whose slots all cancel; for x = 0 it is r_2 + r_0, whose slot z = 1
+        # cancels alone
+        x, y, z = P1, P2, P2
+        f = on(x, y, {(1, 2): 1, (1, 1): -1, (0, 0): 1, (0, 2): 1})
+        g = on(y, z, {(0, 0): 3, (0, 1): -2, (0, 2): 5, (1, 0): 3, (1, 1): -2, (1, 2): 5,
+                      (2, 0): 1, (2, 1): 2, (2, 2): 7})
+        packed, by_dict = both_contractions(f, g)
+        assert packed == by_dict
+        assert packed == {corr_key(x, z, (0, 0)): 4, corr_key(x, z, (0, 2)): 12}
+
+    def test_coefficients_at_the_slot_width_edge(self):
+        # seven products of (2^k - 1)^2 in one slot, all of one sign: the
+        # largest sum the width bound allows for these sizes
+        for k in (1, 8, 27):
+            top = (1 << k) - 1
+            for sign in (1, -1):
+                f = on(POINT, self.P6, {(e,): sign * top for e in range(7)})
+                g = on(self.P6, P1, {(e, 0): top for e in range(7)} | {(e, 1): -top for e in range(7)})
+                packed, by_dict = both_contractions(f, g)
+                assert packed == by_dict == {0: 7 * sign * top * top, 1: -7 * sign * top * top}
+        assert corr._slot_width(f, g) == 27 + 27 + 3 + 2 < PACKED_MAX_BITS
+
+    def test_widest_slot_the_packed_path_takes(self, packed_calls):
+        # the largest coefficient for which `_slot_width` is PACKED_MAX_BITS
+        # on a dense [2,2] x [2,2] x [2,2] pair (81 terms each)
+        x = make_variety([2, 2])
+        rng = random.Random(79)
+        f = dense_correspondence(rng, x, x)
+        big = 1 << (PACKED_MAX_BITS - 4 - 7 - 2)
+        g = on(x, x, dict(dense_correspondence(rng, x, x).cycle.terms) | {(0, 0, 0, 0): big - 1})
+        assert corr._slot_width(f, g) == PACKED_MAX_BITS
+        assert compose_graded(f, g).cycle == triple_product_composite(f, g)
+        assert [w for _, _, w in packed_calls] == [PACKED_MAX_BITS]
+        g = on(x, x, dict(g.cycle.terms) | {(0, 0, 0, 0): big})
+        assert compose_graded(f, g).cycle == triple_product_composite(f, g)
+        assert len(packed_calls) == 1
+
+    def test_one_bit_short_gives_a_wrong_composite(self):
+        """Negative control: `_slot_width` keeps one bit of margin above the
+        bound a slot needs, and one bit less than that bound overflows."""
+        top = (1 << 8) - 1
+        f = on(POINT, self.P6, {(e,): top for e in range(7)})
+        g = on(self.P6, P1, {(e, 0): top for e in range(7)} | {(e, 1): -top for e in range(7)})
+        w = corr._slot_width(f, g)
+        packed, by_dict = both_contractions(f, g, w - 1)
+        assert packed == by_dict
+        packed, by_dict = both_contractions(f, g, w - 2)
+        assert packed != by_dict
+
+
+def corr_key(x, z, exps):
+    """The packed key of `exps` on x * z."""
+    return sum(e << shift for e, shift in zip(exps, (x * z)._layout.shifts))
+
+
+class TestContractionRouting:
+    def test_dense_small_coefficients_go_packed(self, packed_calls):
+        rng = random.Random(83)
+        for shape in [(3, 3), (4, 4), (2, 2, 2)]:
+            x = make_variety(shape)
+            compose_graded(dense_correspondence(rng, x, x), dense_correspondence(rng, x, x))
+        assert len(packed_calls) == 3
+
+    def test_sparse_and_wide_pairs_take_the_dict_loop(self, packed_calls):
+        rng = random.Random(89)
+        for shape in [(3, 3, 3), (2, 2, 2, 2)]:  # the sparse batch of compose-large
+            x = make_variety(shape)
+            for _ in range(50):
+                compose_graded(random_correspondence(rng, x, x, 8), random_correspondence(rng, x, x, 8))
+        x = make_variety([4, 4])
+        digits300 = (10 ** 299 + 7, 3 * 10 ** 299 + 1)
+        f, g = (dense_correspondence(rng, x, x, coeffs=digits300) for _ in range(2))
+        assert not compose_graded(f, g).is_zero
+        assert packed_calls == []
+
+    def test_zero_operands_take_the_dict_loop(self, packed_calls):
+        x = make_variety([3, 3])
+        dense = dense_correspondence(random.Random(97), x, x)
+        zero = GradedCorrespondence.zero(x, x)
+        assert compose_graded(zero, dense).is_zero
+        assert compose_graded(dense, zero).is_zero
+        assert compose_graded(zero, zero).is_zero
+        assert packed_calls == []
+
+    def test_threshold_is_the_average_row(self, packed_calls):
+        # g with PACKED_MIN_PARTNERS terms per row on average, in rows of
+        # unequal length, goes packed; one term fewer does not
+        y, z = make_variety([1]), make_variety([3, 3])
+        cells = _monomials(z)
+        terms = {(0, *e): 1 for e in cells[:PACKED_MIN_PARTNERS - 3]}
+        terms |= {(1, *e): 2 for e in cells[:PACKED_MIN_PARTNERS + 3]}
+        f = on(P2, y, {(0, 0): 1, (1, 1): -1, (2, 0): 3})
+        g = on(y, z, terms)
+        assert compose_graded(f, g).cycle == triple_product_composite(f, g)
+        assert len(packed_calls) == 1
+        del terms[(1, *cells[0])]
+        g = on(y, z, terms)
+        assert compose_graded(f, g).cycle == triple_product_composite(f, g)
+        assert len(packed_calls) == 1
 
 
 DIAGONAL_SHAPES = [(), (1,), (2,), (1, 1), (1, 2), (2, 2), (3, 3), (1, 1, 1)]
