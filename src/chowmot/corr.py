@@ -10,18 +10,14 @@ pushforward spreads each term directly by the projection formula, and the
 diagonal class is the pushforward of 1; `GradedCorrespondence.identity`
 computes it once per variety and shares it.
 
-Composition contracts f(x, y) against g(top - y, z) in one of two ways.
-The dict loop adds every product of a term of f and a term of its partner
-row of g into a dict, one interpreted update each.  The packed loop
-(Kronecker substitution) packs each row of g into one integer with a slot
-per Z key, wide enough that no slot sum overflows, so a term of f costs one
-big-integer multiply-add in C and each X key's sum is read off slot by
-slot.  Both give the same numerators.  The packed loop runs when g has at
-least PACKED_MIN_PARTNERS terms per middle row on average and the slots fit
-in PACKED_MAX_BITS bits: it loses on sparse rows, where most slots are
-zero, and on big coefficients, where a slot is as wide as a product.  On
-[4,4] operands with one-digit coefficients it runs 2.7x as fast as the dict
-loop at 8 partners per row and 6.5x at 25, and at 0.7x at one partner.
+Composition contracts f(x, y) against g(top - y, z) in one of two loops
+with the same numerators.  The dict loop makes one interpreted dict update
+per product of terms.  The packed loop (Kronecker substitution) packs each
+row of g, its terms sharing one middle key, into an integer with a slot per
+Z key, so a term of f costs one big-integer multiply-add.  It runs when g
+has at least PACKED_MIN_PARTNERS terms per row on average and a slot fits
+in PACKED_MAX_BITS bits: on [4,4] it is 2.7x as fast at 8 partners and
+6.5x at 25, but 0.7x at one partner and 0.24x with 300-digit coefficients.
 
 `GradedCorrespondence(...)` and `from_json` check that the cycle lives on
 source x target; every correspondence built here from checked ones
@@ -255,20 +251,18 @@ class GradedCorrespondence(_Value):
         )
 
 
-# The packed contraction runs when g has, on average, at least this many
-# terms per middle row.  Crossover on [4,4] x [4,4] x [4,4] with one-digit
-# coefficients (BENCH_packed_compose.json): with f dense the packed path
+# The packed contraction runs when g has on average at least this many
+# terms per middle row.  Crossover on [4,4] x [4,4] x [4,4], one-digit
+# coefficients (BENCH_packed_compose.json): with f dense the packed loop
 # runs at 0.70x the dict loop's speed at 1 partner, 1.0x at 2, 2.7x at 8
 # and 6.5x at 25; with 6 of f's 25 terms per X row, 0.64x at 4, 1.0x at 8
-# and 2.4x at 25.  The 8-term operands of compose-large (about one partner
-# per row) stay on the dict loop.
+# and 2.4x at 25.
 PACKED_MIN_PARTNERS = 8
 
-# ... and when a slot is at most this many bits wide: one machine word.  A
-# slot is as wide as a product (`_slot_width`).  At 8 partners the packed
-# path runs at 2.0x (f dense) and 1.1x (f at 6 of 25) with 140-bit slots,
-# 1.2x and 0.84x at 264-266 bits, 0.52x and 0.44x at 676-678 bits, and
-# 0.24x and 0.41x with 300-digit numerators (2,004-2,006 bits).
+# ... and when a slot, as wide as a product, fits in one machine word.  At
+# 8 partners the packed loop runs at 2.0x (f dense) and 1.1x (f at 6 of 25)
+# with 140-bit slots, 1.2x and 0.84x at 264 bits, and 0.24x and 0.41x with
+# 300-digit numerators (2,006-bit slots).
 PACKED_MAX_BITS = 64
 
 
@@ -283,18 +277,14 @@ def compose_graded(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCo
     compositions of a degree-i part of f with a degree-j part of g with
     i + j = k.
 
-    Two contractions compute the same numerators: `_contract_dict` adds
-    each product of a term of f and a term of its row in a dict, and
-    `_contract_packed` packs each row of g into one integer, one slot per
-    Z key, so a term of f is one big-integer multiply-add.  The packed one
-    runs when g averages at least PACKED_MIN_PARTNERS (8) terms per row
-    and the slots fit in PACKED_MAX_BITS (64) bits; zero operands take the
-    dict loop.  Measured on [4,4] operands, the packed one is 2.7x as fast
-    at 8 partners and 6.5x at 25 with one-digit coefficients, level at 8
-    partners when f has a quarter of its cells, and slower on one partner
-    (0.7x) or on 300-digit coefficients (0.24x at 8 partners).
-    Operands of more than MAX_MONOMIALS term pairs are refused when the
-    composite's ring is over the work budget.
+    Two loops give the same numerators (see the module docstring):
+    `_contract_packed` when g has at least PACKED_MIN_PARTNERS (8) terms
+    per middle row on average and a slot fits in PACKED_MAX_BITS (64) bits,
+    `_contract_dict` otherwise and on zero operands.  On [4,4] the packed
+    loop is 2.7x as fast at 8 partners and 6.5x at 25, level at 8 when f
+    has a quarter of its cells, and 0.7x at one partner.  Operands with
+    more than MAX_MONOMIALS term pairs are refused when the composite's
+    ring is over the work budget.
     """
     if f.target != g.source:
         raise DomainMismatchError(

@@ -469,17 +469,12 @@ class TestComposeBudget:
     """`compose_graded` refuses, before any work, operands whose term pairs
     and composite ring are both over the work budget."""
 
-    @staticmethod
-    def spread_pair(factors):
-        """Every monomial of X with coefficient 1, as X -> point and
-        point -> X: their composite has every monomial of X x X."""
-        x, point = make_variety(factors), make_variety([])
-        ones = {e: 1 for e in itertools.product(*(range(n + 1) for n in factors))}
-        return (GradedCorrespondence(x, point, Cycle(x, ones)),
-                GradedCorrespondence(point, x, Cycle(x, ones)))
-
     def test_oversized_composite_is_refused_up_front(self, capsys, tmp_path):
-        f, g = self.spread_pair([15, 15, 15])  # 4,096 terms each, 16.7M in the composite
+        # every monomial of X = [15,15,15] (4,096) as X -> point and point -> X:
+        # the composite would have every monomial of X x X, 16.7M
+        x, point = make_variety([15, 15, 15]), make_variety([])
+        ones = {e: 1 for e in itertools.product(range(16), repeat=3)}
+        f, g = GradedCorrespondence(x, point, Cycle(x, ones)), GradedCorrespondence(point, x, Cycle(x, ones))
         start = time.perf_counter()
         with pytest.raises(InvalidInputError, match="over the budget"):
             compose_graded(f, g)

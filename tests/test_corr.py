@@ -253,12 +253,12 @@ DENSE_TRIPLES = [((1,), (2,), (3, 3)), ((), (1, 2), (2, 2)), ((2,), (), (1, 1, 1
 
 @pytest.fixture
 def packed_calls(monkeypatch):
-    """The arguments of every call of the packed contraction."""
+    """The slot width of every call of the packed contraction."""
     calls = []
     contract = corr._contract_packed
 
     def spy(f, g, rows, w):
-        calls.append((f, g, w))
+        calls.append(w)
         return contract(f, g, rows, w)
 
     monkeypatch.setattr(corr, "_contract_packed", spy)
@@ -322,6 +322,11 @@ def both_contractions(f, g, w=None):
 
 def on(source, target, terms):
     return GradedCorrespondence(source, target, Cycle(source * target, terms))
+
+
+def corr_key(x, z, exps):
+    """The packed key of `exps` on x * z."""
+    return sum(e << shift for e, shift in zip(exps, (x * z)._layout.shifts))
 
 
 class TestPackedContraction:
@@ -398,7 +403,7 @@ class TestPackedContraction:
         g = on(x, x, dict(dense_correspondence(rng, x, x).cycle.terms) | {(0, 0, 0, 0): big - 1})
         assert corr._slot_width(f, g) == PACKED_MAX_BITS
         assert compose_graded(f, g).cycle == triple_product_composite(f, g)
-        assert [w for _, _, w in packed_calls] == [PACKED_MAX_BITS]
+        assert packed_calls == [PACKED_MAX_BITS]
         g = on(x, x, dict(g.cycle.terms) | {(0, 0, 0, 0): big})
         assert compose_graded(f, g).cycle == triple_product_composite(f, g)
         assert len(packed_calls) == 1
@@ -414,11 +419,6 @@ class TestPackedContraction:
         assert packed == by_dict
         packed, by_dict = both_contractions(f, g, w - 2)
         assert packed != by_dict
-
-
-def corr_key(x, z, exps):
-    """The packed key of `exps` on x * z."""
-    return sum(e << shift for e, shift in zip(exps, (x * z)._layout.shifts))
 
 
 class TestContractionRouting:
