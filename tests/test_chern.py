@@ -458,6 +458,62 @@ class TestSeriesLog:
             assert list(chern.todd_series_coefficients(order)) != power_series_log(t, order)
 
 
+def truncated_product(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(order + 1)]
+
+
+def truncated_power(t: list[Fraction], m: int, order: int) -> list[Fraction]:
+    """t^m up to x^order by repeated squaring."""
+    acc = [Fraction(1)] + [Fraction(0)] * order
+    while m:
+        if m & 1:
+            acc = truncated_product(acc, t, order)
+        t = truncated_product(t, t, order)
+        m >>= 1
+    return acc
+
+
+EXPONENT_PAIRS = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(-1)),
+                  (Fraction(-1, 2), Fraction(1, 2)), (Fraction(3, 2), Fraction(-1, 2))]
+
+
+def factor_series_failures(series, n: int) -> list[str]:
+    """The laws of td(P^n)^s = (x / (1 - e^{-x}))^{s(n+1)} up to x^n that
+    `series(n, s)`, in the engine's (D, integers) form, breaks, checked by
+    long division and truncated products alone: s = 1 is a plain power,
+    exponents add under products, and s = 0 gives 1."""
+    def coefficients(s):
+        den, ints = series(n, s)
+        return [Fraction(t, den) for t in ints]
+
+    failed = []
+    if coefficients(Fraction(1)) != truncated_power(todd_generating_series(n), n + 1, n):
+        failed.append("power")
+    if any(truncated_product(coefficients(s), coefficients(t), n) != coefficients(s + t)
+           for s, t in EXPONENT_PAIRS):
+        failed.append("product")
+    if coefficients(Fraction(0)) != [1] + [0] * n:
+        failed.append("zero")
+    return failed
+
+
+class TestFactorSeriesOracle:
+    """`_todd_factor_series` against an oracle that shares no code with the
+    engine: no log-Todd series and no exponential."""
+
+    @pytest.mark.parametrize("n", range(41))
+    def test_laws(self, n):
+        assert factor_series_failures(chern._todd_factor_series.__wrapped__, n) == []
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 40])
+    def test_moved_top_coefficient_is_caught(self, n):
+        def moved(n, s):
+            den, ints = chern._todd_factor_series.__wrapped__(n, s)
+            return den, ints[:-1] + (ints[-1] + 1,)  # the top coefficient plus 1 / D
+
+        assert factor_series_failures(moved, n) == ["power", "product", "zero"]
+
+
 class TestTangent:
     def test_point(self):
         t = tangent_class(POINT)
