@@ -9,9 +9,9 @@ are instead taken factor by factor: the Todd class is multiplicative and
 td(P^n) = (h/(1 - e^{-h}))^{n+1}, so a cycle is multiplied by td^s one
 univariate series at a time (`mul_todd_power`), each series computed once
 per process and shared.  A test ties the two routes together on a ladder of
-varieties.  The universal coefficient series (for the Todd class,
-logarithms, exponentials) are computed at runtime by exact rational series
-arithmetic rather than transcribed from tables.
+varieties.  The log-Todd coefficients come from one exact `_series_log`
+pass at runtime, not from printed tables, and every exponential runs in the
+ring: `exp_nilpotent` on X for a bundle, on P^n for a factor's series.
 """
 
 from __future__ import annotations
@@ -33,15 +33,6 @@ def _series_log(t: list[Fraction], order: int) -> list[Fraction]:
     out = [Fraction(0)] * (order + 1)
     for k in range(1, order + 1):
         out[k] = t[k] - sum((j * out[j] * t[k - j] for j in range(1, k)), Fraction(0)) / k
-    return out
-
-
-def _series_exp(g: list[Fraction], order: int) -> list[Fraction]:
-    # exp(g) for g with zero constant term, from f' = g' f
-    out = [Fraction(0)] * (order + 1)
-    out[0] = Fraction(1)
-    for k in range(1, order + 1):
-        out[k] = sum((j * g[j] * out[k - j] for j in range(1, k + 1)), Fraction(0)) / k
     return out
 
 
@@ -223,14 +214,16 @@ def tangent_class(variety: Variety) -> BundleClass:
 
 @functools.lru_cache(maxsize=CACHE_ENTRIES)
 def _todd_factor_series(n: int, s) -> tuple[int, tuple[int, ...]]:
-    """td(P^n)^s = (x / (1 - e^{-x}))^{s(n+1)} up to x^n, as
-    exp(s(n+1) * log-Todd), over one common denominator: (D, integers t_k)
-    with coefficient k equal to t_k / D.  Computed once per (n, s) and
-    shared; callers never mutate it."""
+    """td(P^n)^s = (x / (1 - e^{-x}))^{s(n+1)} up to x^n, the cycle
+    exp_nilpotent(s(n+1) * log-Todd(h)) on P^n, as its denominator and the
+    numerators of h^0 .. h^n: (D, integers t_k) with coefficient k equal to
+    t_k / D.  Computed once per (n, s) and shared; callers never mutate it."""
+    x = make_variety((n,))
+    require_budget(x, n)
     exponent = Fraction(s) * (n + 1)
-    series = _series_exp([exponent * c for c in todd_series_coefficients(n)], n)
-    den = math.lcm(*(t.denominator for t in series))
-    return den, tuple(t.numerator * (den // t.denominator) for t in series)
+    lam = todd_series_coefficients(n)
+    series = exp_nilpotent(Cycle(x, {(k,): exponent * lam[k] for k in range(1, n + 1)}))
+    return series._den, tuple(series._num.get(k, 0) for k in range(n + 1))  # h^k has key k on P^n
 
 
 def mul_todd_power(c: Cycle, s, factors=None) -> Cycle:

@@ -37,6 +37,7 @@ from chowmot import (
     diagonal_class,
     diagonal_pushforward,
     dual,
+    euler_characteristic,
     identity_kernel,
     k_compose,
     lefschetz_motive,
@@ -495,3 +496,20 @@ class TestComposeBudget:
         dense = GradedCorrespondence(x, x, Cycle(x * x, {e: 1 for e in itertools.product(range(5), repeat=4)}))
         assert len(dense.cycle.terms) ** 2 > MAX_MONOMIALS
         assert not compose_graded(dense, dense).is_zero
+
+
+class TestSeriesOrderBudget:
+    """A Riemann-Roch pairing on P^n asks for the Todd series of order n,
+    and a refusal over the budget names that P^n, not the point."""
+
+    def test_euler_characteristic_names_the_variety(self, capsys):
+        x = make_variety([257])
+        with pytest.raises(InvalidInputError, match=r"^P\^257 \(258 monomials\) with series order 257 "):
+            euler_characteristic(Cycle.one(x))
+        kclass = json.dumps({"variety": x.to_json(), "ch": Cycle.one(x).to_json()})
+        for fmt in ("text", "json"):
+            code = main(["euler", kclass, "--format", fmt])
+            out, err = capsys.readouterr()
+            assert code == 1 and out == ""
+            assert err.startswith("error: P^257 (258 monomials) with series order 257 ")
+            assert err.count("\n") == 1 and "Traceback" not in err
