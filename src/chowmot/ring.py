@@ -66,10 +66,10 @@ _SCALARS = (int, Fraction)
 # monomials of its working ring (X for a class on X, X x X for a kernel or a
 # diagonal, X x Y for a correspondence) and the order of its series.  The
 # series are exact rational arithmetic, O(order^2) operations on numbers
-# that grow with the order: a cold `sqrt-todd` on P^n, the slowest call a
-# series order bounds, takes 0.17-0.21 s at n = 128, 0.74-0.92 s at 256 and
-# (in process, budget lifted) 7.3 s at 512 on a 2-vCPU machine, so the order
-# stops where one call stays within 2 s.
+# that grow with the order: a cold `sqrt-todd` on P^n, nearly all series
+# work, takes 0.17-0.21 s at n = 128, 0.74-0.92 s at 256 and (in process,
+# budget lifted) 7.3 s at 512 on a 2-vCPU machine, so the order stops where
+# the series of one call stay within 2 s.
 MAX_MONOMIALS = 1 << 18
 MAX_SERIES_ORDER = 256
 
