@@ -115,6 +115,7 @@ class BundleClass(_Value):
     total_chern: Cycle
 
     def __post_init__(self) -> None:
+        self._require_types(variety=Variety, total_chern=Cycle)
         if not isinstance(self.rank, int) or isinstance(self.rank, bool):
             raise InvalidInputError(f"rank must be an integer, got {self.rank!r}")
         if self.total_chern.variety != self.variety:

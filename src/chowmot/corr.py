@@ -42,6 +42,7 @@ class FactorSelection(_Value):
     selected: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        self._require_types(source=Variety)
         if not isinstance(self.selected, tuple):
             object.__setattr__(self, "selected", tuple(self.selected))
         k = self.source.num_factors
@@ -167,6 +168,7 @@ class GradedCorrespondence(_Value):
     cycle: Cycle
 
     def __post_init__(self) -> None:
+        self._require_types(source=Variety, target=Variety, cycle=Cycle)
         if self.cycle.variety != self.source * self.target:
             raise DomainMismatchError(
                 f"cycle lives on {self.cycle.variety}, expected {self.source * self.target}"
@@ -286,7 +288,7 @@ def compose_graded(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCo
     more than MAX_MONOMIALS term pairs are refused when the composite's
     ring is over the work budget.
     """
-    if f.target != g.source:
+    if f.target is not g.source and f.target != g.source:  # varieties are shared
         raise DomainMismatchError(
             f"middle variety mismatch: {f.target} vs {g.source}"
         )
@@ -308,7 +310,10 @@ def _middle_rows(g: GradedCorrespondence) -> dict[int, list[tuple[int, int]]]:
     z_mask = (1 << z_bits) - 1
     rows: dict[int, list] = {}
     for k, b in g.cycle._num.items():
-        rows.setdefault(k >> z_bits, []).append((k & z_mask, b))
+        if (y := k >> z_bits) in rows:
+            rows[y].append((k & z_mask, b))
+        else:
+            rows[y] = [(k & z_mask, b)]
     return rows
 
 

@@ -33,6 +33,7 @@ class KKernel(_Value):
     ch: Cycle
 
     def __post_init__(self) -> None:
+        self._require_types(source=Variety, target=Variety, ch=Cycle)
         if self.ch.variety != self.source * self.target:
             raise InvalidInputError(
                 f"kernel class lives on {self.ch.variety}, expected {self.source * self.target}"

@@ -62,6 +62,7 @@ class Motive(_Value):
     idempotent: GradedCorrespondence
 
     def __post_init__(self) -> None:
+        self._require_types(variety=Variety, idempotent=GradedCorrespondence)
         p = self.idempotent
         if p.source != self.variety or p.target != self.variety:
             raise InvalidInputError("idempotent is not a self-correspondence of the variety")
@@ -114,6 +115,7 @@ class MotiveMorphism(_Value):
     corr: GradedCorrespondence
 
     def __post_init__(self) -> None:
+        self._require_types(source=Motive, target=Motive, corr=GradedCorrespondence)
         _check_component(self.source, self.target, self.corr,
                          self.target.twist - self.source.twist, "correspondence")
         _check_sandwiched(self.source, self.target, self.corr)
@@ -334,6 +336,7 @@ class OrbitMorphism(_Value):
     corr: GradedCorrespondence
 
     def __post_init__(self) -> None:
+        self._require_types(source=Motive, target=Motive, corr=GradedCorrespondence)
         _check_sandwiched(self.source, self.target, self.corr)
 
     @staticmethod

@@ -30,11 +30,12 @@ FLINT's fmpq_poly; packed exponent vectors after Monagan and Pearce):
 
 Every value has two ways in.  Outside input goes through a checked
 constructor or `from_json`: `Cycle(...)` and `Cycle.from_json` validate every
-term, `Variety(...)` every factor.  Results the engine computes are correct
-by construction and skip the checks: cycles are built from integer
-numerators by `_cycle` (already canonical), `_reduced` (drops cancelled
-terms and the common factor) or `_total` (sums cycles), and every value of
-the `_Value` base (varieties here, correspondences, kernels and motives in
+term, `Variety(...)` every factor, each constructor the class of its fields.
+Results the engine computes are correct by construction and skip the checks:
+cycles are built from integer numerators by `_cycle` (already canonical),
+`_reduced` (drops cancelled terms and the common factor; both keep the
+caller's fresh dict when they can) or `_total` (sums cycles), and every value
+of the `_Value` base (varieties here, correspondences, kernels and motives in
 the layers above) by `_built`.
 
 Varieties are shared: `make_variety`, `Variety.from_json` and the engine's
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import attrgetter
@@ -111,6 +113,12 @@ class _Value:
 
     def __post_init__(self) -> None:
         pass
+
+    def _require_types(self, **types) -> None:
+        """Refuse a value whose field `name` is not a `types[name]`."""
+        for name, cls in types.items():
+            if not isinstance(field := getattr(self, name), cls):
+                raise InvalidInputError(f"{type(self).__name__} {name} must be a {cls.__name__}, got {field!r}")
 
     def __eq__(self, other):
         if other is self:
@@ -193,8 +201,7 @@ def _built(cls, *values):
     computed, correct by construction, made without running its checks.
     The values follow the field order of `cls._fields`."""
     obj = object.__new__(cls)
-    for name, value in zip(cls._fields, values):
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(zip(cls._fields, values))
     return obj
 
 
@@ -322,16 +329,14 @@ class Cycle:
 
     __slots__ = ("variety", "_den", "_num", "_terms")
 
-    def __init__(self, variety: Variety, terms: dict | None = None):
-        self._fill(_require_variety(variety),
-                   *_over_common_denominator(_checked(variety, (terms or {}).items())))
-
-    def _fill(self, variety: Variety, den: int, num: dict) -> "Cycle":
-        """Set the fields to a canonical denominator and numerator map."""
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_num", num)
-        return self
+    def __init__(self, variety: Variety, terms: Mapping | None = None):
+        _require_variety(variety)
+        if not isinstance(terms, Mapping | None):
+            raise InvalidInputError(f"terms must be a mapping of exponents to coefficients, got {terms!r}")
+        den, num = _over_common_denominator(_checked(variety, (terms or {}).items()))
+        _set_variety(self, variety)
+        _set_den(self, den)
+        _set_num(self, num)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cycle instances are immutable")
@@ -533,7 +538,7 @@ class Cycle:
             if not isinstance(exps, list) or any(type(e) is not int for e in exps):
                 raise InvalidInputError(f"'exps' must be a list of integers, got {exps!r}")
             pairs.append((exps, _as_fraction(item["coeff"])))
-        return object.__new__(cls)._fill(variety, *_over_common_denominator(_checked(variety, pairs)))
+        return _cycle(variety, *_over_common_denominator(_checked(variety, pairs)))
 
 
 def _over_common_denominator(pairs) -> tuple[int, dict]:
@@ -558,21 +563,29 @@ def _require_variety(variety: Variety) -> Variety:
     return variety
 
 
+_set_variety, _set_den, _set_num = (Cycle.__dict__[name].__set__ for name in ("variety", "_den", "_num"))
+
+
 def _cycle(variety: Variety, den: int, num: dict) -> Cycle:
     """The cycle num / den, already canonical (no zero numerator, gcd 1);
-    unchecked."""
-    return object.__new__(Cycle)._fill(variety, den, num)
+    unchecked.  `num` becomes the cycle's own map."""
+    c = object.__new__(Cycle)
+    _set_variety(c, variety)
+    _set_den(c, den)
+    _set_num(c, num)
+    return c
 
 
 def _reduced(variety: Variety, den: int, acc: dict) -> Cycle:
     """The cycle acc / den of accumulated numerators, without the cancelled
-    terms, in lowest terms."""
-    num = {k: v for k, v in acc.items() if v}
-    g = gcd(den, *num.values())
-    if g != 1:
+    terms, in lowest terms.  With nothing to drop or divide, `acc` becomes
+    the cycle's own map: every caller passes a fresh dict it never touches again."""
+    if 0 in acc.values():
+        acc = {k: v for k, v in acc.items() if v}
+    if den != 1 and (g := gcd(den, *acc.values())) != 1:
         den //= g
-        num = {k: v // g for k, v in num.items()}
-    return _cycle(variety, den, num)
+        acc = {k: v // g for k, v in acc.items()}
+    return _cycle(variety, den, acc)
 
 
 def _total(variety: Variety, cycles) -> Cycle:
