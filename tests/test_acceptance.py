@@ -57,6 +57,27 @@ def test_criterion_4_correspondence_algebra():
     run_criterion(4, "correspondence-algebra", samples=200)
 
 
+def test_criterion_4_catches_a_faulty_packed_contraction(monkeypatch):
+    # negative control: the dense pair composed after the random instances
+    # takes the packed loop, so one corrupted slot fails the row
+    from chowmot import corr
+
+    contract = corr._contract_packed
+    calls = []
+
+    def corrupted(f, g, rows, w):
+        acc = contract(f, g, rows, w)
+        key = min(acc)
+        acc[key] += 1
+        calls.append(key)
+        return acc
+
+    monkeypatch.setattr(corr, "_contract_packed", corrupted)
+    passed, detail = CHECK_BY_NAME["correspondence-algebra"](random.Random(f"{SEED}:correspondence-algebra"), 200)
+    assert len(calls) == 1
+    assert not passed and detail == "dense composite differs from the triple-product route"
+
+
 def test_criterion_5_lefschetz_decomposition():
     # orthogonal idempotents summing to the diagonal; explicit splittings
     run_criterion(5, "lefschetz-decomposition", max_seconds=1.0)

@@ -55,7 +55,7 @@ from chowmot import (
     unit_motive,
     zero_motive,
 )
-from chowmot.chern import exp_nilpotent, mul_todd_power
+from chowmot.chern import BundleClass, exp_nilpotent, mul_todd_power
 from chowmot.cli import main
 from chowmot.corr import FactorSelection
 from chowmot.ring import MAX_MONOMIALS
@@ -450,6 +450,32 @@ class TestOutsideInputStillChecked:
         data = {"variety": line.to_json(), "twist": 0, "idempotent": doubled.cycle.to_json()}
         with pytest.raises(InvalidInputError, match="not idempotent"):
             Motive.from_json(data)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda x, c, m: GradedCorrespondence(x, x, "nope"), "cycle"),
+        (lambda x, c, m: GradedCorrespondence("x", x, c), "source"),
+        (lambda x, c, m: GradedCorrespondence(x, [1], c), "target"),
+        (lambda x, c, m: KKernel(x, x, 5), "ch"),
+        (lambda x, c, m: KKernel(None, x, c), "source"),
+        (lambda x, c, m: BundleClass(x, 1, None), "total_chern"),
+        (lambda x, c, m: BundleClass((1,), 1, Cycle.one(x)), "variety"),
+        (lambda x, c, m: Motive(x, 0, None), "idempotent"),
+        (lambda x, c, m: Motive([1], 0, m.idempotent), "variety"),
+        (lambda x, c, m: MotiveMorphism(m, m, c), "corr"),
+        (lambda x, c, m: MotiveMorphism(x, m, m.idempotent), "source"),
+        (lambda x, c, m: OrbitMorphism(m, "m", m.idempotent), "target"),
+        (lambda x, c, m: FactorSelection("x", (0,)), "source"),
+        (lambda x, c, m: Cycle(x, [((1,), 1)]), "terms"),
+    ], ids=["GradedCorrespondence.cycle", "GradedCorrespondence.source", "GradedCorrespondence.target",
+            "KKernel.ch", "KKernel.source", "BundleClass.total_chern", "BundleClass.variety",
+            "Motive.idempotent", "Motive.variety", "MotiveMorphism.corr", "MotiveMorphism.source",
+            "OrbitMorphism.target", "FactorSelection.source", "Cycle.terms"])
+    def test_wrongly_typed_fields_are_refused(self, make, field):
+        """A field of the wrong class is refused with a ChowError naming it,
+        before any check reads an attribute of it."""
+        x = make_variety([1])
+        with pytest.raises(InvalidInputError, match=f"{field} must be a"):
+            make(x, Cycle.one(x * x), motive_of(x))
 
     def test_cycle_constructors_reject(self):
         x = make_variety([1, 1])

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,19 @@ class TestErrors:
         assert json.loads(out)["terms"] == [{"exps": [1], "coeff": "3/20"}]
         code, _, err = run_cli(capsys, "ring", "scale", "1/0", CYCLE_H_ON_P1)
         assert code == 1 and err.startswith("error: bad rational literal '1/0'")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_oversized_samples_fail_fast(self, capsys, fmt):
+        """A sample count above verify.MAX_SAMPLES is refused before any
+        check runs; 10^9 samples would otherwise run for days."""
+        from chowmot.verify import MAX_SAMPLES
+
+        for samples in (MAX_SAMPLES + 1, 10**9):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "verify", "--samples", str(samples), "--format", fmt)
+            assert time.perf_counter() - start < 1
+            assert code == 1 and out == ""
+            assert err == f"error: samples must be at most {MAX_SAMPLES}, got {samples}\n"
 
     def test_domain_error_names_precondition(self, capsys):
         bad = json.dumps(

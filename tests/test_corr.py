@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from chowmot import (
     FactorSelection,
     GradedCorrespondence,
     InvalidInputError,
+    Variety,
     cartesian,
     compose_graded,
     diagonal_class,
@@ -465,6 +467,59 @@ class TestContractionRouting:
         g = on(y, z, terms)
         assert compose_graded(f, g).cycle == triple_product_composite(f, g)
         assert len(packed_calls) == 1
+
+
+# (X, Y, Z, f terms, g terms): sparse pairs that take the dict loop, each
+# with the result path in a different state
+SPARSE_CASES = {
+    # every middle row of g holds one term
+    "singleton-rows": ((1,), (2,), (1,), {(0, 2): 1, (1, 1): -1, (1, 0): 2},
+                       {(0, 0): 3, (1, 1): 2, (2, 0): -1}),
+    # rows of 3 and 2 partners, below PACKED_MIN_PARTNERS
+    "multi-partner-rows": ((1,), (1,), (1, 1), {(0, 0): 2, (0, 1): -1, (1, 1): 3},
+                           {(0, 0, 0): 1, (0, 0, 1): 2, (0, 1, 1): -4, (1, 1, 0): 5, (1, 0, 1): 1}),
+    # every product pairs, and the sums cancel to the zero cycle
+    "complete-cancellation": ((), (1,), (1,), {(0,): 1, (1,): -1}, {(0, 0): 1, (1, 0): 1}),
+    # numerators 2 and 12 over 6 reduce to 1 and 6 over 3
+    "common-factor-over-den": ((), (1,), (1,), {(0,): Fraction(1, 2), (1,): Fraction(3, 2)},
+                               {(1, 0): Fraction(2, 3), (0, 1): Fraction(4, 3)}),
+    "point-middle": ((1,), (), (2,), {(0,): 3, (1,): Fraction(-1, 2)}, {(0,): 2, (2,): 5}),
+    "all-points": ((), (), (), {(): 3}, {(): Fraction(-1, 2)}),
+}
+
+
+class TestSparseComposites:
+    """The result path of the dict loop, case by case, against the
+    triple-product route."""
+
+    @pytest.mark.parametrize("case", SPARSE_CASES, ids=str)
+    def test_matches_triple_product(self, case, packed_calls):
+        xs, ys, zs, f_terms, g_terms = SPARSE_CASES[case]
+        x, y, z = map(make_variety, (xs, ys, zs))
+        f, g = on(x, y, f_terms), on(y, z, g_terms)
+        h = compose_graded(f, g)
+        assert h.cycle == triple_product_composite(f, g)
+        assert h.source is x and h.target is z
+        assert h.cycle._den > 0 and all(h.cycle._num.values())
+        assert math.gcd(h.cycle._den, *h.cycle._num.values()) == 1
+        assert packed_calls == []
+        rows = corr._middle_rows(g)
+        if case == "singleton-rows":
+            assert [len(row) for row in rows.values()] == [1, 1, 1]
+        elif case == "multi-partner-rows":
+            assert sorted(len(row) for row in rows.values()) == [2, 3]
+        elif case == "complete-cancellation":
+            assert corr._contract_dict(f, g, rows) == {0: 0}
+            assert (h.cycle._den, h.cycle._num) == (1, {})
+        elif case == "common-factor-over-den":
+            assert f.cycle._den * g.cycle._den == 6
+            assert (h.cycle._den, sorted(h.cycle._num.values())) == (3, [1, 6])
+
+    def test_equal_middle_varieties_that_are_not_shared(self):
+        y = Variety((1,))  # the checked constructor makes a variety of its own
+        assert y is not P1 and y == P1
+        f, g = on(P2, y, {(1, 1): 2, (0, 0): 1}), on(P1, P1, {(0, 1): 3, (1, 0): -1})
+        assert compose_graded(f, g).cycle == triple_product_composite(f, g)
 
 
 DIAGONAL_SHAPES = [(), (1,), (2,), (1, 1), (1, 2), (2, 2), (3, 3), (1, 1, 1)]

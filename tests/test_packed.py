@@ -18,15 +18,17 @@ from chowmot import (
     Cycle,
     FactorSelection,
     GradedCorrespondence,
+    KKernel,
     cartesian,
     compose_graded,
     diagonal_pushforward,
     euler_characteristic,
     exp_nilpotent,
+    k_compose,
     make_variety,
     permute_factors,
 )
-from chowmot import chern
+from chowmot import chern, ring
 from chowmot.chern import mul_todd_power
 
 WIDTH_LADDER = [(), (0,), (1,), (2, 3), (4,), (7, 8), (0, 3, 1)]
@@ -329,3 +331,95 @@ class TestCanonicalForm:
             with pytest.raises(AttributeError):
                 setattr(a, name, None)
         assert a == Cycle(make_variety([2]), {(1,): Fraction(1, 2)})
+
+
+# -- the unchecked builders of engine results ----------------------------------
+
+
+def assert_like_checked(cycle):
+    """A fresh engine result: canonical, immutable, `terms` not yet built,
+    and equal, field for field and in hash, to the checked constructor's
+    cycle of the same terms."""
+    assert_canonical(cycle)
+    if not cycle._num:
+        assert (cycle._den, cycle._num) == (1, {})
+    with pytest.raises(AttributeError):
+        cycle._terms
+    for name in ("variety", "_den", "_num", "_terms"):
+        with pytest.raises(AttributeError):
+            setattr(cycle, name, None)
+    checked = Cycle(cycle.variety, dict(cycle.terms))
+    assert cycle._terms is cycle.terms
+    assert (checked.variety, checked._den, checked._num) == (cycle.variety, cycle._den, cycle._num)
+    assert checked == cycle and hash(checked) == hash(cycle)
+
+
+X23 = make_variety([2, 3])
+K1, K2, K3 = (sum(e << shift for e, shift in zip(exps, X23._layout.shifts)) for exps in ((0, 1), (1, 0), (2, 3)))
+
+# (den, accumulated numerators) -> (den, numerators) of the result
+REDUCED_CASES = {
+    "nothing-to-do": ((1, {K1: 3, K2: -2}), (1, {K1: 3, K2: -2})),
+    "cancelled-entry": ((1, {K1: 3, K2: 0, K3: 1}), (1, {K1: 3, K3: 1})),
+    "all-cancelled-over-den": ((5, {K1: 0, K2: 0}), (1, {})),
+    "empty-over-den": ((7, {}), (1, {})),
+    "common-factor": ((6, {K1: 4, K2: -2, K3: 0}), (3, {K1: 2, K2: -1})),
+    "coprime-over-den": ((6, {K1: 5, K2: 3}), (6, {K1: 5, K2: 3})),
+    "factor-divides-den": ((4, {K1: 8}), (1, {K1: 2})),
+}
+
+
+class TestResultBuilders:
+    @pytest.mark.parametrize("case", REDUCED_CASES, ids=str)
+    def test_reduced(self, case):
+        (den, acc), want = REDUCED_CASES[case]
+        c = ring._reduced(X23, den, dict(acc))
+        assert (c._den, c._num) == want
+        assert_like_checked(c)
+        assert c == Cycle(X23, {e: Fraction(v, den) for e, v in zip(X23._layout.unpack(list(acc)), acc.values())})
+
+    def test_reduced_adopts_a_dict_with_nothing_to_drop_or_divide(self):
+        for den in (1, 6):
+            acc = {K1: 5, K2: 3}
+            assert ring._reduced(X23, den, acc)._num is acc
+        acc = {K1: 5, K2: 0}
+        assert ring._reduced(X23, 1, acc)._num is not acc and acc == {K1: 5, K2: 0}
+
+    def test_cycle_and_reduced_results_of_engine_operations(self):
+        rng = random.Random(101)
+        x = make_variety([2, 3])
+        a, b = (engine(rand_terms(rng, (2, 3), 6), (2, 3)) for _ in range(2))
+        sel = FactorSelection(x, (1,))
+        for op in (
+            lambda: -a,
+            lambda: a + b,
+            lambda: a - a,
+            lambda: a * b,
+            lambda: a.scale(Fraction(-4, 9)),
+            lambda: a.graded_component(2),
+            lambda: sel.pullback(sel.pushforward(a)),
+            lambda: sel.pushforward(a * b),
+            lambda: cartesian(a, b),
+            lambda: permute_factors(a, (1, 0)),
+            lambda: diagonal_pushforward(x, a),
+            lambda: exp_nilpotent(a - a.graded_component(0)),
+            lambda: Cycle.zero(x),
+            lambda: Cycle.one(x),
+            lambda: Cycle.from_json(a.to_json()),
+        ):
+            assert_like_checked(op())
+
+    def test_built_values(self):
+        rng = random.Random(103)
+        x, y = make_variety([1]), make_variety([1, 1])
+        f = GradedCorrespondence(x, y, engine(rand_terms(rng, (1, 1, 1), 5), (1, 1, 1)))
+        g = GradedCorrespondence(y, x, engine(rand_terms(rng, (1, 1, 1), 5), (1, 1, 1)))
+        for value in (compose_graded(f, g), f.transpose(), f.degree_component(0), f + f, -f, f.scale(3),
+                      GradedCorrespondence.zero(x, y), k_compose(KKernel(x, y, f.cycle), KKernel(y, x, g.cycle))):
+            for name in value._fields:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, None)
+            checked = type(value)(*(getattr(value, name) for name in value._fields))
+            assert vars(checked) == vars(value)  # the fields, and nothing else
+            assert checked == value and hash(checked) == hash(value)
+            assert_like_checked(value.cycle if isinstance(value, GradedCorrespondence) else value.ch)
