@@ -387,7 +387,7 @@ class TestResultBuilders:
 
     def test_cycle_and_reduced_results_of_engine_operations(self):
         rng = random.Random(101)
-        x = make_variety([2, 3])
+        x = X23
         a, b = (engine(rand_terms(rng, (2, 3), 6), (2, 3)) for _ in range(2))
         sel = FactorSelection(x, (1,))
         for op in (
