@@ -21,7 +21,8 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInputError, SingularSeriesError
-from .ring import CACHE_ENTRIES, Cycle, Variety, _cycle, _reduced, _total, _Value, make_variety, require_budget
+from .ring import (CACHE_ENTRIES, Cycle, Variety, _cycle, _from_json, _reduced, _to_json, _total, _Value, make_variety,
+                   require_budget)
 
 # ---------------------------------------------------------------------------
 # univariate truncated series over Q (coefficient lists, a[k] is the x^k term)
@@ -114,6 +115,10 @@ class BundleClass(_Value):
     rank: int
     total_chern: Cycle
 
+    _noun = "bundle class"
+    to_json = _to_json
+    from_json = classmethod(_from_json)
+
     def __post_init__(self) -> None:
         self._require_types(variety=Variety, total_chern=Cycle)
         if not isinstance(self.rank, int) or isinstance(self.rank, bool):
@@ -138,23 +143,6 @@ class BundleClass(_Value):
             raise InvalidInputError("summands live on different varieties")
         return BundleClass(
             self.variety, self.rank + other.rank, self.total_chern * other.total_chern
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "variety": self.variety.to_json(),
-            "rank": self.rank,
-            "total_chern": self.total_chern.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data: object) -> "BundleClass":
-        if not isinstance(data, dict) or not {"variety", "rank", "total_chern"} <= set(data):
-            raise InvalidInputError(
-                f"bundle class must be an object with 'variety', 'rank', 'total_chern', got {data!r}"
-            )
-        return cls(
-            Variety.from_json(data["variety"]), data["rank"], Cycle.from_json(data["total_chern"])
         )
 
 

@@ -19,8 +19,8 @@ has at least PACKED_MIN_PARTNERS terms per row on average and a slot fits
 in PACKED_MAX_BITS bits: on [4,4] it is 2.7x as fast at 8 partners and
 6.5x at 25, but 0.7x at one partner and 0.24x with 300-digit coefficients.
 
-`GradedCorrespondence(...)` and `from_json` check that the cycle lives on
-source x target; every correspondence built here from checked ones
+`GradedCorrespondence(...)`, which `from_json` calls, checks that the cycle
+lives on source x target; every correspondence built here from checked ones
 (identities, zeros, degree parts, transposes, sums, scalings, composites)
 is made by `ring._built` without that check.
 """
@@ -30,8 +30,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import (CACHE_ENTRIES, MAX_MONOMIALS, Cycle, Variety, _built, _cycle, _reduced, _Value, _variety,
-                   require_budget)
+from .ring import (CACHE_ENTRIES, MAX_MONOMIALS, Cycle, Variety, _built, _cycle, _from_json, _reduced, _to_json, _Value,
+                   _variety, require_budget)
 
 
 class FactorSelection(_Value):
@@ -43,12 +43,11 @@ class FactorSelection(_Value):
 
     def __post_init__(self) -> None:
         self._require_types(source=Variety)
-        if not isinstance(self.selected, tuple):
-            object.__setattr__(self, "selected", tuple(self.selected))
+        self._require_tuple("selected", int)
         k = self.source.num_factors
         prev = -1
         for i in self.selected:
-            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < k:
+            if isinstance(i, bool) or not 0 <= i < k:
                 raise InvalidInputError(f"factor index {i!r} out of range for {self.source}")
             if i <= prev:
                 raise InvalidInputError("selected indices must be strictly increasing")
@@ -167,6 +166,10 @@ class GradedCorrespondence(_Value):
     target: Variety
     cycle: Cycle
 
+    _noun = "correspondence"
+    to_json = _to_json
+    from_json = classmethod(_from_json)
+
     def __post_init__(self) -> None:
         self._require_types(source=Variety, target=Variety, cycle=Cycle)
         if self.cycle.variety != self.source * self.target:
@@ -232,25 +235,6 @@ class GradedCorrespondence(_Value):
 
     def __str__(self) -> str:
         return f"{self.source} -> {self.target}: {self.cycle}"
-
-    def to_json(self) -> dict:
-        return {
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "cycle": self.cycle.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data: object) -> "GradedCorrespondence":
-        if not isinstance(data, dict) or not {"source", "target", "cycle"} <= set(data):
-            raise InvalidInputError(
-                f"correspondence must be an object with 'source', 'target', 'cycle', got {data!r}"
-            )
-        return cls(
-            Variety.from_json(data["source"]),
-            Variety.from_json(data["target"]),
-            Cycle.from_json(data["cycle"]),
-        )
 
 
 # The packed contraction runs when g has on average at least this many

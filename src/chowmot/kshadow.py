@@ -7,8 +7,8 @@ A kernel maps to its Mukai vector ch(E) * sqrt(td), a graded correspondence;
 that this respects composition is Mukai's theorem, which
 `motives.compatibility_check` tests.
 
-`KKernel(...)` and `KKernel.from_json` check that the class lives on
-source x target; the kernels and correspondences computed here from
+`KKernel(...)`, which `KKernel.from_json` calls, checks that the class lives
+on source x target; the kernels and correspondences computed here from
 checked ones are made by `ring._built` without that check.
 """
 
@@ -20,7 +20,7 @@ from fractions import Fraction
 from .chern import _todd_factor_series, _todd_power, mul_todd_power
 from .corr import GradedCorrespondence, compose_graded, diagonal_pushforward
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import Cycle, Variety, _built, _Value
+from .ring import Cycle, Variety, _built, _from_json, _to_json, _Value
 
 
 class KKernel(_Value):
@@ -31,6 +31,10 @@ class KKernel(_Value):
     source: Variety
     target: Variety
     ch: Cycle
+
+    _noun = "kernel"
+    to_json = _to_json
+    from_json = classmethod(_from_json)
 
     def __post_init__(self) -> None:
         self._require_types(source=Variety, target=Variety, ch=Cycle)
@@ -44,25 +48,6 @@ class KKernel(_Value):
         """The kernel with Chern character `ch`: the checked constructor
         under a second name, kept for callers outside the package."""
         return cls(source, target, ch)
-
-    def to_json(self) -> dict:
-        return {
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "ch": self.ch.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data: object) -> "KKernel":
-        if not isinstance(data, dict) or not {"source", "target", "ch"} <= set(data):
-            raise InvalidInputError(
-                f"kernel must be an object with 'source', 'target', 'ch', got {data!r}"
-            )
-        return cls(
-            Variety.from_json(data["source"]),
-            Variety.from_json(data["target"]),
-            Cycle.from_json(data["ch"]),
-        )
 
 
 def euler_characteristic(ch: Cycle) -> Fraction:

@@ -10,11 +10,12 @@ orbit morphism is exactly the degree decomposition of a graded
 correspondence, with the twist autoequivalence acting on indices only.
 
 Every value has two ways in.  Values from outside go through the public
-constructors and `from_json`, which keep every check.  Results that are
-correct by construction (the motive of a variety, the zero and Lefschetz
-motives, composites, sums, identities, the pieces of a split idempotent,
-duals, tensor products, twists, matrix products and the diagonal-sandwiched
-images of a kernel pair) are built unchecked by `ring._built`.
+constructors, which keep every check; `from_json` only parses.  Results
+that are correct by construction (the motive of a variety, the zero and
+Lefschetz motives, composites, sums, identities, the pieces of a split
+idempotent, duals, tensor products, twists, matrix products and the
+diagonal-sandwiched images of a kernel pair) are built unchecked by
+`ring._built`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     SupportConditionError,
 )
 from .kshadow import KKernel, chow_image, k_compose, support_codim_floor
-from .ring import Cycle, Variety, _built, _Value, make_variety
+from .ring import Cycle, Variety, _built, _json_object, _Value, make_variety
 
 
 def _check_component(source: Motive, target: Motive, c: GradedCorrespondence, degree: int, what: str):
@@ -63,6 +64,8 @@ class Motive(_Value):
 
     def __post_init__(self) -> None:
         self._require_types(variety=Variety, idempotent=GradedCorrespondence)
+        if not isinstance(self.twist, int) or isinstance(self.twist, bool):
+            raise InvalidInputError(f"twist must be an integer, got {self.twist!r}")
         p = self.idempotent
         if p.source != self.variety or p.target != self.variety:
             raise InvalidInputError("idempotent is not a self-correspondence of the variety")
@@ -94,16 +97,10 @@ class Motive(_Value):
 
     @classmethod
     def from_json(cls, data: object) -> "Motive":
-        if not isinstance(data, dict) or not {"variety", "twist", "idempotent"} <= set(data):
-            raise InvalidInputError(
-                f"motive must be an object with 'variety', 'twist', 'idempotent', got {data!r}"
-            )
+        data = _json_object("motive", data, cls._fields)
         variety = Variety.from_json(data["variety"])
-        twist = data["twist"]
-        if not isinstance(twist, int) or isinstance(twist, bool):
-            raise InvalidInputError(f"twist must be an integer, got {twist!r}")
         cycle = Cycle.from_json(data["idempotent"])
-        return cls(variety, twist, GradedCorrespondence(variety, variety, cycle))
+        return cls(variety, data["twist"], GradedCorrespondence(variety, variety, cycle))
 
 
 class MotiveMorphism(_Value):
@@ -267,8 +264,7 @@ class FormalSum(_Value):
     summands: tuple[Motive, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.summands, tuple):
-            object.__setattr__(self, "summands", tuple(self.summands))
+        self._require_tuple("summands", Motive)
 
     def __len__(self) -> int:
         return len(self.summands)
@@ -293,12 +289,16 @@ class FormalSumMorphism(_Value):
     matrix: tuple[tuple[MotiveMorphism, ...], ...]
 
     def __post_init__(self) -> None:
+        self._require_types(source=FormalSum, target=FormalSum)
+        self._require_tuple("matrix", tuple)
         if len(self.matrix) != len(self.target):
             raise InvalidInputError("matrix has wrong number of rows")
         for i, row in enumerate(self.matrix):
             if len(row) != len(self.source):
                 raise InvalidInputError("matrix has wrong number of columns")
             for j, entry in enumerate(row):
+                if not isinstance(entry, MotiveMorphism):
+                    raise InvalidInputError(f"matrix entry ({i}, {j}) must be a MotiveMorphism, got {entry!r}")
                 if entry.source != self.source.summands[j] or entry.target != self.target.summands[i]:
                     raise InvalidInputError(f"matrix entry ({i}, {j}) connects the wrong summands")
 
@@ -379,10 +379,7 @@ class OrbitMorphism(_Value):
 
     @classmethod
     def from_json(cls, data: object) -> "OrbitMorphism":
-        if not isinstance(data, dict) or not {"source", "target", "components"} <= set(data):
-            raise InvalidInputError(
-                f"orbit morphism must be an object with 'source', 'target', 'components', got {data!r}"
-            )
+        data = _json_object("orbit morphism", data, ("source", "target", "components"))
         source = Motive.from_json(data["source"])
         target = Motive.from_json(data["target"])
         raw = data["components"]

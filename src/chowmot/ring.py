@@ -29,8 +29,9 @@ FLINT's fmpq_poly; packed exponent vectors after Monagan and Pearce):
   keyed by exponent tuples with Fraction values, is built on first access.
 
 Every value has two ways in.  Outside input goes through a checked
-constructor or `from_json`: `Cycle(...)` and `Cycle.from_json` validate every
-term, `Variety(...)` every factor, each constructor the class of its fields.
+constructor, the one place a field rule lives: `Cycle(...)` and `from_json`
+check every term, `Variety(...)` every factor, each constructor its fields.
+The other `from_json` only parse, most through one codec (`_from_json`).
 Results the engine computes are correct by construction and skip the checks:
 cycles are built from integer numerators by `_cycle` (already canonical),
 `_reduced` (drops cancelled terms and the common factor; both keep the
@@ -120,6 +121,14 @@ class _Value:
             if not isinstance(field := getattr(self, name), cls):
                 raise InvalidInputError(f"{type(self).__name__} {name} must be a {cls.__name__}, got {field!r}")
 
+    def _require_tuple(self, name: str, cls: type) -> None:
+        """Store the field `name`, an iterable of `cls`, as a tuple; refuse anything else."""
+        field = getattr(self, name)
+        items = tuple(field) if hasattr(field, "__iter__") else None
+        if items is None or not all(isinstance(item, cls) for item in items):
+            raise InvalidInputError(f"{type(self).__name__} {name} must be a tuple of {cls.__name__}, got {field!r}")
+        object.__setattr__(self, name, items)
+
     def __eq__(self, other):
         if other is self:
             return True
@@ -205,6 +214,29 @@ def _built(cls, *values):
     return obj
 
 
+def _json_object(noun: str, data: object, keys) -> dict:
+    """`data`, refused unless it is a JSON object holding every key."""
+    if not isinstance(data, dict) or not set(keys) <= data.keys():
+        raise InvalidInputError(f"{noun} must be an object with {', '.join(map(repr, keys))}, got {data!r}")
+    return data
+
+
+def _to_json(self) -> dict:
+    """The JSON object of a value: each field by name, a variety or cycle by
+    its own `to_json`."""
+    values = (getattr(self, name) for name in self._fields)
+    return {name: v.to_json() if isinstance(v, Variety | Cycle) else v for name, v in zip(self._fields, values)}
+
+
+def _from_json(cls, data: object):
+    """The value of `cls` (`cls._noun` in messages) from its JSON object:
+    each field in field order, read by `from_json` of its annotated class,
+    looked up at the call, or as it is, passed to the checked constructor."""
+    data = _json_object(cls._noun, data, cls._fields)
+    readers = ({"Variety": Variety, "Cycle": Cycle}.get(cls.__annotations__[name]) for name in cls._fields)
+    return cls(*(data[n] if r is None else r.from_json(data[n]) for n, r in zip(cls._fields, readers)))
+
+
 class _Layout:
     """Where each exponent of a monomial sits in its packed integer key (see
     the module docstring): the (shift, mask) field of each factor, factor 0
@@ -252,7 +284,11 @@ def require_budget(variety: Variety, order: int = 0) -> None:
     MAX_SERIES_ORDER."""
     monomials = prod(n + 1 for n in variety.factors)
     if monomials > MAX_MONOMIALS or order > MAX_SERIES_ORDER:
-        raise InvalidInputError(f"{variety} ({monomials} monomials) with series order {order} is over "
+        try:
+            count = f"{monomials} monomials"
+        except ValueError:  # str(int) past sys.get_int_max_str_digits()
+            count = f"more than 10^{sys.get_int_max_str_digits()} monomials"
+        raise InvalidInputError(f"{variety} ({count}) with series order {order} is over "
                                 f"the budget of {MAX_MONOMIALS} monomials and series order {MAX_SERIES_ORDER}")
 
 

@@ -11,6 +11,7 @@ enforces its own contractual minimum.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -100,7 +101,7 @@ def random_cycle_in_codims(rng: random.Random, variety: Variety, codims: list[in
                            terms: int = 3, lo: int = -3, hi: int = 3) -> Cycle:
     """A sparse cycle whose terms are confined to the given codimensions."""
     monomials_by_codim: dict[int, list[tuple[int, ...]]] = {}
-    for exps in _all_monomials(variety):
+    for exps in itertools.product(*(range(n + 1) for n in variety.factors)):
         monomials_by_codim.setdefault(sum(exps), []).append(exps)
     acc: dict[tuple[int, ...], int] = {}
     available = [k for k in codims if monomials_by_codim.get(k)]
@@ -111,19 +112,6 @@ def random_cycle_in_codims(rng: random.Random, variety: Variety, codims: list[in
         exps = rng.choice(monomials_by_codim[k])
         acc[exps] = acc.get(exps, 0) + rng.randint(lo, hi)
     return Cycle(variety, acc)
-
-
-def _all_monomials(variety: Variety):
-    exps = [0] * variety.num_factors
-    while True:
-        yield tuple(exps)
-        for i in range(variety.num_factors - 1, -1, -1):
-            if exps[i] < variety.factors[i]:
-                exps[i] += 1
-                break
-            exps[i] = 0
-        else:
-            return
 
 
 def rational_matrix_rank(rows: list[list[Fraction]]) -> int:
@@ -316,7 +304,8 @@ def _triple_product_composite(f: GradedCorrespondence, g: GradedCorrespondence) 
 def _dense_correspondence(rng: random.Random, source: Variety, target: Variety) -> GradedCorrespondence:
     """A correspondence with a nonzero coefficient in [-5, 5] on every monomial."""
     product = source * target
-    terms = {exps: rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]) for exps in _all_monomials(product)}
+    monomials = itertools.product(*(range(n + 1) for n in product.factors))
+    terms = {exps: rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]) for exps in monomials}
     return GradedCorrespondence(source, target, Cycle(product, terms))
 
 

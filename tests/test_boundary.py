@@ -8,11 +8,14 @@ equal objects), check that the engine's own operations run no validator,
 and make sure that input from outside is still rejected.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -465,11 +468,19 @@ class TestOutsideInputStillChecked:
         (lambda x, c, m: MotiveMorphism(x, m, m.idempotent), "source"),
         (lambda x, c, m: OrbitMorphism(m, "m", m.idempotent), "target"),
         (lambda x, c, m: FactorSelection("x", (0,)), "source"),
+        (lambda x, c, m: FactorSelection(x, 5), "selected"),
+        (lambda x, c, m: FormalSum(5), "summands"),
+        (lambda x, c, m: FormalSum([1, "x"]), "summands"),
+        (lambda x, c, m: FormalSumMorphism("ab", FormalSum(()), ()), "source"),
+        (lambda x, c, m: Motive(x, "0", m.idempotent), "twist"),
+        (lambda x, c, m: Motive(x, True, m.idempotent), "twist"),
         (lambda x, c, m: Cycle(x, [((1,), 1)]), "terms"),
     ], ids=["GradedCorrespondence.cycle", "GradedCorrespondence.source", "GradedCorrespondence.target",
             "KKernel.ch", "KKernel.source", "BundleClass.total_chern", "BundleClass.variety",
             "Motive.idempotent", "Motive.variety", "MotiveMorphism.corr", "MotiveMorphism.source",
-            "OrbitMorphism.target", "FactorSelection.source", "Cycle.terms"])
+            "OrbitMorphism.target", "FactorSelection.source", "FactorSelection.selected",
+            "FormalSum.summands-int", "FormalSum.summands-items", "FormalSumMorphism.source",
+            "Motive.twist-str", "Motive.twist-bool", "Cycle.terms"])
     def test_wrongly_typed_fields_are_refused(self, make, field):
         """A field of the wrong class is refused with a ChowError naming it,
         before any check reads an attribute of it."""
@@ -539,3 +550,121 @@ class TestSeriesOrderBudget:
             assert code == 1 and out == ""
             assert err.startswith("error: P^257 (258 monomials) with series order 257 ")
             assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_a_monomial_count_past_the_digit_limit_is_refused(self, capsys):
+        """The refusal of a factor of 4,001 digits names the count of its
+        monomials, which has too many digits to print, as a bound."""
+        for command in ("diagonal", "motive"):
+            assert main([command, "--variety", json.dumps([10 ** 4000])]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: P^1000") and "(more than 10^4300 monomials)" in err
+
+
+# -- a seeded boundary fuzz test ----------------------------------------------
+
+TRANSCRIPT = Path(__file__).parent / "golden" / "cli_transcript.json"
+
+# Each takes the place of one sub-value of a valid input: wrong types, null,
+# an integer out of range or past 64 bits or of 4,001 digits, a rational
+# literal past the digit limit, empty and nested containers.
+MALFORMED = (None, True, -1, 0.5, 2 ** 64, 10 ** 4000, "x", "1e99999", [], {},
+             [[[[[[[[[[[]]]]]]]]]]], {"": None})
+FUZZ_CALLS = 1500
+
+
+def _paths(value):
+    """The path of every sub-value of a JSON value, the value itself first."""
+    yield ()
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, sub in items:
+        for path in _paths(sub):
+            yield (key, *path)
+
+
+def _replaced(value, path, new):
+    """A copy of `value` with the sub-value at `path` replaced by `new`."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+def fuzz_corpus() -> dict[str, list]:
+    """The mutated calls, by subcommand, as (argv, argument index, path,
+    malformed value): each transcript call that exits 0 and takes JSON, with
+    one sub-value of one JSON argument replaced, 48,168 in all."""
+    corpus: dict[str, list] = {}
+    for case in json.loads(TRANSCRIPT.read_text(encoding="utf-8")):
+        if case["code"] != 0:
+            continue
+        for i, arg in enumerate(case["argv"]):
+            if arg.startswith(("{", "[")):
+                for path in _paths(json.loads(arg)):
+                    corpus.setdefault(case["argv"][0], []).extend(
+                        (case["argv"], i, path, bad) for bad in MALFORMED)
+    return corpus
+
+
+def fuzz_sample(calls: int = FUZZ_CALLS, seed: int = 19) -> list[list[str]]:
+    """About `calls` argvs drawn from the corpus, each subcommand in
+    proportion to its share and at least 24 times."""
+    corpus = fuzz_corpus()
+    total = sum(map(len, corpus.values()))
+    rng = random.Random(seed)
+    sample = []
+    for name, mutations in corpus.items():
+        for argv, i, path, bad in rng.sample(mutations, max(24, calls * len(mutations) // total)):
+            argv = list(argv)
+            argv[i] = json.dumps(_replaced(json.loads(argv[i]), path, bad))
+            sample.append(argv)
+    return sample
+
+
+def fuzz_failures(calls) -> list:
+    """The calls that do not end cleanly: exit 0, or exit 1 with exactly one
+    `error:` line on stderr; never a traceback, and within 2 s."""
+    failures = []
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except Exception as exc:  # a process would print a traceback
+            code = f"{type(exc).__name__}: {exc}"
+        seconds = time.perf_counter() - start
+        lines = err.getvalue().splitlines()
+        if (code not in (0, 1) or code == 1 and (len(lines) != 1 or not lines[0].startswith("error: "))
+                or "Traceback" in err.getvalue() or seconds >= 2):
+            failures.append(([arg[:80] for arg in argv], str(code)[:200], lines[:2], seconds))
+    return failures
+
+
+class TestBoundaryFuzz:
+    """Malformed JSON in place of one sub-value of each valid input of the
+    transcript fails with exit 1 and one `error:` line, never a traceback,
+    and fast (ROADMAP item 8)."""
+
+    def test_fuzz_draws_every_subcommand_that_takes_json(self):
+        sample = fuzz_sample()
+        assert sum(map(len, fuzz_corpus().values())) == 48168
+        assert FUZZ_CALLS <= len(sample) < FUZZ_CALLS + 17 * 24
+        assert {argv[0] for argv in sample} == {
+            "chern-character", "compat", "compose", "diagonal", "euler", "identity-kernel", "k-compose",
+            "motive", "mu", "orbit-compose", "orlov", "ring", "split", "sqrt-todd", "tangent", "todd",
+            "transpose"}
+
+    def test_fuzz_malformed_input_fails_cleanly(self):
+        assert fuzz_failures(fuzz_sample()) == []
+
+    def test_fuzz_catches_a_parser_that_raises(self, monkeypatch):
+        """Negative control: a `from_json` that raises KeyError, as a
+        parser indexing a missing key would, is caught."""
+        def broken(cls, data):
+            raise KeyError("cycle")
+
+        monkeypatch.setattr(GradedCorrespondence, "from_json", classmethod(broken))
+        failures = fuzz_failures(argv for argv in fuzz_sample() if argv[0] in ("compose", "transpose"))
+        assert failures and all(code.startswith("KeyError") for _, code, _, _ in failures)
