@@ -21,8 +21,8 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInputError, SingularSeriesError
-from .ring import (CACHE_ENTRIES, Cycle, Variety, _cycle, _from_json, _reduced, _to_json, _total, _Value, make_variety,
-                   require_budget)
+from .ring import (CACHE_ENTRIES, Cycle, Variety, _built, _cycle, _from_json, _reduced, _to_json, _total, _Value,
+                   make_variety, require_budget)
 
 # ---------------------------------------------------------------------------
 # univariate truncated series over Q (coefficient lists, a[k] is the x^k term)
@@ -198,7 +198,7 @@ def tangent_class(variety: Variety) -> BundleClass:
     num = {0: 1}
     for (shift, _), n in zip(variety._layout.fields, variety.factors):
         num = {k + (e << shift): v * math.comb(n + 1, e) for k, v in num.items() for e in range(n + 1)}
-    return BundleClass(variety, variety.dim, _cycle(variety, 1, num))
+    return _built(BundleClass, variety, variety.dim, _cycle(variety, 1, num))
 
 
 @functools.lru_cache(maxsize=CACHE_ENTRIES)
@@ -271,4 +271,4 @@ def line_bundle(variety: Variety, degrees: list[int] | tuple[int, ...]) -> Bundl
         if not isinstance(d, int) or isinstance(d, bool):
             raise InvalidInputError(f"degrees must be integers, got {d!r}")
         c1 = c1 + Cycle.hyperplane(variety, i).scale(d)
-    return BundleClass(variety, 1, Cycle.one(variety) + c1)
+    return _built(BundleClass, variety, 1, Cycle.one(variety) + c1)

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ChowError, InvalidInputError
-from .ring import Cycle, Variety, _as_text, make_variety
+from .ring import Cycle, Variety, _as_text, _json_object, make_variety
 
 
 def _load_json(text: str):
@@ -176,9 +176,7 @@ def _euler(args) -> int:
     from .kshadow import euler_characteristic
 
     if args.kclass is not None:
-        data = _load_json(args.kclass)
-        if not isinstance(data, dict) or not {"variety", "ch"} <= set(data):
-            raise InvalidInputError("K-class must be an object with 'variety' and 'ch'")
+        data = _json_object("K-class", _load_json(args.kclass), ("variety", "ch"))
         variety = Variety.from_json(data["variety"])
         ch = Cycle.from_json(data["ch"])
         if ch.variety != variety:

@@ -450,34 +450,30 @@ class OrlovReport(_Value):
 
 
 def orlov_pipeline(e: KKernel, f: KKernel) -> OrlovReport:
-    """Decide what a mutually inverse kernel pair proves about the motives.
+    """Decide what a kernel pair proves about the motives, by one call of
+    `degree_zero_rigidify` on the two correspondence images.
 
-    The correspondence images are checked for mutual inversion (which
-    already gives an isomorphism of motives with twists forgotten); when
-    both images also have no components below codimension n = dim X, the
-    degree-zero parts rigidify to an isomorphism of the motives themselves.
+    Mutually inverse images give an isomorphism of motives with twists
+    forgotten (`tate-twist-only`); when neither has a component below
+    codimension n = dim X, the degree-zero parts rigidify to an isomorphism
+    of the motives themselves (`exact-isomorphism`).
     """
     x, y = e.source, e.target
     if f.source != y or f.target != x:
         raise DomainMismatchError("kernels do not form a round trip")
-    n = x.dim
-    if y.dim != n:
+    if y.dim != x.dim:
         raise InvalidInputError("kernel pair requires source and target of equal dimension")
     a = chow_image(e)
     b = chow_image(f)
-    inverse = (
-        compose_graded(a, b) == GradedCorrespondence.identity(x)
-        and compose_graded(b, a) == GradedCorrespondence.identity(y)
-    )
     floors = (support_codim_floor(a.cycle), support_codim_floor(b.cycle))
-    if not inverse:
-        return OrlovReport(False, False, False, False, "not-equivalent", floors, None)
-    support_ok = all(floor is None or floor >= n for floor in floors)
-    if not support_ok:
-        return OrlovReport(True, True, False, False, "tate-twist-only", floors, None)
     mx, my = motive_of(x), motive_of(y)
-    # a and b are mutually inverse, so the diagonals sandwich them unchanged
-    pair = degree_zero_rigidify(_built(OrbitMorphism, mx, my, a), _built(OrbitMorphism, my, mx, b))
+    # the idempotents of mx and my are diagonals, which fix every correspondence
+    try:
+        pair = degree_zero_rigidify(_built(OrbitMorphism, mx, my, a), _built(OrbitMorphism, my, mx, b))
+    except PreconditionError:
+        return OrlovReport(False, False, False, False, "not-equivalent", floors, None)
+    except SupportConditionError:
+        return OrlovReport(True, True, False, False, "tate-twist-only", floors, None)
     return OrlovReport(True, True, True, True, "exact-isomorphism", floors, pair)
 
 

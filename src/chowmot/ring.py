@@ -197,9 +197,7 @@ class Variety(_Value):
 
     @classmethod
     def from_json(cls, data: object) -> "Variety":
-        if not isinstance(data, dict) or "factors" not in data:
-            raise InvalidInputError(f"variety must be an object with a 'factors' list, got {data!r}")
-        factors = data["factors"]
+        factors = _json_object("variety", data, cls._fields)["factors"]
         if not isinstance(factors, list):
             raise InvalidInputError(f"'factors' must be a list, got {factors!r}")
         return make_variety(factors)
@@ -558,10 +556,7 @@ class Cycle:
 
     @classmethod
     def from_json(cls, data: object) -> "Cycle":
-        if not isinstance(data, dict) or "variety" not in data or "terms" not in data:
-            raise InvalidInputError(
-                f"cycle must be an object with 'variety' and 'terms', got {data!r}"
-            )
+        data = _json_object("cycle", data, ("variety", "terms"))
         variety = Variety.from_json(data["variety"])
         raw = data["terms"]
         if not isinstance(raw, list):

@@ -51,6 +51,7 @@ from chowmot import (
     orlov_pipeline,
     permute_factors,
     split_idempotent,
+    tangent_class,
     tate_motive,
     tate_twist,
     tensor,
@@ -148,6 +149,14 @@ class TestCyclesBuiltUnchecked:
                 assert_clean(mul_todd_power(random_cycle(rng, x, 5), s))
             u = random_cycle_in_codims(rng, x, list(range(1, x.dim + 1)), terms=5)
             assert_clean(exp_nilpotent(u))
+
+
+class TestBundleClassesBuiltUnchecked:
+    def test_tangent_and_line_bundle_classes(self):
+        for x in VARIETIES:
+            for bundle in (tangent_class(x), line_bundle(x, [-1, 2, 3][:x.num_factors])):
+                assert BundleClass(bundle.variety, bundle.rank, bundle.total_chern) == bundle
+                assert_clean(bundle.total_chern)
 
 
 def assert_rechecked_corr(c: GradedCorrespondence) -> None:
@@ -353,7 +362,7 @@ class TestEngineRunsNoValidator:
         def refuse(self):
             raise AssertionError(f"{type(self).__name__} re-validated an internal result")
 
-        for cls in (GradedCorrespondence, KKernel, Motive, MotiveMorphism, OrbitMorphism,
+        for cls in (BundleClass, GradedCorrespondence, KKernel, Motive, MotiveMorphism, OrbitMorphism,
                     FormalSumMorphism):
             monkeypatch.setattr(cls, "__post_init__", refuse)
         for op in (
@@ -376,6 +385,8 @@ class TestEngineRunsNoValidator:
             lambda: tensor_morphism(mn, nm),
             lambda: s.identity_morphism(),
             lambda: matrix.then(matrix),
+            lambda: tangent_class(y),
+            lambda: line_bundle(y, [2]),
         ):
             op()
         assert orlov_pipeline(ident, ident).verdict == "exact-isomorphism"

@@ -65,6 +65,10 @@ class TestEuler:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "wrong variety" in err
 
+    def test_kclass_that_is_not_an_object(self, capsys):
+        assert run_cli(capsys, "euler", "[]") == (
+            1, "", "error: K-class must be an object with 'variety', 'ch', got []\n")
+
 
 class TestRing:
     def test_add(self, capsys):

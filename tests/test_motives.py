@@ -14,6 +14,7 @@ from chowmot import (
     Motive,
     MotiveMorphism,
     OrbitMorphism,
+    OrlovReport,
     PreconditionError,
     SupportConditionError,
     chern_character,
@@ -33,7 +34,10 @@ from chowmot import (
     orbit_compose,
     orlov_pipeline,
     permute_factors,
+    series_inverse,
     split_idempotent,
+    sqrt_todd,
+    support_codim_floor,
     tate_motive,
     tate_twist,
     tensor,
@@ -42,6 +46,7 @@ from chowmot import (
     zero_motive,
 )
 from chowmot.verify import (
+    CHECKS,
     _geometric_inverse,
     random_cycle_in_codims,
     random_kernel,
@@ -446,12 +451,88 @@ class TestDegreeZeroRigidify:
             degree_zero_rigidify(f, g)
 
 
+def two_test_report(e: KKernel, f: KKernel) -> OrlovReport:
+    """The reference classification: the pipeline's verdict as decided by
+    its own two tests, mutual inversion of the images and then codimension
+    floors of at least dim X, with the degree-zero parts of the images as
+    the pair, rebuilt by the checked constructors."""
+    x, y = e.source, e.target
+    a, b = chow_image(e), chow_image(f)
+    floors = (support_codim_floor(a.cycle), support_codim_floor(b.cycle))
+    if (compose_graded(a, b) != GradedCorrespondence.identity(x)
+            or compose_graded(b, a) != GradedCorrespondence.identity(y)):
+        return OrlovReport(False, False, False, False, "not-equivalent", floors, None)
+    if not all(floor is None or floor >= x.dim for floor in floors):
+        return OrlovReport(True, True, False, False, "tate-twist-only", floors, None)
+    mx, my = motive_of(x), motive_of(y)
+    pair = (MotiveMorphism(mx, my, a.degree_component(0)), MotiveMorphism(my, mx, b.degree_component(0)))
+    return OrlovReport(True, True, True, True, "exact-isomorphism", floors, pair)
+
+
+def twisted_diagonal(x, d: int) -> KKernel:
+    """The structure sheaf of the diagonal twisted by O(d, ..., d) pulled
+    back from the first copy of X."""
+    twist = chern_character(line_bundle(x * x, [d] * x.num_factors + [0] * x.num_factors))
+    return KKernel(x, x, identity_kernel(x).ch * twist)
+
+
+def shifted_pair(x) -> tuple[KKernel, KKernel]:
+    """Kernels whose images are id + [X x X] and its inverse id - [X x X]
+    (the constant class composes with itself to zero when dim X >= 1)."""
+    ident = GradedCorrespondence.identity(x)
+    shift = GradedCorrespondence(x, x, Cycle.one(x * x))
+    back = series_inverse(sqrt_todd(x * x))
+    return KKernel(x, x, (ident + shift).cycle * back), KKernel(x, x, (ident - shift).cycle * back)
+
+
 class TestOrlovPipeline:
-    def make_twist_kernel(self, d):
-        square = P1 * P1
-        base = identity_kernel(P1)
-        twist = chern_character(line_bundle(square, [d, 0]))
-        return KKernel.from_ch(P1, P1, base.ch * twist)
+    @pytest.mark.parametrize("factors", [[1], [2], [1, 1]])
+    def test_verdicts_equal_the_two_test_reference(self, factors):
+        x = make_variety(factors)
+        pairs = [(twisted_diagonal(x, d), twisted_diagonal(x, -d), "exact-isomorphism")
+                 for d in (-3, -2, -1, 1, 2, 3)]
+        pairs += [(twisted_diagonal(x, d), twisted_diagonal(x, d), "not-equivalent") for d in (-3, -2, -1, 1, 2, 3)]
+        pairs.append((*shifted_pair(x), "tate-twist-only"))
+        for e, f, verdict in pairs:
+            report = orlov_pipeline(e, f)
+            assert report.verdict == verdict
+            assert report == two_test_report(e, f)
+
+    def test_one_call_of_the_lemma_decides(self, monkeypatch):
+        """The pipeline's own calls, not counting those nested in another:
+        two images, their two floors for the report, one lemma, and no
+        composition of its own, whatever the verdict."""
+        calls, depth = [], []
+
+        def spy(name, real):
+            def call(*args):
+                if not depth:
+                    calls.append(name)
+                depth.append(name)
+                try:
+                    return real(*args)
+                finally:
+                    depth.pop()
+            return call
+
+        for name in ("chow_image", "support_codim_floor", "degree_zero_rigidify", "compose_graded"):
+            monkeypatch.setattr(motives, name, spy(name, getattr(motives, name)))
+        ik = identity_kernel(P1)
+        pairs = [(ik, ik), shifted_pair(P1), (twisted_diagonal(P1, 1), twisted_diagonal(P1, 1))]
+        verdicts = []
+        for e, f in pairs:
+            calls.clear()
+            verdicts.append(orlov_pipeline(e, f).verdict)
+            assert calls == ["chow_image"] * 2 + ["support_codim_floor"] * 2 + ["degree_zero_rigidify"]
+        assert verdicts == ["exact-isomorphism", "tate-twist-only", "not-equivalent"]
+
+    def test_a_support_test_that_sees_no_offsets_is_caught(self, monkeypatch):
+        """Negative control: the support condition is decided by the lemma
+        alone, so hiding the offsets of every orbit morphism fails the
+        orlov-pipeline row of verify."""
+        monkeypatch.setattr(OrbitMorphism, "indices", lambda self: [])
+        passed, detail = dict(CHECKS)["orlov-pipeline"](random.Random("42:orlov-pipeline"), 200)
+        assert not passed and detail == "shifted control: verdict exact-isomorphism"
 
     def test_identity_pair_exact(self):
         ik = identity_kernel(P1)
@@ -463,7 +544,7 @@ class TestOrlovPipeline:
 
     @pytest.mark.parametrize("d", [-2, -1, 1, 2])
     def test_twisted_kernels_exact(self, d):
-        report = orlov_pipeline(self.make_twist_kernel(d), self.make_twist_kernel(-d))
+        report = orlov_pipeline(twisted_diagonal(P1, d), twisted_diagonal(P1, -d))
         assert report.verdict == "exact-isomorphism"
         assert report.support_floors[0] >= 1 and report.support_floors[1] >= 1
         f0, g0 = report.degree_zero_pair
@@ -471,7 +552,7 @@ class TestOrlovPipeline:
 
     def test_twisted_kernels_invert_under_composition(self):
         for d in range(-2, 3):
-            composite = k_compose(self.make_twist_kernel(d), self.make_twist_kernel(-d))
+            composite = k_compose(twisted_diagonal(P1, d), twisted_diagonal(P1, -d))
             assert composite == identity_kernel(P1)
 
     def test_shifted_pair_reports_twist_only(self):
@@ -490,7 +571,7 @@ class TestOrlovPipeline:
         assert report.degree_zero_pair is None
 
     def test_non_inverse_pair(self):
-        report = orlov_pipeline(self.make_twist_kernel(1), self.make_twist_kernel(1))
+        report = orlov_pipeline(twisted_diagonal(P1, 1), twisted_diagonal(P1, 1))
         assert report.verdict == "not-equivalent"
         assert not report.isomorphic_modulo_twist
 

@@ -154,14 +154,17 @@ def json_samples():
         (m, "motive must be an object with 'variety', 'twist', 'idempotent', got "),
         (OrbitMorphism.identity(m),
          "orbit morphism must be an object with 'source', 'target', 'components', got "),
+        (x, "variety must be an object with 'factors', got "),
+        (cycle, "cycle must be an object with 'variety', 'terms', got "),
     ]
 
 
 def names_the_first(value, data: dict) -> bool:
     """Whether `from_json` of `data`, the JSON object of `value`, with its
-    first two keys both malformed, refuses it for the first."""
-    first, second, *_ = data
-    data = dict(data, **{first: {"first": 1}, second: {"second": 2}})
+    first two keys (a variety has one) both malformed, refuses it for the
+    first."""
+    first, *rest = data
+    data = dict(data, **{first: {"first": 1}}, **{key: {"second": 2} for key in rest[:1]})
     with pytest.raises(InvalidInputError) as refused:
         type(value).from_json(data)
     return str(refused.value).endswith("got {'first': 1}")
@@ -170,7 +173,7 @@ def names_the_first(value, data: dict) -> bool:
 class TestJsonCodec:
     def test_every_json_class_has_a_sample(self):
         assert [type(value) for value, _ in json_samples()] == [
-            BundleClass, GradedCorrespondence, KKernel, Motive, OrbitMorphism]
+            BundleClass, GradedCorrespondence, KKernel, Motive, OrbitMorphism, Variety, Cycle]
 
     def test_round_trip_gives_the_value_and_the_same_bytes(self):
         for value, _ in json_samples():
