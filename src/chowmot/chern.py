@@ -8,10 +8,12 @@ Powers of the Todd class of a variety (td, its square root, their inverses)
 are instead taken factor by factor: the Todd class is multiplicative and
 td(P^n) = (h/(1 - e^{-h}))^{n+1}, so a cycle is multiplied by td^s one
 univariate series at a time (`mul_todd_power`), each series computed once
-per process and shared.  A test ties the two routes together on a ladder of
-varieties.  The log-Todd coefficients come from one exact `_series_log`
-pass at runtime, not from printed tables, and every exponential runs in the
-ring: `exp_nilpotent` on X for a bundle, on P^n for a factor's series.
+per process and shared.  The factor passes multiply integer numerators and
+denominators, and the product is reduced to lowest terms once, at the end.
+A test ties the two routes together on a ladder of varieties.  The log-Todd
+coefficients come from one exact `_series_log` pass at runtime, not from
+printed tables, and every exponential runs in the ring: `exp_nilpotent` on
+X for a bundle, on P^n for a factor's series.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInputError, SingularSeriesError
-from .ring import (CACHE_ENTRIES, Cycle, Variety, _built, _cycle, _from_json, _reduced, _to_json, _total, _Value,
-                   make_variety, require_budget)
+from .ring import (CACHE_ENTRIES, Cycle, Variety, _built, _cycle, _from_json, _reduced, _require_variety, _to_json,
+                   _total, _Value, make_variety, require_budget)
 
 # ---------------------------------------------------------------------------
 # univariate truncated series over Q (coefficient lists, a[k] is the x^k term)
@@ -194,7 +196,7 @@ def tangent_class(variety: Variety) -> BundleClass:
     total Chern class prod_i (1 + h_i)^{n_i + 1} (Euler sequence, factorwise),
     whose coefficient at h^e is prod_i binomial(n_i + 1, e_i): one integer
     per monomial of X."""
-    require_budget(variety)
+    require_budget(_require_variety(variety))
     num = {0: 1}
     for (shift, _), n in zip(variety._layout.fields, variety.factors):
         num = {k + (e << shift): v * math.comb(n + 1, e) for k, v in num.items() for e in range(n + 1)}
@@ -220,26 +222,30 @@ def mul_todd_power(c: Cycle, s, factors=None) -> Cycle:
     default) of the univariate series (h_i/(1 - e^{-h_i}))^{s(n_i+1)}: one
     truncated convolution along each factor, no product of full cycles.
     Each series is scaled to integers over one denominator, so a factor
-    pass only shifts keys and adds integer products."""
+    pass only shifts keys and adds integer products; the passes multiply
+    their denominators, and the result is reduced once, at the end."""
     fields = c.variety._layout.fields
     factors = range(c.variety.num_factors) if factors is None else tuple(factors)
     require_budget(c.variety, max((c.variety.factors[i] for i in factors), default=0))
+    if not factors:
+        return c
+    num, den = c._num, c._den
     for i in factors:
         n = c.variety.factors[i]
         shift, mask = fields[i]
-        den, series = _todd_factor_series(n, s)
+        series_den, series = _todd_factor_series(n, s)
         steps = [(j << shift, t) for j, t in enumerate(series) if t]
         acc: dict[int, int] = {}
         get = acc.get
-        for key, v in c._num.items():
+        for key, v in num.items():
             room = (n - ((key >> shift) & mask)) << shift
             for step, t in steps:
                 if step > room:
                     break
                 k = key + step
                 acc[k] = get(k, 0) + v * t
-        c = _reduced(c.variety, c._den * den, acc)
-    return c
+        num, den = acc, den * series_den
+    return _reduced(c.variety, den, num)
 
 
 def _todd_power(variety: Variety, s: Fraction) -> Cycle:
@@ -261,6 +267,9 @@ def sqrt_todd(variety: Variety) -> Cycle:
 def line_bundle(variety: Variety, degrees: list[int] | tuple[int, ...]) -> BundleClass:
     """Rank-one class with first Chern class sum_i d_i h_i (one degree per
     factor)."""
+    _require_variety(variety)
+    if not isinstance(degrees, list | tuple):
+        raise InvalidInputError(f"degrees must be a list or tuple of integers, got {degrees!r}")
     degrees = tuple(degrees)
     if len(degrees) != variety.num_factors:
         raise InvalidInputError(

@@ -8,9 +8,9 @@ Each subcommand is one row of `COMMANDS`, and the parser is built from that
 table alone, so adding a subcommand is adding a row.  A row names its
 inputs, then either its engine operation ("layer.name") and the text form of
 its result, which `run_command` prints or replaces by `to_json`, or its own
-handler.  Only `errors` and `ring` are imported up front: a row's classes
-and operation are imported and looked up when it runs, so a cold call loads
-no layer its subcommand does not use.
+handler; only the requested form is built.  Only `errors` and `ring` are
+imported up front: a row's classes and operation are imported and looked up
+when it runs, so a cold call loads no layer its subcommand does not use.
 """
 
 from __future__ import annotations
@@ -61,11 +61,13 @@ def _lookup(path: str):
     return functools.reduce(getattr, names, importlib.import_module(f"{__package__}.{layer}"))
 
 
-def _emit(args, text_value: str, json_value) -> int:
+def _emit(args, text: Callable[[], str], payload: Callable[[], object]) -> int:
+    """Print the requested form of a result, built by calling `payload`
+    (JSON) or `text`; the other is never built."""
     if args.format == "json":
-        print(json.dumps(json_value, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        print(text_value)
+        print(text())
     return 0
 
 
@@ -156,7 +158,7 @@ def _ring(args) -> int:
         raise InvalidInputError(f"ring {op} takes {needs} operand(s), got {len(operands)}")
     if op == "degree":
         value = _as_text(Cycle.from_json(_load_json(operands[0])).degree())
-        return _emit(args, value, {"degree": value})
+        return _emit(args, lambda: value, lambda: {"degree": value})
     if op in ("add", "intersect"):
         a, b = (Cycle.from_json(_load_json(text)) for text in operands)
         result = a + b if op == "add" else a * b
@@ -168,7 +170,7 @@ def _ring(args) -> int:
         except ValueError as exc:
             raise InvalidInputError(f"graded component index must be an integer, got {operands[0]!r}") from exc
         result = Cycle.from_json(_load_json(operands[1])).graded_component(k)
-    return _emit(args, _cycle_text(result), result.to_json())
+    return _emit(args, lambda: _cycle_text(result), result.to_json)
 
 
 def _euler(args) -> int:
@@ -184,7 +186,7 @@ def _euler(args) -> int:
     else:
         ch = chern_character(_line_bundle(args, "a K-class"))
     value = _as_text(euler_characteristic(ch))
-    return _emit(args, value, {"euler_characteristic": value})
+    return _emit(args, lambda: value, lambda: {"euler_characteristic": value})
 
 
 def _split(args, motive, cycle) -> int:
@@ -194,40 +196,48 @@ def _split(args, motive, cycle) -> int:
     corr = GradedCorrespondence(motive.variety, motive.variety, cycle)
     projector = MotiveMorphism(motive, motive, corr)
     image, section, retraction = split_idempotent(motive, projector)
-    payload = {
-        "image": image.to_json(),
-        "section": section.corr.to_json(),
-        "retraction": retraction.corr.to_json(),
-    }
-    text = f"image: {image}\nsection: {section.corr.cycle}\nretraction: {retraction.corr.cycle}"
-    return _emit(args, text, payload)
+    return _emit(
+        args,
+        lambda: f"image: {image}\nsection: {section.corr.cycle}\nretraction: {retraction.corr.cycle}",
+        lambda: {
+            "image": image.to_json(),
+            "section": section.corr.to_json(),
+            "retraction": retraction.corr.to_json(),
+        },
+    )
 
 
 def _orlov(args, e, f) -> int:
     from .motives import orlov_pipeline
 
     report = orlov_pipeline(e, f)
-    fields = ("mutually_inverse", "isomorphic_modulo_twist", "support_ok", "exact_isomorphism", "verdict")
-    payload = {name: getattr(report, name) for name in fields}
-    payload["support_floors"] = ["inf" if floor is None else floor for floor in report.support_floors]
-    if report.degree_zero_pair is not None:
-        f0, g0 = report.degree_zero_pair
-        payload["degree_zero_forward"] = f0.corr.to_json()
-        payload["degree_zero_backward"] = g0.corr.to_json()
-    text_lines = [
-        f"mutually inverse: {'yes' if report.mutually_inverse else 'no'}",
-        f"isomorphic modulo twist: {'yes' if report.isomorphic_modulo_twist else 'no'}",
-        f"support condition: {'yes' if report.support_ok else 'no'}",
-        f"verdict: {report.verdict}",
-    ]
-    return _emit(args, "\n".join(text_lines), payload)
+
+    def payload():
+        fields = ("mutually_inverse", "isomorphic_modulo_twist", "support_ok", "exact_isomorphism", "verdict")
+        out = {name: getattr(report, name) for name in fields}
+        out["support_floors"] = ["inf" if floor is None else floor for floor in report.support_floors]
+        if report.degree_zero_pair is not None:
+            f0, g0 = report.degree_zero_pair
+            out["degree_zero_forward"] = f0.corr.to_json()
+            out["degree_zero_backward"] = g0.corr.to_json()
+        return out
+
+    def text():
+        return "\n".join([
+            f"mutually inverse: {'yes' if report.mutually_inverse else 'no'}",
+            f"isomorphic modulo twist: {'yes' if report.isomorphic_modulo_twist else 'no'}",
+            f"support condition: {'yes' if report.support_ok else 'no'}",
+            f"verdict: {report.verdict}",
+        ])
+
+    return _emit(args, text, payload)
 
 
 def _compat(args, e, f) -> int:
     from .motives import compatibility_check
 
     verdict = compatibility_check(e, f)
-    _emit(args, "true" if verdict else "false", {"compatible": verdict})
+    _emit(args, lambda: "true" if verdict else "false", lambda: {"compatible": verdict})
     return 0 if verdict else 1
 
 
@@ -235,12 +245,15 @@ def _verify(args) -> int:
     from .verify import run_checks
 
     results = run_checks(args.seed, args.samples)
-    width = max(len(r.name) for r in results)
-    table = [f"{'check'.ljust(width)}  result  detail", f"{'-' * width}  ------  ------"]
-    for r in results:
-        table.append(f"{r.name.ljust(width)}  {('PASS' if r.passed else 'FAIL').ljust(6)}  {r.detail}")
-    payload = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-    _emit(args, "\n".join(table), payload)
+
+    def table():
+        width = max(len(r.name) for r in results)
+        lines = [f"{'check'.ljust(width)}  result  detail", f"{'-' * width}  ------  ------"]
+        for r in results:
+            lines.append(f"{r.name.ljust(width)}  {('PASS' if r.passed else 'FAIL').ljust(6)}  {r.detail}")
+        return "\n".join(lines)
+
+    _emit(args, table, lambda: [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results])
     if args.timings:
         for r in results:
             print(f"{r.name}  {r.seconds:.3f} s", file=sys.stderr)
@@ -325,7 +338,7 @@ def run_command(args) -> int:
     if row.handler is not None:
         return row.handler(args, *values)
     result = _lookup(row.op)(*values)
-    return _emit(args, row.text(result), result.to_json())
+    return _emit(args, lambda: row.text(result), result.to_json)
 
 
 def build_parser(rows=COMMANDS) -> argparse.ArgumentParser:

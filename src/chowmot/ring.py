@@ -320,11 +320,16 @@ def _as_fraction(value: object) -> Fraction | int:
     raise InvalidInputError(f"coefficients must be exact rationals, got {value!r}")
 
 
-def _as_text(value: Fraction | int) -> str:
-    """A coefficient as text; one whose numerator or denominator is longer
-    than Python's digit limit cannot be printed and is refused."""
+def _as_text(value: Fraction | int, den: int = 1) -> str:
+    """The coefficient value / den as text, in lowest terms as `Fraction`
+    prints it, with one gcd for an int over den > 1; one whose numerator or
+    denominator is longer than Python's digit limit cannot be printed and
+    is refused."""
     try:
-        return str(value)
+        if den == 1:
+            return str(value)
+        g = gcd(value, den)
+        return str(value // g) if g == den else f"{value // g}/{den // g}"
     except ValueError as exc:  # str(int) past sys.get_int_max_str_digits()
         raise InvalidInputError(
             f"result coefficient exceeds the {sys.get_int_max_str_digits()}-digit limit for printing"
@@ -518,25 +523,21 @@ class Cycle:
     def __str__(self) -> str:
         if not self._num:
             return "0"
+        num, den = self._num, self._den
+        keys = sorted(num)  # the order of the exponent tuples
         parts = []
-        for exps, coeff in sorted(self.terms.items()):
-            factors = [
-                f"h{i + 1}" if e == 1 else f"h{i + 1}^{e}"
-                for i, e in enumerate(exps)
-                if e > 0
-            ]
-            if not factors:
-                parts.append(_as_text(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            elif coeff == -1:
-                parts.append("-" + "*".join(factors))
+        for key, exps in zip(keys, self.variety._layout.unpack(keys)):
+            v = num[key]
+            monomial = "*".join(f"h{i + 1}" if e == 1 else f"h{i + 1}^{e}" for i, e in enumerate(exps) if e)
+            if not monomial:
+                parts.append(_as_text(v, den))
+            elif v == den:
+                parts.append(monomial)
+            elif v == -den:
+                parts.append("-" + monomial)
             else:
-                parts.append(f"{_as_text(coeff)}*" + "*".join(factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+                parts.append(f"{_as_text(v, den)}*{monomial}")
+        return parts[0] + "".join(f" - {p[1:]}" if p[0] == "-" else f" + {p}" for p in parts[1:])
 
     def __repr__(self) -> str:
         return f"<Cycle {self} on {self.variety}>"
@@ -549,7 +550,7 @@ class Cycle:
         return {
             "variety": self.variety.to_json(),
             "terms": [
-                {"exps": list(e), "coeff": _as_text(num[k] if den == 1 else Fraction(num[k], den))}
+                {"exps": list(e), "coeff": _as_text(num[k], den)}
                 for k, e in zip(keys, self.variety._layout.unpack(keys))
             ],
         }

@@ -78,6 +78,28 @@ def test_criterion_4_catches_a_faulty_packed_contraction(monkeypatch):
     assert not passed and detail == "dense composite differs from the triple-product route"
 
 
+def test_criterion_4_catches_a_faulty_dict_contraction(monkeypatch):
+    # negative control: the random instances compose on the dict loop, so
+    # one corrupted entry per contraction fails the row
+    from chowmot import corr
+
+    contract = corr._contract_dict
+    calls = []
+
+    def corrupted(f, g, rows):
+        acc = contract(f, g, rows)
+        if acc:
+            key = min(acc)
+            acc[key] += 1
+            calls.append(key)
+        return acc
+
+    monkeypatch.setattr(corr, "_contract_dict", corrupted)
+    passed, detail = CHECK_BY_NAME["correspondence-algebra"](random.Random(f"{SEED}:correspondence-algebra"), 200)
+    assert calls
+    assert not passed and detail == "associativity fails at trial 0"
+
+
 def test_criterion_5_lefschetz_decomposition():
     # orthogonal idempotents summing to the diagonal; explicit splittings
     run_criterion(5, "lefschetz-decomposition", max_seconds=1.0)

@@ -499,6 +499,18 @@ class TestOutsideInputStillChecked:
         with pytest.raises(InvalidInputError, match=f"{field} must be a"):
             make(x, Cycle.one(x * x), motive_of(x))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: line_bundle("x", [1]), "expected a Variety, got 'x'"),
+        (lambda: tangent_class((1,)), "expected a Variety, got (1,)"),
+        (lambda: line_bundle(make_variety([1]), 3), "degrees must be a list or tuple of integers, got 3"),
+    ], ids=["line_bundle-variety", "tangent_class-variety", "line_bundle-degrees"])
+    def test_bundle_constructors_refuse_malformed_arguments(self, call, message):
+        """The library entry points of `chern` refuse with a ChowError, not
+        with the AttributeError or TypeError of reading the argument."""
+        with pytest.raises(InvalidInputError) as caught:
+            call()
+        assert str(caught.value) == message
+
     def test_cycle_constructors_reject(self):
         x = make_variety([1, 1])
         for terms in ({(1,): 1}, {(1, -1): 1}, {(1, True): 1}, {(0, 0): 0.5}, {(0, 0): "1e99999"}):

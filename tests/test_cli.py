@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chowmot import KKernel, k_compose, motives
+from chowmot import Cycle, KKernel, k_compose, motives
 from chowmot.cli import main
 
 
@@ -512,6 +512,28 @@ class TestTranscript:
             if got != want:
                 differ.append(case["argv"])
         assert differ == []
+
+    @pytest.mark.parametrize("form, writer", [("json", "__str__"), ("text", "to_json")])
+    def test_only_the_requested_form_is_built(self, monkeypatch, form, writer):
+        """With `Cycle`'s writer of the other form made to raise, every
+        recorded call that prints a result in `form` replays byte for byte."""
+        def refused(self, *args):
+            raise AssertionError(f"Cycle.{writer} called for --format {form}")
+
+        monkeypatch.setattr(Cycle, writer, refused)
+        cases = [case for case in json.loads(TRANSCRIPT.read_text(encoding="utf-8"))
+                 if case["code"] == 0 and not case["stdout"].startswith("usage:")
+                 and output_format(case["argv"]) == form]
+        assert len(cases) >= 50
+        for case in cases:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(case["argv"]))
+            assert [code, out.getvalue(), err.getvalue()] == [0, case["stdout"], case["stderr"]], case["argv"]
+
+
+def output_format(argv: list[str]) -> str:
+    return argv[argv.index("--format") + 1] if "--format" in argv else "text"
 
 
 def unwrapped_usage(text: str) -> str:

@@ -18,7 +18,7 @@ from chowmot import (
     diagonal_pushforward,
     make_variety,
 )
-from chowmot import corr
+from chowmot import corr, ring
 from chowmot.corr import PACKED_MAX_BITS, PACKED_MIN_PARTNERS
 from chowmot.verify import random_correspondence, random_cycle
 
@@ -520,6 +520,62 @@ class TestSparseComposites:
         assert y is not P1 and y == P1
         f, g = on(P2, y, {(1, 1): 2, (0, 0): 1}), on(P1, P1, {(0, 1): 3, (1, 0): -1})
         assert compose_graded(f, g).cycle == triple_product_composite(f, g)
+
+
+# (X, Y, Z), all different, with P^0 factors and the point among them
+RECTANGULAR_TRIPLES = [((0,), (2, 1), (1,)), ((1, 2), (0, 1), (3,)), ((), (1, 0), (2,)),
+                       ((2,), (3,), ()), ((1, 0), (), (0, 2)), ((0, 0), (1, 1, 1), (2, 0))]
+
+
+def dict_contraction(f, g):
+    """The composite from `_contract_dict` called directly, over the
+    product of the operands' denominators."""
+    acc = corr._contract_dict(f, g, corr._middle_rows(g))
+    return ring._reduced(f.source * g.target, f.cycle._den * g.cycle._den, acc)
+
+
+class TestDictContraction:
+    """`_contract_dict` called directly against the triple-product route,
+    on operands where few, some or all terms of f have a partner row."""
+
+    def test_no_term_of_f_has_a_partner(self):
+        # f's middle exponents 0 and 1 on P^2 need rows at 2 and 1; g has one row, at 0
+        x, y, z = P1, P2, P1xP1
+        f = on(x, y, {(0, 0): 3, (1, 0): -2, (0, 1): Fraction(1, 2)})
+        g = on(y, z, {(0, 1, 0): 5, (0, 0, 1): 1})
+        assert corr._contract_dict(f, g, corr._middle_rows(g)) == {}
+        assert dict_contraction(f, g) == triple_product_composite(f, g) == Cycle.zero(x * z)
+        assert compose_graded(f, g).is_zero
+
+    def test_only_some_terms_of_f_have_a_partner(self):
+        x, y, z = P1, P2, P1xP1
+        # the f terms at middle exponent 2 pair with g's row at 0; those at 0 find no row at 2
+        f = on(x, y, {(0, 2): 3, (1, 2): -1, (0, 0): 7, (1, 0): Fraction(2, 3)})
+        g = on(y, z, {(0, 1, 0): 5, (0, 0, 1): Fraction(1, 4), (1, 1, 1): 2})
+        acc = corr._contract_dict(f, g, corr._middle_rows(g))
+        assert sorted(acc) == sorted(corr_key(x, z, e) for e in [(0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)])
+        h = dict_contraction(f, g)
+        assert h == triple_product_composite(f, g) and not h.is_zero
+        assert compose_graded(f, g).cycle == h
+
+    @pytest.mark.parametrize("shapes", RECTANGULAR_TRIPLES, ids=str)
+    def test_rectangular_operands_match_triple_product(self, shapes):
+        x, y, z = map(make_variety, shapes)
+        rng = random.Random(f"rectangular:{shapes}")
+        zero = partial = 0
+        for _ in range(40):
+            f = random_correspondence(rng, x, y, rng.randint(1, 8))
+            g = random_correspondence(rng, y, z, rng.randint(1, 8))
+            h = dict_contraction(f, g)
+            assert h == triple_product_composite(f, g)
+            assert h == compose_graded(f, g).cycle
+            assert h._den > 0 and all(h._num.values()) and math.gcd(h._den, *h._num.values()) == 1
+            rows, y_mask = corr._middle_rows(g), (1 << y._layout.bits) - 1
+            partnered = sum(y._layout.top - (k & y_mask) in rows for k in f.cycle._num)
+            zero += partnered == 0
+            partial += 0 < partnered < len(f.cycle._num)
+        if y.dim:  # over a point or P^0 every term of f has a partner row
+            assert zero >= 1 and partial >= 1
 
 
 DIAGONAL_SHAPES = [(), (1,), (2,), (1, 1), (1, 2), (2, 2), (3, 3), (1, 1, 1)]

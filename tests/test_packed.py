@@ -8,6 +8,7 @@ whose factors cross the key's field-width boundaries (n = 0, 1 share a
 2-bit field; 2, 3 a 3-bit one; 4, 7 a 4-bit one; 8 a 5-bit one).
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -249,6 +250,29 @@ class TestRingOperations:
             assert got == ref_product(a, b, bounds)
             disagreements += got != ref_product(a, b, bounds, slack=1)
         assert disagreements > 0
+
+
+TODD_POWER_VARIETIES = [(1,), (2, 1), (3, 3), (1, 1, 1)]
+TODD_POWER_EXPONENTS = (Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(-1, 2), Fraction(3, 2))
+
+
+class TestMulToddPowerReference:
+    """`mul_todd_power`, which reduces once after all its factor passes,
+    against the reference that multiplies by each factor's series in
+    Fractions: every exponent, every subset of the factors (the empty one
+    too), and the zero, unit and random cycles."""
+
+    @pytest.mark.parametrize("bounds", TODD_POWER_VARIETIES, ids=str)
+    def test_every_exponent_and_factor_subset(self, bounds):
+        rng = random.Random(f"todd-subsets:{bounds}")
+        k = len(bounds)
+        subsets = [c for r in range(k + 1) for c in itertools.combinations(range(k), r)]
+        cycles = [{}, {(0,) * k: Fraction(1)}] + [rand_terms(rng, bounds, 6) for _ in range(3)]
+        for s in TODD_POWER_EXPONENTS:
+            for factors in subsets:
+                for a in cycles:
+                    assert_matches(mul_todd_power(engine(a, bounds), s, factors),
+                                   ref_mul_todd_power(a, s, bounds, factors))
 
 
 class TestCorrespondenceOperations:
