@@ -15,7 +15,6 @@ _HOMES = {
     "chern": (
         "BundleClass", "chern_character", "exp_nilpotent", "line_bundle", "power_sums",
         "series_inverse", "sqrt_todd", "tangent_class", "todd_class", "todd_series_coefficients",
-        "variety_todd",
     ),
     "corr": (
         "FactorSelection", "GradedCorrespondence", "cartesian", "compose_graded",
@@ -33,7 +32,7 @@ _HOMES = {
         "FormalSum", "FormalSumMorphism", "Motive", "MotiveMorphism", "OrbitMorphism",
         "OrlovReport", "compatibility_check", "compose_motive", "degree_zero_rigidify", "dual",
         "lefschetz_motive", "motive_of", "orbit_compose", "orlov_pipeline", "split_idempotent",
-        "tate_motive", "tate_twist", "tensor", "tensor_morphism", "unit_motive", "zero_motive",
+        "tate_twist", "tensor", "tensor_morphism", "unit_motive", "zero_motive",
     ),
     "ring": ("Cycle", "Variety", "make_variety"),
 }

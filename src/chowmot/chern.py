@@ -248,20 +248,10 @@ def mul_todd_power(c: Cycle, s, factors=None) -> Cycle:
     return _reduced(c.variety, den, num)
 
 
-def _todd_power(variety: Variety, s: Fraction) -> Cycle:
-    """td(X)^s for rational s, factor by factor."""
-    return mul_todd_power(Cycle.one(variety), s)
-
-
-def variety_todd(variety: Variety) -> Cycle:
-    """Todd class of the tangent bundle of the variety."""
-    return _todd_power(variety, Fraction(1))
-
-
 def sqrt_todd(variety: Variety) -> Cycle:
     """The square root of the Todd class with constant term 1; its square is
     the Todd class of the variety exactly."""
-    return _todd_power(variety, Fraction(1, 2))
+    return mul_todd_power(Cycle.one(variety), Fraction(1, 2))
 
 
 def line_bundle(variety: Variety, degrees: list[int] | tuple[int, ...]) -> BundleClass:

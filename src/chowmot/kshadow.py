@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .chern import _todd_factor_series, _todd_power, mul_todd_power
+from .chern import _todd_factor_series, mul_todd_power
 from .corr import GradedCorrespondence, compose_graded, diagonal_pushforward
 from .errors import DomainMismatchError, InvalidInputError
 from .ring import Cycle, Variety, _built, _from_json, _to_json, _Value
@@ -88,7 +88,7 @@ def identity_kernel(variety: Variety) -> KKernel:
     """The kernel of the identity functor, the class of the diagonal's
     structure sheaf: by GRR for the diagonal and the projection formula
     (the diagonal pulls td(X x X) back to td(X)^2), ch = diagonal_*(td(X)^-1)."""
-    ch = diagonal_pushforward(variety, _todd_power(variety, Fraction(-1)))
+    ch = diagonal_pushforward(variety, mul_todd_power(Cycle.one(variety), Fraction(-1)))
     return _built(KKernel, variety, variety, ch)
 
 

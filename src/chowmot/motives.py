@@ -183,11 +183,6 @@ def lefschetz_motive() -> Motive:
     return _built(Motive, line, 0, beta)
 
 
-def tate_motive() -> Motive:
-    """The twisting object: the unit motive with twist -1."""
-    return tate_twist(unit_motive(), 1)
-
-
 def tensor(m: Motive, n: Motive) -> Motive:
     """Tensor product: varieties multiply, twists add, and the idempotents
     combine as the external product rearranged onto (X x Y) x (X x Y), which
@@ -235,6 +230,8 @@ def dual(m: Motive) -> Motive:
 
 def tate_twist(m: Motive, i: int) -> Motive:
     """The i-th twist lowers the twist index by i and keeps everything else."""
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise InvalidInputError(f"twist shift must be an integer, got {i!r}")
     return _built(Motive, m.variety, m.twist - i, m.idempotent)
 
 

@@ -180,10 +180,6 @@ class Variety(_Value):
     def num_factors(self) -> int:
         return len(self.factors)
 
-    @property
-    def is_point(self) -> bool:
-        return not self.factors
-
     def __mul__(self, other: "Variety") -> "Variety":
         return _variety(self.factors + other.factors)
 
@@ -409,15 +405,10 @@ class Cycle:
     @classmethod
     def hyperplane(cls, variety: Variety, index: int) -> "Cycle":
         """The hyperplane class h_{index} pulled back from the given factor."""
-        if not 0 <= index < variety.num_factors:
-            raise InvalidInputError(f"no factor {index} on {variety}")
+        if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < variety.num_factors:
+            raise InvalidInputError(f"no factor {index!r} on {variety}")
         exps = tuple(1 if i == index else 0 for i in range(variety.num_factors))
         return cls(variety, {exps: 1})
-
-    @classmethod
-    def point_class(cls, variety: Variety) -> "Cycle":
-        """The top monomial h_1^{n_1} ... h_k^{n_k} (the class of a point)."""
-        return cls(variety, {variety.factors: 1})
 
     # -- structure ---------------------------------------------------------
 

@@ -52,7 +52,6 @@ from chowmot import (
     permute_factors,
     split_idempotent,
     tangent_class,
-    tate_motive,
     tate_twist,
     tensor,
     tensor_morphism,
@@ -298,7 +297,7 @@ class TestMotivesBuiltUnchecked:
 
     def test_duals_tensors_and_twists(self):
         rng = random.Random(77)
-        pool = motives(rng) + [unit_motive(), zero_motive(), tate_motive()]
+        pool = motives(rng) + [unit_motive(), zero_motive(), tate_twist(unit_motive(), 1)]
         for m in pool:
             for r in (dual(m), dual(dual(m)), tate_twist(m, rng.randint(-3, 3)),
                       *(tensor(m, n) for n in pool)):
@@ -317,7 +316,7 @@ class TestMotivesBuiltUnchecked:
     def test_orbit_composition_drops_cancelled_components(self):
         line = make_variety([1])
         m = motive_of(line)
-        nil = GradedCorrespondence(line, line, Cycle.point_class(line * line))
+        nil = GradedCorrespondence(line, line, Cycle.monomial(line * line, (line * line).factors))
         f = OrbitMorphism.from_components(m, m, {0: m.idempotent, 1: nil})
         g = OrbitMorphism.from_components(m, m, {0: m.idempotent, 1: -nil})
         # offset 1 sums nil and -nil, offset 2 is nil o nil = 0
@@ -524,6 +523,22 @@ class TestOutsideInputStillChecked:
         assert Cycle(x, {(2, 0): 1, (0, 1): 0}).is_zero
         data = {"variety": {"factors": [1]}, "terms": [{"exps": [2], "coeff": "1"}]}
         assert Cycle.from_json(data).is_zero
+
+    @pytest.mark.parametrize("index", [0.5, True, "1", 2, -1])
+    def test_hyperplane_refuses_an_index_that_names_no_factor(self, index):
+        """0.5 once gave the unit class, True gave h2 and "1" a TypeError."""
+        x = make_variety([1, 1])
+        with pytest.raises(InvalidInputError) as caught:
+            Cycle.hyperplane(x, index)
+        assert str(caught.value) == f"no factor {index!r} on P^1 x P^1"
+
+    @pytest.mark.parametrize("shift", [0.5, True, "1"])
+    def test_tate_twist_refuses_a_non_integer_shift(self, shift):
+        """0.5 once gave a motive of twist -0.5, True one of twist -1, and
+        "1" a TypeError."""
+        with pytest.raises(InvalidInputError) as caught:
+            tate_twist(motive_of(make_variety([1])), shift)
+        assert str(caught.value) == f"twist shift must be an integer, got {shift!r}"
 
 
 class TestComposeBudget:

@@ -38,7 +38,6 @@ from chowmot import (
     split_idempotent,
     sqrt_todd,
     support_codim_floor,
-    tate_motive,
     tate_twist,
     tensor,
     tensor_morphism,
@@ -202,7 +201,7 @@ class TestTensorDualTwist:
 
 class TestTateAndLefschetz:
     def test_tate_motive_data(self):
-        t = tate_motive()
+        t = tate_twist(unit_motive(), 1)
         assert t.variety == POINT and t.twist == -1
 
     def test_lefschetz_isomorphic_to_tate(self):
@@ -210,7 +209,7 @@ class TestTateAndLefschetz:
         # under the conventions pinned here the twisting object itself, not
         # its dual, matches the Lefschetz piece
         l = lefschetz_motive()
-        t = tate_motive()
+        t = tate_twist(unit_motive(), 1)
         u = MotiveMorphism(l, t, GradedCorrespondence(P1, POINT, Cycle.one(P1)))
         v = MotiveMorphism(t, l, GradedCorrespondence(POINT, P1, Cycle.hyperplane(P1, 0)))
         assert compose_motive(u, v) == l.identity_morphism()
@@ -402,7 +401,7 @@ class TestOrbitCategory:
     def test_degree_offset_consistency(self):
         # a component at offset i must be pure of degree (twist gap) + i
         l = lefschetz_motive()
-        t = tate_motive()
+        t = tate_twist(unit_motive(), 1)
         u = GradedCorrespondence(P1, POINT, Cycle.one(P1))
         morphism = OrbitMorphism.from_components(l, t, {0: u})
         assert morphism.component(0) == u
@@ -625,7 +624,7 @@ class TestCompatibility:
 
 class TestMotiveJson:
     def test_round_trip(self):
-        for m in [unit_motive(), motive_of(P1), lefschetz_motive(), tate_motive()]:
+        for m in [unit_motive(), motive_of(P1), lefschetz_motive(), tate_twist(unit_motive(), 1)]:
             assert Motive.from_json(m.to_json()) == m
 
     def test_orbit_round_trip(self):

@@ -36,7 +36,7 @@ def brute_force_product(a: Cycle, b: Cycle) -> Cycle:
 class TestVariety:
     def test_point(self):
         x = make_variety([])
-        assert x.dim == 0 and x.is_point
+        assert x.dim == 0 and not x.factors
 
     def test_line(self):
         x = make_variety([1])

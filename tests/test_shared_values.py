@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from chowmot import chern
-from chowmot.chern import sqrt_todd, variety_todd
+from chowmot.chern import mul_todd_power, sqrt_todd
 from chowmot.corr import FactorSelection, GradedCorrespondence, permute_factors
 from chowmot.kshadow import chow_image, euler_characteristic, identity_kernel, k_compose
 from chowmot.motives import OrbitMorphism, degree_zero_rigidify, motive_of
@@ -56,7 +56,7 @@ def battery(x):
     degree_zero_rigidify(orbit, orbit)
     kernel = identity_kernel(x)
     chow_image(k_compose(kernel, kernel))
-    euler_characteristic(variety_todd(x) * sqrt_todd(x))
+    euler_characteristic(mul_todd_power(Cycle.one(x), 1) * sqrt_todd(x))
     ident.transpose().then(ident)
 
 
