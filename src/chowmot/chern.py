@@ -11,9 +11,12 @@ univariate series at a time (`mul_todd_power`), each series computed once
 per process and shared.  The factor passes multiply integer numerators and
 denominators, and the product is reduced to lowest terms once, at the end.
 A test ties the two routes together on a ladder of varieties.  The log-Todd
-coefficients come from one exact `_series_log` pass at runtime, not from
-printed tables, and every exponential runs in the ring: `exp_nilpotent` on
-X for a bundle, on P^n for a factor's series.
+coefficients are computed at runtime, not printed in tables, in closed form:
+log(x / (1 - e^{-x})) = x/2 - sum_k B_2k x^2k / (2k (2k)!), with the
+Bernoulli numbers taken from integer tangent numbers by the recurrence of
+Brent and Harvey, "Fast computation of Bernoulli, Tangent and Secant
+numbers" (arXiv:1108.0286).  Every exponential runs in the ring:
+`exp_nilpotent` on X for a bundle, on P^n for a factor's series.
 """
 
 from __future__ import annotations
@@ -23,41 +26,29 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInputError, SingularSeriesError
-from .ring import (CACHE_ENTRIES, Cycle, Variety, _built, _cycle, _from_json, _reduced, _require_variety, _to_json,
-                   _total, _Value, make_variety, require_budget)
-
-# ---------------------------------------------------------------------------
-# univariate truncated series over Q (coefficient lists, a[k] is the x^k term)
-# ---------------------------------------------------------------------------
+from .ring import (CACHE_ENTRIES, Cycle, Variety, _built, _cycle, _from_json, _reduced, _require_instance,
+                   _to_json, _total, _Value, make_variety, require_budget)
 
 
-def _series_log(t: list[Fraction], order: int) -> list[Fraction]:
-    # log(t) for t with constant term 1, from t' = g' t
-    out = [Fraction(0)] * (order + 1)
-    for k in range(1, order + 1):
-        out[k] = t[k] - sum((j * out[j] * t[k - j] for j in range(1, k)), Fraction(0)) / k
-    return out
-
-
-@functools.cache
 def todd_series_coefficients(order: int) -> tuple[Fraction, ...]:
-    """Coefficients of log(x / (1 - e^{-x})) up to x^order, exact.
-
-    Applying this series to the power sums of the Chern roots and
-    exponentiating gives the Todd class; computing it here keeps printed
-    tables out of the source and makes them test vectors instead.
-    """
+    """Coefficients of log(x / (1 - e^{-x})) up to x^order, exact, in the
+    closed form of the module docstring, B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
+    from the tangent numbers T_k.  Applying this series to the power sums of
+    the Chern roots and exponentiating gives the Todd class."""
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise InvalidInputError(f"series order must be an integer, got {order!r}")
     if order < 0:
         raise InvalidInputError("series order must be nonnegative")
     require_budget(make_variety(()), order)
-    # (1 - e^{-x}) / x  =  sum_j (-1)^j x^j / (j+1)!
-    s = [Fraction(0)] * (order + 1)
-    fact = 1
-    for j in range(order + 1):
-        fact *= j + 1
-        s[j] = Fraction((-1) ** j, fact)
-    # log(x / (1 - e^{-x})) = -log((1 - e^{-x}) / x), and s has constant term 1
-    return tuple(-c for c in _series_log(s, order))
+    m = order // 2
+    tangent = [0] + [math.factorial(k) for k in range(m)]  # T_k at index k, seeded with (k - 1)!
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    coefficients = [Fraction(0), Fraction(1, 2)] + [Fraction(0)] * (order - 1)
+    for k in range(1, m + 1):  # -B_2k / (2k (2k)!)
+        coefficients[2 * k] = Fraction((-1) ** k * tangent[k], 4 ** k * (4 ** k - 1) * math.factorial(2 * k))
+    return tuple(coefficients[:order + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +61,7 @@ def exp_nilpotent(u: Cycle) -> Cycle:
     positive-codimension classes are nilpotent), built grade by grade: with
     g_j the codimension-j part of u, the codimension-k part of exp(u) is
     E_k = (1/k) sum_j j g_j E_{k-j}, from f' = g' f."""
-    x = u.variety
+    x = _require_instance(u, Cycle).variety
     if 0 in u._num:  # key 0 is the constant monomial
         raise InvalidInputError("exp requires a cycle with zero constant term")
     weighted = [u.graded_component(j).scale(j) for j in range(x.dim + 1)]
@@ -85,12 +76,12 @@ def exp_nilpotent(u: Cycle) -> Cycle:
 def series_inverse(u: Cycle) -> Cycle:
     """The unique cycle v with u * v = 1, for u with nonzero constant term,
     computed by the truncated geometric series."""
+    one = Cycle.one(_require_instance(u, Cycle).variety)
     c0 = Fraction(u._num.get(0, 0), u._den)  # key 0 is the constant monomial
     if c0 == 0:
         raise SingularSeriesError("cycle has zero constant term, no inverse exists")
-    w = u.scale(1 / c0) - Cycle.one(u.variety)
-    acc = Cycle.one(u.variety)
-    power = Cycle.one(u.variety)
+    w = u.scale(1 / c0) - one
+    acc = power = one
     for _ in range(u.variety.dim):
         power = power * (-w)
         if power.is_zero:
@@ -156,7 +147,7 @@ def power_sums(bundle: BundleClass) -> tuple[Cycle, ...]:
         p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^k e_{k-1} p_1
               + (-1)^{k-1} k e_k
     """
-    x = bundle.variety
+    x = _require_instance(bundle, BundleClass).variety
     d = x.dim
     require_budget(x, d)
     e = [bundle.chern(i) for i in range(d + 1)]
@@ -171,7 +162,7 @@ def power_sums(bundle: BundleClass) -> tuple[Cycle, ...]:
 
 def chern_character(bundle: BundleClass) -> Cycle:
     """rank + sum_k p_k / k!, exact."""
-    x = bundle.variety
+    x = _require_instance(bundle, BundleClass).variety
     acc = Cycle.one(x).scale(bundle.rank)
     fact = 1
     for k, pk in enumerate(power_sums(bundle), start=1):
@@ -183,7 +174,7 @@ def chern_character(bundle: BundleClass) -> Cycle:
 def todd_class(bundle: BundleClass) -> Cycle:
     """Todd class, evaluated as exp of the universal log-Todd series applied
     to the power sums of the Chern roots."""
-    x = bundle.variety
+    x = _require_instance(bundle, BundleClass).variety
     lam = todd_series_coefficients(x.dim)
     arg = Cycle.zero(x)
     for k, pk in enumerate(power_sums(bundle), start=1):
@@ -196,7 +187,7 @@ def tangent_class(variety: Variety) -> BundleClass:
     total Chern class prod_i (1 + h_i)^{n_i + 1} (Euler sequence, factorwise),
     whose coefficient at h^e is prod_i binomial(n_i + 1, e_i): one integer
     per monomial of X."""
-    require_budget(_require_variety(variety))
+    require_budget(_require_instance(variety, Variety))
     num = {0: 1}
     for (shift, _), n in zip(variety._layout.fields, variety.factors):
         num = {k + (e << shift): v * math.comb(n + 1, e) for k, v in num.items() for e in range(n + 1)}
@@ -257,7 +248,7 @@ def sqrt_todd(variety: Variety) -> Cycle:
 def line_bundle(variety: Variety, degrees: list[int] | tuple[int, ...]) -> BundleClass:
     """Rank-one class with first Chern class sum_i d_i h_i (one degree per
     factor)."""
-    _require_variety(variety)
+    _require_instance(variety, Variety)
     if not isinstance(degrees, list | tuple):
         raise InvalidInputError(f"degrees must be a list or tuple of integers, got {degrees!r}")
     degrees = tuple(degrees)

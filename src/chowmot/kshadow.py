@@ -20,7 +20,7 @@ from fractions import Fraction
 from .chern import _todd_factor_series, mul_todd_power
 from .corr import GradedCorrespondence, compose_graded, diagonal_pushforward
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import Cycle, Variety, _built, _from_json, _to_json, _Value
+from .ring import Cycle, Variety, _built, _from_json, _require_instance, _to_json, _Value
 
 
 class KKernel(_Value):
@@ -54,7 +54,7 @@ def euler_characteristic(ch: Cycle) -> Fraction:
     """chi(X, E) of the K-class with Chern character `ch` by Riemann-Roch:
     the degree of ch(E) * td(X), read as the pairing
     sum_e ch[e] * prod_i td(P^{n_i})[n_i - e_i] with no product built."""
-    factors = ch.variety.factors
+    factors = _require_instance(ch, Cycle).variety.factors
     per_factor = [_todd_factor_series(n, 1) for n in factors]
     fields = [(shift, mask, n, t)
               for (shift, mask), n, (_, t) in zip(ch.variety._layout.fields, factors, per_factor)]
@@ -66,7 +66,7 @@ def euler_characteristic(ch: Cycle) -> Fraction:
 def chow_image(kernel: KKernel) -> GradedCorrespondence:
     """The graded correspondence attached to a kernel: its Mukai vector
     ch(E) * sqrt(td) on the product."""
-    return _built(GradedCorrespondence, kernel.source, kernel.target,
+    return _built(GradedCorrespondence, _require_instance(kernel, KKernel).source, kernel.target,
                   mul_todd_power(kernel.ch, Fraction(1, 2)))
 
 
@@ -74,7 +74,7 @@ def k_compose(e: KKernel, f: KKernel) -> KKernel:
     """Composite kernel (e first, then f) by Grothendieck-Riemann-Roch for
     the projection p13 of X x Y x Z:
     ch(E o F) = p13_*(p12^* ch E . p23^* ch F . p2^* td Y)."""
-    if e.target != f.source:
+    if _require_instance(e, KKernel).target != _require_instance(f, KKernel).source:
         raise DomainMismatchError(f"middle variety mismatch: {e.target} vs {f.source}")
     twisted = mul_todd_power(f.ch, 1, range(f.source.num_factors))
     composed = compose_graded(

@@ -69,10 +69,10 @@ _SCALARS = (int, Fraction)
 # monomials of its working ring (X for a class on X, X x X for a kernel or a
 # diagonal, X x Y for a correspondence) and the order of its series.  The
 # series are exact rational arithmetic, O(order^2) operations on numbers
-# that grow with the order: a cold `sqrt-todd` on P^n, nearly all series
-# work, takes 0.17-0.21 s at n = 128, 0.74-0.92 s at 256 and (in process,
-# budget lifted) 7.3 s at 512 on a 2-vCPU machine, so the order stops where
-# the series of one call stay within 2 s.
+# that grow with the order: a cold `sqrt-todd` on P^n, nearly all of it the
+# factor series, takes 0.11-0.17 s at n = 128, 0.38-0.48 s at 256 and (in
+# process, budget lifted) 3.3-4.0 s at 512 on a 2-vCPU machine, so the order
+# stops where the series of one call stay within 2 s.
 MAX_MONOMIALS = 1 << 18
 MAX_SERIES_ORDER = 256
 
@@ -365,7 +365,7 @@ class Cycle:
     __slots__ = ("variety", "_den", "_num", "_terms")
 
     def __init__(self, variety: Variety, terms: Mapping | None = None):
-        _require_variety(variety)
+        _require_instance(variety, Variety)
         if not isinstance(terms, Mapping | None):
             raise InvalidInputError(f"terms must be a mapping of exponents to coefficients, got {terms!r}")
         den, num = _over_common_denominator(_checked(variety, (terms or {}).items()))
@@ -392,11 +392,11 @@ class Cycle:
 
     @classmethod
     def zero(cls, variety: Variety) -> "Cycle":
-        return _cycle(_require_variety(variety), 1, {})
+        return _cycle(_require_instance(variety, Variety), 1, {})
 
     @classmethod
     def one(cls, variety: Variety) -> "Cycle":
-        return _cycle(_require_variety(variety), 1, {0: 1})  # key 0 is the constant monomial
+        return _cycle(_require_instance(variety, Variety), 1, {0: 1})  # key 0 is the constant monomial
 
     @classmethod
     def monomial(cls, variety: Variety, exps, coeff=1) -> "Cycle":
@@ -579,11 +579,11 @@ def _over_common_denominator(pairs) -> tuple[int, dict]:
     return den, {k: c.numerator * (den // c.denominator) for k, c in acc.items() if c}
 
 
-def _require_variety(variety: Variety) -> Variety:
-    """The argument, checked to be a `Variety`."""
-    if not isinstance(variety, Variety):
-        raise InvalidInputError(f"expected a Variety, got {variety!r}")
-    return variety
+def _require_instance(value, cls: type):
+    """The argument, checked to be a `cls`."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"expected a {cls.__name__}, got {value!r}")
+    return value
 
 
 _set_variety, _set_den, _set_num = (Cycle.__dict__[name].__set__ for name in ("variety", "_den", "_num"))

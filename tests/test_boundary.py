@@ -50,11 +50,15 @@ from chowmot import (
     orbit_compose,
     orlov_pipeline,
     permute_factors,
+    power_sums,
+    series_inverse,
     split_idempotent,
     tangent_class,
     tate_twist,
     tensor,
     tensor_morphism,
+    todd_class,
+    todd_series_coefficients,
     unit_motive,
     zero_motive,
 )
@@ -539,6 +543,26 @@ class TestOutsideInputStillChecked:
         with pytest.raises(InvalidInputError) as caught:
             tate_twist(motive_of(make_variety([1])), shift)
         assert str(caught.value) == f"twist shift must be an integer, got {shift!r}"
+
+    @pytest.mark.parametrize("order", [1.5, "3", True])
+    def test_todd_series_refuses_a_non_integer_order(self, order):
+        """1.5 and "3" once raised a TypeError, and True gave the series of order 1."""
+        with pytest.raises(InvalidInputError) as caught:
+            todd_series_coefficients(order)
+        assert str(caught.value) == f"series order must be an integer, got {order!r}"
+
+    @pytest.mark.parametrize("call, expected", [
+        (exp_nilpotent, "Cycle"), (series_inverse, "Cycle"), (euler_characteristic, "Cycle"),
+        (power_sums, "BundleClass"), (chern_character, "BundleClass"), (todd_class, "BundleClass"),
+        (chow_image, "KKernel"), (lambda value: k_compose(value, value), "KKernel"),
+    ], ids=["exp_nilpotent", "series_inverse", "euler_characteristic", "power_sums", "chern_character",
+            "todd_class", "chow_image", "k_compose"])
+    def test_class_functions_refuse_a_wrongly_typed_argument(self, call, expected):
+        """The library entry points of `chern` and `kshadow` that take a cycle, a
+        bundle class or a kernel once raised the AttributeError of reading the argument."""
+        with pytest.raises(InvalidInputError) as caught:
+            call("x")
+        assert str(caught.value) == f"expected a {expected}, got 'x'"
 
 
 class TestComposeBudget:
