@@ -18,7 +18,7 @@ _HOMES = {
     ),
     "corr": (
         "FactorSelection", "GradedCorrespondence", "cartesian", "compose_graded",
-        "diagonal_class", "diagonal_pushforward", "permute_factors",
+        "diagonal_class", "diagonal_pushforward", "external_product", "permute_factors",
     ),
     "errors": (
         "ChowError", "DomainMismatchError", "InvalidInputError", "PreconditionError",
@@ -26,7 +26,6 @@ _HOMES = {
     ),
     "kshadow": (
         "KKernel", "chow_image", "euler_characteristic", "identity_kernel", "k_compose",
-        "support_codim_floor",
     ),
     "motives": (
         "FormalSum", "FormalSumMorphism", "Motive", "MotiveMorphism", "OrbitMorphism",

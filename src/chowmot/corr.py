@@ -1,7 +1,8 @@
 """Correspondence calculus on products of projective spaces.
 
 Pullback and pushforward along factor projections, cartesian products,
-diagonal classes, and composition of correspondences.  Composition matches
+diagonal classes, the external product of correspondences, and their
+composition.  Composition matches
 middle exponents: a term of the first cycle pairs with the terms of the
 second whose exponents on the middle factor complete it to the top
 monomial, which equals the pullback-intersect-pushforward pipeline through
@@ -238,6 +239,24 @@ class GradedCorrespondence(_Value):
 
     def __str__(self) -> str:
         return f"{self.source} -> {self.target}: {self.cycle}"
+
+
+def external_product(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCorrespondence:
+    """The exterior product of f: X -> X' and g: Y -> Y', the correspondence
+    X x Y -> X' x Y' whose terms join one term of f with one of g: the kernel
+    of the tensor product of the two functors.  A key of f splits into
+    (x, x') and one of g into (y, y'), and their product's key is the block
+    shuffle (x, y, x', y'), formed by shifts and masks.  Bilinear and
+    associative."""
+    x2_bits, y_bits, y2_bits = f.target._layout.bits, g.source._layout.bits, g.target._layout.bits
+    x2_mask, y2_mask = (1 << x2_bits) - 1, (1 << y2_bits) - 1
+    left = [((k >> x2_bits) << (y_bits + x2_bits + y2_bits) | (k & x2_mask) << y2_bits, a)
+            for k, a in f.cycle._num.items()]
+    right = [((k >> y2_bits) << (x2_bits + y2_bits) | k & y2_mask, b) for k, b in g.cycle._num.items()]
+    source, target = f.source * g.source, f.target * g.target
+    cycle = _reduced(source * target, f.cycle._den * g.cycle._den,
+                     {k1 | k2: a * b for k1, a in left for k2, b in right})
+    return _built(GradedCorrespondence, source, target, cycle)
 
 
 # The packed contraction runs when g has on average at least this many

@@ -91,9 +91,3 @@ def identity_kernel(variety: Variety) -> KKernel:
     ch = diagonal_pushforward(variety, mul_todd_power(Cycle.one(variety), Fraction(-1)))
     return _built(KKernel, variety, variety, ch)
 
-
-def support_codim_floor(cycle: Cycle) -> int | None:
-    """Smallest codimension carrying a nonzero component; None for the zero
-    cycle, which has no component."""
-    codims = cycle.codimensions()
-    return codims[0] if codims else None

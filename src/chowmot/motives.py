@@ -23,14 +23,14 @@ from __future__ import annotations
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .corr import GradedCorrespondence, cartesian, compose_graded, permute_factors
+from .corr import GradedCorrespondence, compose_graded, external_product
 from .errors import (
     DomainMismatchError,
     InvalidInputError,
     PreconditionError,
     SupportConditionError,
 )
-from .kshadow import KKernel, chow_image, k_compose, support_codim_floor
+from .kshadow import KKernel, chow_image, k_compose
 from .ring import Cycle, Variety, _built, _json_object, _Value, make_variety
 
 
@@ -184,42 +184,17 @@ def lefschetz_motive() -> Motive:
 
 
 def tensor(m: Motive, n: Motive) -> Motive:
-    """Tensor product: varieties multiply, twists add, and the idempotents
-    combine as the external product rearranged onto (X x Y) x (X x Y), which
-    is idempotent of degree zero because both factors are."""
-    product = m.variety * n.variety
-    cycle = _external_product(m.variety, m.variety, n.variety, n.variety,
-                              m.idempotent.cycle, n.idempotent.cycle)
-    return _built(Motive, product, m.twist + n.twist,
-                  _built(GradedCorrespondence, product, product, cycle))
+    """Tensor product: varieties multiply, twists add, and the idempotent is
+    the external product of the two, idempotent of degree zero because both
+    factors are."""
+    p = external_product(m.idempotent, n.idempotent)
+    return _built(Motive, p.source, m.twist + n.twist, p)
 
 
 def tensor_morphism(f: MotiveMorphism, g: MotiveMorphism) -> MotiveMorphism:
     """Tensor product of morphisms, on the tensor products of the objects."""
-    cycle = _external_product(
-        f.source.variety, f.target.variety, g.source.variety, g.target.variety,
-        f.corr.cycle, g.corr.cycle,
-    )
-    source = tensor(f.source, g.source)
-    target = tensor(f.target, g.target)
-    corr = _built(GradedCorrespondence, source.variety, target.variety, cycle)
-    return _built(MotiveMorphism, source, target, corr)
-
-
-def _external_product(x: Variety, x2: Variety, y: Variety, y2: Variety,
-                      alpha: Cycle, beta: Cycle) -> Cycle:
-    """Place a cycle on X x X' and a cycle on Y x Y' onto (X x Y) x (X' x Y')."""
-    # cartesian gives the X x X' x Y x Y' order; swap the middle blocks
-    raw = cartesian(alpha, beta)
-    kx, kx2 = x.num_factors, x2.num_factors
-    ky, ky2 = y.num_factors, y2.num_factors
-    order = (
-        tuple(range(kx))
-        + tuple(range(kx + kx2, kx + kx2 + ky))
-        + tuple(range(kx, kx + kx2))
-        + tuple(range(kx + kx2 + ky, kx + kx2 + ky + ky2))
-    )
-    return permute_factors(raw, order)
+    return _built(MotiveMorphism, tensor(f.source, g.source), tensor(f.target, g.target),
+                  external_product(f.corr, g.corr))
 
 
 def dual(m: Motive) -> Motive:
@@ -462,7 +437,7 @@ def orlov_pipeline(e: KKernel, f: KKernel) -> OrlovReport:
         raise InvalidInputError("kernel pair requires source and target of equal dimension")
     a = chow_image(e)
     b = chow_image(f)
-    floors = (support_codim_floor(a.cycle), support_codim_floor(b.cycle))
+    floors = (min(a.cycle.codimensions(), default=None), min(b.cycle.codimensions(), default=None))
     mx, my = motive_of(x), motive_of(y)
     # the idempotents of mx and my are diagonals, which fix every correspondence
     try:

@@ -37,7 +37,6 @@ from chowmot import (
     series_inverse,
     split_idempotent,
     sqrt_todd,
-    support_codim_floor,
     tate_twist,
     tensor,
     tensor_morphism,
@@ -457,7 +456,7 @@ def two_test_report(e: KKernel, f: KKernel) -> OrlovReport:
     the pair, rebuilt by the checked constructors."""
     x, y = e.source, e.target
     a, b = chow_image(e), chow_image(f)
-    floors = (support_codim_floor(a.cycle), support_codim_floor(b.cycle))
+    floors = tuple(c.codimensions()[0] if c.codimensions() else None for c in (a.cycle, b.cycle))
     if (compose_graded(a, b) != GradedCorrespondence.identity(x)
             or compose_graded(b, a) != GradedCorrespondence.identity(y)):
         return OrlovReport(False, False, False, False, "not-equivalent", floors, None)
@@ -499,8 +498,8 @@ class TestOrlovPipeline:
 
     def test_one_call_of_the_lemma_decides(self, monkeypatch):
         """The pipeline's own calls, not counting those nested in another:
-        two images, their two floors for the report, one lemma, and no
-        composition of its own, whatever the verdict."""
+        two images and one lemma, and no composition of its own, whatever
+        the verdict."""
         calls, depth = [], []
 
         def spy(name, real):
@@ -514,7 +513,7 @@ class TestOrlovPipeline:
                     depth.pop()
             return call
 
-        for name in ("chow_image", "support_codim_floor", "degree_zero_rigidify", "compose_graded"):
+        for name in ("chow_image", "degree_zero_rigidify", "compose_graded"):
             monkeypatch.setattr(motives, name, spy(name, getattr(motives, name)))
         ik = identity_kernel(P1)
         pairs = [(ik, ik), shifted_pair(P1), (twisted_diagonal(P1, 1), twisted_diagonal(P1, 1))]
@@ -522,7 +521,7 @@ class TestOrlovPipeline:
         for e, f in pairs:
             calls.clear()
             verdicts.append(orlov_pipeline(e, f).verdict)
-            assert calls == ["chow_image"] * 2 + ["support_codim_floor"] * 2 + ["degree_zero_rigidify"]
+            assert calls == ["chow_image"] * 2 + ["degree_zero_rigidify"]
         assert verdicts == ["exact-isomorphism", "tate-twist-only", "not-equivalent"]
 
     def test_a_support_test_that_sees_no_offsets_is_caught(self, monkeypatch):
