@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInputError, SingularSeriesError
-from .ring import (CACHE_ENTRIES, Cycle, Variety, _built, _cycle, _from_json, _reduced, _require_instance,
+from .ring import (CACHE_ENTRIES, Cycle, Variety, _built, _cycle, _from_json, _reduced, _require_instance, _require_int,
                    _to_json, _total, _Value, make_variety, require_budget)
 
 
@@ -35,9 +35,7 @@ def todd_series_coefficients(order: int) -> tuple[Fraction, ...]:
     closed form of the module docstring, B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
     from the tangent numbers T_k.  Applying this series to the power sums of
     the Chern roots and exponentiating gives the Todd class."""
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise InvalidInputError(f"series order must be an integer, got {order!r}")
-    if order < 0:
+    if _require_int(order, "series order") < 0:
         raise InvalidInputError("series order must be nonnegative")
     require_budget(make_variety(()), order)
     m = order // 2
@@ -114,8 +112,7 @@ class BundleClass(_Value):
 
     def __post_init__(self) -> None:
         self._require_types(variety=Variety, total_chern=Cycle)
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
-            raise InvalidInputError(f"rank must be an integer, got {self.rank!r}")
+        _require_int(self.rank, "rank")
         if self.total_chern.variety != self.variety:
             raise InvalidInputError("total Chern class lives on the wrong variety")
         if self.total_chern.graded_component(0) != Cycle.one(self.variety):

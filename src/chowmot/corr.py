@@ -1,8 +1,9 @@
 """Correspondence calculus on products of projective spaces.
 
 Pullback and pushforward along factor projections, cartesian products,
-diagonal classes, the external product of correspondences, and their
-composition.  Composition matches
+diagonal classes, the external product of correspondences
+(`external_product`, the tensor product of motives and of their
+morphisms), and composition of correspondences.  Composition matches
 middle exponents: a term of the first cycle pairs with the terms of the
 second whose exponents on the middle factor complete it to the top
 monomial, which equals the pullback-intersect-pushforward pipeline through
@@ -25,8 +26,8 @@ coefficients.
 
 `GradedCorrespondence(...)`, which `from_json` calls, checks that the cycle
 lives on source x target; every correspondence built here from checked ones
-(identities, zeros, degree parts, transposes, sums, scalings, composites)
-is made by `ring._built` without that check.
+(identities, zeros, degree parts, transposes, sums, scalings, external
+products, composites) is made by `ring._built` without that check.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import (CACHE_ENTRIES, MAX_MONOMIALS, Cycle, Variety, _built, _cycle, _from_json, _reduced, _to_json, _Value,
-                   _variety, require_budget)
+from .ring import (CACHE_ENTRIES, MAX_MONOMIALS, Cycle, Variety, _built, _cycle, _from_json, _reduced,
+                   _require_instance, _require_int, _to_json, _Value, _variety, require_budget)
 
 
 class FactorSelection(_Value):
@@ -111,18 +112,20 @@ def cartesian(a: Cycle, b: Cycle) -> Cycle:
     """External product: the cycle on X x Y whose terms concatenate one term
     of a with one term of b (X's key fields above Y's).  Bilinear and
     associative."""
-    shift = b.variety._layout.bits
+    shift = _require_instance(b, Cycle).variety._layout.bits
     right = list(b._num.items())
-    return _reduced(a.variety * b.variety, a._den * b._den, {
+    return _reduced(_require_instance(a, Cycle).variety * b.variety, a._den * b._den, {
         (k1 << shift) | k2: v1 * v2 for k1, v1 in a._num.items() for k2, v2 in right
     })
 
 
 def permute_factors(a: Cycle, order: tuple[int, ...]) -> Cycle:
     """Relabel the factors of a product: position j of the result carries the
-    old factor order[j].  `order` must be a permutation of the factor indices."""
-    k = a.variety.num_factors
-    if sorted(order) != list(range(k)):
+    old factor order[j].  `order` must be a tuple or list of plain ints that
+    permutes the factor indices."""
+    k = _require_instance(a, Cycle).variety.num_factors
+    if (not isinstance(order, tuple | list) or any(type(i) is not int for i in order)
+            or sorted(order) != list(range(k))):
         raise InvalidInputError(f"{order!r} is not a permutation of 0..{k - 1}")
     new_variety = _variety(tuple(a.variety.factors[i] for i in order))
     moves = _field_moves(a.variety, new_variety, ((i, j) for j, i in enumerate(order)))
@@ -136,7 +139,7 @@ def diagonal_pushforward(variety: Variety, g: Cycle) -> Cycle:
     each term of g is spread directly.  Terms of g spread to disjoint sets
     of keys, since a_i + (n_i + e_i - a_i) recovers e_i.  Raises
     codimension by dim X."""
-    if g.variety != variety:
+    if _require_instance(g, Cycle).variety != _require_instance(variety, Variety):
         raise DomainMismatchError(f"cycle on {g.variety} is not a class on {variety}")
     require_budget(variety * variety)
     layout = variety._layout
@@ -202,10 +205,10 @@ class GradedCorrespondence(_Value):
 
     def degree_component(self, d: int) -> "GradedCorrespondence":
         return _built(GradedCorrespondence, self.source, self.target,
-                      self.cycle.graded_component(self.source.dim + d))
+                      self.cycle.graded_component(self.source.dim + _require_int(d, "degree")))
 
     def is_pure_degree(self, d: int) -> bool:
-        return self.cycle.is_homogeneous(self.source.dim + d)
+        return self.cycle.is_homogeneous(self.source.dim + _require_int(d, "degree"))
 
     def transpose(self) -> "GradedCorrespondence":
         """Swap the two factor blocks; involutive."""
@@ -220,10 +223,14 @@ class GradedCorrespondence(_Value):
 
     # correspondences between fixed varieties form a Q-module
     def __add__(self, other: "GradedCorrespondence") -> "GradedCorrespondence":
+        if not isinstance(other, GradedCorrespondence):
+            return NotImplemented
         self._require_parallel(other)
         return _built(GradedCorrespondence, self.source, self.target, self.cycle + other.cycle)
 
     def __sub__(self, other: "GradedCorrespondence") -> "GradedCorrespondence":
+        if not isinstance(other, GradedCorrespondence):
+            return NotImplemented
         self._require_parallel(other)
         return _built(GradedCorrespondence, self.source, self.target, self.cycle - other.cycle)
 
@@ -248,6 +255,8 @@ def external_product(f: GradedCorrespondence, g: GradedCorrespondence) -> Graded
     (x, x') and one of g into (y, y'), and their product's key is the block
     shuffle (x, y, x', y'), formed by shifts and masks.  Bilinear and
     associative."""
+    for c in (f, g):
+        _require_instance(c, GradedCorrespondence)
     x2_bits, y_bits, y2_bits = f.target._layout.bits, g.source._layout.bits, g.target._layout.bits
     x2_mask, y2_mask = (1 << x2_bits) - 1, (1 << y2_bits) - 1
     left = [((k >> x2_bits) << (y_bits + x2_bits + y2_bits) | (k & x2_mask) << y2_bits, a)
@@ -297,6 +306,9 @@ def compose_graded(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCo
     more than MAX_MONOMIALS term pairs are refused when the composite's
     ring is over the work budget.
     """
+    if not (isinstance(f, GradedCorrespondence) and isinstance(g, GradedCorrespondence)):
+        for c in (f, g):
+            _require_instance(c, GradedCorrespondence)
     if f.target is not g.source and f.target != g.source:  # varieties are shared
         raise DomainMismatchError(
             f"middle variety mismatch: {f.target} vs {g.source}"

@@ -31,7 +31,7 @@ from .errors import (
     SupportConditionError,
 )
 from .kshadow import KKernel, chow_image, k_compose
-from .ring import Cycle, Variety, _built, _json_object, _Value, make_variety
+from .ring import Cycle, Variety, _built, _json_object, _require_instance, _require_int, _Value, make_variety
 
 
 def _check_component(source: Motive, target: Motive, c: GradedCorrespondence, degree: int, what: str):
@@ -64,8 +64,7 @@ class Motive(_Value):
 
     def __post_init__(self) -> None:
         self._require_types(variety=Variety, idempotent=GradedCorrespondence)
-        if not isinstance(self.twist, int) or isinstance(self.twist, bool):
-            raise InvalidInputError(f"twist must be an integer, got {self.twist!r}")
+        _require_int(self.twist, "twist")
         p = self.idempotent
         if p.source != self.variety or p.target != self.variety:
             raise InvalidInputError("idempotent is not a self-correspondence of the variety")
@@ -148,7 +147,7 @@ def compose_motive(f: MotiveMorphism, g: MotiveMorphism) -> MotiveMorphism:
     """Composite f first, then g; the degrees add up to the total twist
     difference, and p f q composed with q g t is p (f q g) t, so the
     composite passes the checks by construction."""
-    if f.target != g.source:
+    if _require_instance(f, MotiveMorphism).target != _require_instance(g, MotiveMorphism).source:
         raise DomainMismatchError("morphisms are not composable: object mismatch")
     return _built(MotiveMorphism, f.source, g.target, compose_graded(f.corr, g.corr))
 
@@ -187,34 +186,35 @@ def tensor(m: Motive, n: Motive) -> Motive:
     """Tensor product: varieties multiply, twists add, and the idempotent is
     the external product of the two, idempotent of degree zero because both
     factors are."""
-    p = external_product(m.idempotent, n.idempotent)
+    p = external_product(_require_instance(m, Motive).idempotent, _require_instance(n, Motive).idempotent)
     return _built(Motive, p.source, m.twist + n.twist, p)
 
 
 def tensor_morphism(f: MotiveMorphism, g: MotiveMorphism) -> MotiveMorphism:
     """Tensor product of morphisms, on the tensor products of the objects."""
-    return _built(MotiveMorphism, tensor(f.source, g.source), tensor(f.target, g.target),
-                  external_product(f.corr, g.corr))
+    corr = external_product(_require_instance(f, MotiveMorphism).corr, _require_instance(g, MotiveMorphism).corr)
+    return _built(MotiveMorphism, tensor(f.source, g.source), tensor(f.target, g.target), corr)
 
 
 def dual(m: Motive) -> Motive:
     """Dual motive: transpose the idempotent (still idempotent, as transposing
     reverses composition) and reflect the twist at dim X."""
+    _require_instance(m, Motive)
     return _built(Motive, m.variety, m.variety.dim - m.twist, m.idempotent.transpose())
 
 
 def tate_twist(m: Motive, i: int) -> Motive:
     """The i-th twist lowers the twist index by i and keeps everything else."""
-    if not isinstance(i, int) or isinstance(i, bool):
-        raise InvalidInputError(f"twist shift must be an integer, got {i!r}")
-    return _built(Motive, m.variety, m.twist - i, m.idempotent)
+    _require_instance(m, Motive)
+    return _built(Motive, m.variety, m.twist - _require_int(i, "twist shift"), m.idempotent)
 
 
 def split_idempotent(m: Motive, p: MotiveMorphism) -> tuple[Motive, MotiveMorphism, MotiveMorphism]:
     """Split a projector p on m: return (image, section, retraction) with
     retraction o section the identity of the image and section o retraction
     equal to p.  The zero projector splits off the zero motive."""
-    if p.source != m or p.target != m:
+    _require_instance(m, Motive)
+    if _require_instance(p, MotiveMorphism).source != m or p.target != m:
         raise InvalidInputError("projector is not an endomorphism of the given motive")
     if compose_motive(p, p) != p:
         raise InvalidInputError("morphism is not idempotent")
@@ -324,9 +324,7 @@ class OrbitMorphism(_Value):
         base = target.twist - source.twist
         corr = GradedCorrespondence.zero(source.variety, target.variety)
         for i, c in components.items():
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise InvalidInputError(f"component index must be an integer, got {i!r}")
-            _check_component(source, target, c, base + i, f"component {i}")
+            _check_component(source, target, c, base + _require_int(i, "component index"), f"component {i}")
             corr = corr + c
         return OrbitMorphism(source, target, corr)
 
@@ -376,7 +374,7 @@ def orbit_compose(f: OrbitMorphism, g: OrbitMorphism) -> OrbitMorphism:
     i + j = k.  Twisting shifts indices only, and composition is bilinear
     in the degrees, so this is one composition of the stored
     correspondences."""
-    if f.target != g.source:
+    if _require_instance(f, OrbitMorphism).target != _require_instance(g, OrbitMorphism).source:
         raise DomainMismatchError("orbit morphisms are not composable: object mismatch")
     return _built(OrbitMorphism, f.source, g.target, compose_graded(f.corr, g.corr))
 
@@ -389,8 +387,8 @@ def degree_zero_rigidify(f: OrbitMorphism, g: OrbitMorphism) -> tuple[MotiveMorp
     SupportConditionError when either morphism has a component at a negative
     offset.  Returns the offset-0 components, which are then mutual inverses
     on the nose (verified)."""
-    m, n = f.source, f.target
-    if g.source != n or g.target != m:
+    m, n = _require_instance(f, OrbitMorphism).source, f.target
+    if _require_instance(g, OrbitMorphism).source != n or g.target != m:
         raise DomainMismatchError("orbit morphisms do not form a round trip")
     if orbit_compose(f, g) != OrbitMorphism.identity(m) or orbit_compose(g, f) != OrbitMorphism.identity(n):
         raise PreconditionError("orbit morphisms are not mutually inverse")
@@ -430,8 +428,8 @@ def orlov_pipeline(e: KKernel, f: KKernel) -> OrlovReport:
     codimension n = dim X, the degree-zero parts rigidify to an isomorphism
     of the motives themselves (`exact-isomorphism`).
     """
-    x, y = e.source, e.target
-    if f.source != y or f.target != x:
+    x, y = _require_instance(e, KKernel).source, e.target
+    if _require_instance(f, KKernel).source != y or f.target != x:
         raise DomainMismatchError("kernels do not form a round trip")
     if y.dim != x.dim:
         raise InvalidInputError("kernel pair requires source and target of equal dimension")

@@ -427,10 +427,12 @@ class Cycle:
     def is_homogeneous(self, k: int) -> bool:
         """True when every stored term has codimension exactly k (the zero
         cycle is homogeneous of every codimension)."""
+        _require_int(k, "codimension")
         codim = self.variety._layout.codim
         return all(codim(key) == k for key in self._num)
 
     def graded_component(self, k: int) -> "Cycle":
+        _require_int(k, "codimension")
         codim = self.variety._layout.codim
         return _reduced(self.variety, self._den,
                         {key: v for key, v in self._num.items() if codim(key) == k})
@@ -583,6 +585,13 @@ def _require_instance(value, cls: type):
     """The argument, checked to be a `cls`."""
     if not isinstance(value, cls):
         raise InvalidInputError(f"expected a {cls.__name__}, got {value!r}")
+    return value
+
+
+def _require_int(value, what: str) -> int:
+    """The argument `what`, checked to be an int and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
     return value
 
 

@@ -41,6 +41,7 @@ from chowmot import (
     diagonal_pushforward,
     dual,
     euler_characteristic,
+    external_product,
     identity_kernel,
     k_compose,
     lefschetz_motive,
@@ -178,6 +179,7 @@ class TestCorrespondencesBuiltUnchecked:
             q = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
             for r in (GradedCorrespondence.identity(x), GradedCorrespondence.zero(x, y),
                       f.transpose(), f + f2, f - f2, f - f, -f, f.scale(q), compose_graded(f, g),
+                      external_product(f, g),
                       *(f.degree_component(d) for d in range(-x.dim - 1, y.dim + 2))):
                 assert_rechecked_corr(r)
 
@@ -378,6 +380,7 @@ class TestEngineRunsNoValidator:
             lambda: -f,
             lambda: f.scale(3),
             lambda: compose_graded(f, g),
+            lambda: external_product(f, g),
             lambda: chow_image(e),
             lambda: k_compose(e, k),
             lambda: identity_kernel(y),
@@ -393,6 +396,15 @@ class TestEngineRunsNoValidator:
         ):
             op()
         assert orlov_pipeline(ident, ident).verdict == "exact-isomorphism"
+
+
+# well-typed arguments on P^1 for the wrongly typed argument tests
+P1 = make_variety([1])
+ID = GradedCorrespondence.identity(P1)
+M = motive_of(P1)
+IDM = M.identity_morphism()
+ORBIT = OrbitMorphism.identity(M)
+KERNEL = identity_kernel(P1)
 
 
 class TestOutsideInputStillChecked:
@@ -563,6 +575,77 @@ class TestOutsideInputStillChecked:
         with pytest.raises(InvalidInputError) as caught:
             call("x")
         assert str(caught.value) == f"expected a {expected}, got 'x'"
+
+    @pytest.mark.parametrize("call, expected", [
+        (lambda v: compose_graded(v, ID), "GradedCorrespondence"),
+        (lambda v: compose_graded(ID, v), "GradedCorrespondence"),
+        (lambda v: external_product(v, ID), "GradedCorrespondence"),
+        (lambda v: external_product(ID, v), "GradedCorrespondence"),
+        (lambda v: cartesian(v, ID.cycle), "Cycle"),
+        (lambda v: cartesian(ID.cycle, v), "Cycle"),
+        (lambda v: permute_factors(v, (0,)), "Cycle"),
+        (lambda v: diagonal_pushforward(P1, v), "Cycle"),
+        (lambda v: diagonal_pushforward(v, Cycle.one(P1)), "Variety"),
+        (lambda v: orbit_compose(v, ORBIT), "OrbitMorphism"),
+        (lambda v: orbit_compose(ORBIT, v), "OrbitMorphism"),
+        (lambda v: compose_motive(v, IDM), "MotiveMorphism"),
+        (lambda v: compose_motive(IDM, v), "MotiveMorphism"),
+        (lambda v: degree_zero_rigidify(v, ORBIT), "OrbitMorphism"),
+        (lambda v: degree_zero_rigidify(ORBIT, v), "OrbitMorphism"),
+        (lambda v: split_idempotent(v, IDM), "Motive"),
+        (lambda v: split_idempotent(M, v), "MotiveMorphism"),
+        (lambda v: orlov_pipeline(v, KERNEL), "KKernel"),
+        (lambda v: orlov_pipeline(KERNEL, v), "KKernel"),
+        (lambda v: tensor(v, M), "Motive"),
+        (lambda v: tensor(M, v), "Motive"),
+        (lambda v: tensor_morphism(v, IDM), "MotiveMorphism"),
+        (lambda v: tensor_morphism(IDM, v), "MotiveMorphism"),
+        (lambda v: dual(v), "Motive"),
+        (lambda v: tate_twist(v, 1), "Motive"),
+    ], ids=["compose_graded-f", "compose_graded-g", "external_product-f", "external_product-g",
+            "cartesian-a", "cartesian-b", "permute_factors", "diagonal_pushforward-class",
+            "diagonal_pushforward-variety", "orbit_compose-f", "orbit_compose-g", "compose_motive-f",
+            "compose_motive-g", "degree_zero_rigidify-f", "degree_zero_rigidify-g", "split_idempotent-m",
+            "split_idempotent-p", "orlov_pipeline-e", "orlov_pipeline-f", "tensor-m", "tensor-n",
+            "tensor_morphism-f", "tensor_morphism-g", "dual", "tate_twist"])
+    def test_corr_and_motives_functions_refuse_a_wrongly_typed_argument(self, call, expected):
+        """The library entry points of `corr` and `motives` once raised the
+        AttributeError of reading an int argument, or for the variety of a
+        diagonal pushforward a DomainMismatchError."""
+        with pytest.raises(InvalidInputError) as caught:
+            call(7)
+        assert str(caught.value) == f"expected a {expected}, got 7"
+
+    def test_correspondence_sum_with_a_non_correspondence_is_not_implemented(self):
+        """`+` and `-` once raised the AttributeError of reading the other
+        operand; like `Cycle`, they now leave it to the other operand."""
+        assert ID.__add__(7) is NotImplemented and ID.__sub__(7) is NotImplemented
+        with pytest.raises(TypeError):
+            ID + 7
+        with pytest.raises(TypeError):
+            ID - ID.cycle
+
+    @pytest.mark.parametrize("order", [(1.0, 0), ("1", 0), 5, None, (True, 0), [0, 1.0]])
+    def test_permute_factors_refuses_an_order_that_is_not_a_permutation_of_ints(self, order):
+        """(1.0, 0), ("1", 0), 5 and None once raised a TypeError, and (True, 0)
+        was taken as (1, 0)."""
+        with pytest.raises(InvalidInputError) as caught:
+            permute_factors(Cycle.one(make_variety([1, 2])), order)
+        assert str(caught.value) == f"{order!r} is not a permutation of 0..1"
+
+    @pytest.mark.parametrize("value", [1.0, True, "1", None, "a"])
+    @pytest.mark.parametrize("call, what", [
+        (lambda v: Cycle.hyperplane(make_variety([1, 1]), 0).is_homogeneous(v), "codimension"),
+        (lambda v: Cycle.hyperplane(make_variety([1, 1]), 0).graded_component(v), "codimension"),
+        (lambda v: GradedCorrespondence.identity(make_variety([1])).degree_component(v), "degree"),
+        (lambda v: GradedCorrespondence.identity(make_variety([1])).is_pure_degree(v), "degree"),
+    ], ids=["is_homogeneous", "graded_component", "degree_component", "is_pure_degree"])
+    def test_grade_selectors_refuse_a_non_integer(self, call, what, value):
+        """1.0 and True once selected grade 1, "1" and None gave the zero
+        cycle or False, and some raised a TypeError."""
+        with pytest.raises(InvalidInputError) as caught:
+            call(value)
+        assert str(caught.value) == f"{what} must be an integer, got {value!r}"
 
 
 class TestComposeBudget:

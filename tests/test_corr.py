@@ -16,11 +16,14 @@ from chowmot import (
     compose_graded,
     diagonal_class,
     diagonal_pushforward,
+    external_product,
+    identity_kernel,
     make_variety,
+    permute_factors,
 )
 from chowmot import corr, ring
 from chowmot.corr import PACKED_MAX_BITS, PACKED_MIN_PARTNERS
-from chowmot.verify import random_correspondence, random_cycle
+from chowmot.verify import ALGEBRA_POOL, random_correspondence, random_cycle
 
 POINT = make_variety([])
 P1 = make_variety([1])
@@ -129,6 +132,64 @@ class TestCartesian:
             px = FactorSelection(product, tuple(range(x.num_factors)))
             py = FactorSelection(product, tuple(range(x.num_factors, product.num_factors)))
             assert cartesian(a, b) == px.pullback(a) * py.pullback(b)
+
+
+def reference_external_product(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCorrespondence:
+    """The external product by the route it replaced: `cartesian` puts the
+    cycle on X x X' x Y x Y', and `permute_factors` swaps the middle blocks."""
+    kx, kx2, ky, ky2 = (v.num_factors for v in (f.source, f.target, g.source, g.target))
+    order = (*range(kx), *range(kx + kx2, kx + kx2 + ky), *range(kx, kx + kx2),
+             *range(kx + kx2 + ky, kx + kx2 + ky + ky2))
+    return GradedCorrespondence(f.source * g.source, f.target * g.target,
+                                permute_factors(cartesian(f.cycle, g.cycle), order))
+
+
+def unswapped_external_product(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCorrespondence:
+    """Negative control: the exponents of `cartesian`, in the order
+    (x, x', y, y'), read as if they were in the order (x, y, x', y')."""
+    source, target = f.source * g.source, f.target * g.target
+    return GradedCorrespondence(source, target, Cycle(source * target, dict(cartesian(f.cycle, g.cycle).terms)))
+
+
+LAW_SHAPES = [(), (1,), (2,), (1, 1), (2, 1), (3,)]
+
+
+def product_laws_hold(product, x: Variety, y: Variety) -> bool:
+    """Two laws that do not use the definition of the external product: the
+    identities of X and Y multiply to the diagonal of X x Y, and their
+    identity kernels to the identity kernel of X x Y."""
+    def as_corr(kernel):
+        return GradedCorrespondence(kernel.source, kernel.target, kernel.ch)
+
+    ix, iy = GradedCorrespondence.identity(x), GradedCorrespondence.identity(y)
+    return (product(ix, iy).cycle == diagonal_class(x * y)
+            and product(as_corr(identity_kernel(x)), as_corr(identity_kernel(y))).cycle
+            == identity_kernel(x * y).ch)
+
+
+class TestExternalProduct:
+    def test_matches_cartesian_then_permute(self):
+        rng = random.Random(71)
+        pool = [make_variety(d) for d in ALGEBRA_POOL]
+        for x, y in itertools.product(pool, repeat=2):
+            x2, y2 = rng.choice(pool), rng.choice(pool)
+            f = random_correspondence(rng, x, x2, 6).scale(Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+            g = random_correspondence(rng, y, y2, 6).scale(Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+            product = external_product(f, g)
+            assert (product.source, product.target) == (x * y, x2 * y2)
+            assert product == reference_external_product(f, g)
+
+    def test_identities_and_identity_kernels_multiply(self):
+        failed = [(x, y) for x, y in itertools.product(LAW_SHAPES, repeat=2)
+                  if not product_laws_hold(external_product, make_variety(x), make_variety(y))]
+        assert failed == []
+
+    def test_unswapped_middle_blocks_are_caught(self):
+        """The unswapped product is right only when X or Y is the point,
+        where there is nothing to swap; the laws catch it everywhere else."""
+        caught = [(x, y) for x, y in itertools.product(LAW_SHAPES, repeat=2)
+                  if not product_laws_hold(unswapped_external_product, make_variety(x), make_variety(y))]
+        assert caught == [(x, y) for x, y in itertools.product(LAW_SHAPES, repeat=2) if x and y]
 
 
 class TestTranspose:

@@ -159,6 +159,9 @@ class TestTensorDualTwist:
         assert t.variety == P1xP1 and t.twist == 0
         assert t.idempotent == GradedCorrespondence.identity(P1xP1)
 
+    def test_tensor_of_line_and_plane(self):
+        assert tensor(motive_of(P1), motive_of(P2)) == motive_of(make_variety([1, 2]))
+
     def test_double_dual(self):
         m = motive_of(P1)
         assert dual(dual(m)) == m
