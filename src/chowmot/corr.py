@@ -71,7 +71,7 @@ class FactorSelection(_Value):
         """Inverse image: re-index exponents from the target's variables into
         the source's, leaving the projected-away variables at exponent 0.
         A degree-zero ring homomorphism."""
-        if a.variety != self.target:
+        if _require_instance(a, Cycle).variety != self.target:
             raise DomainMismatchError(
                 f"cycle on {a.variety} cannot be pulled back along projection onto {self.target}"
             )
@@ -83,7 +83,7 @@ class FactorSelection(_Value):
         survives exactly when every unselected factor carries its top
         exponent, and then loses those entries.  Lowers codimension by the
         dimension of the fibers."""
-        if a.variety != self.source:
+        if _require_instance(a, Cycle).variety != self.source:
             raise DomainMismatchError(
                 f"cycle on {a.variety} cannot be pushed forward from {self.source}"
             )

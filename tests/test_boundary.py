@@ -584,6 +584,8 @@ class TestOutsideInputStillChecked:
         (lambda v: cartesian(v, ID.cycle), "Cycle"),
         (lambda v: cartesian(ID.cycle, v), "Cycle"),
         (lambda v: permute_factors(v, (0,)), "Cycle"),
+        (lambda v: FactorSelection(P1 * P1, (0,)).pullback(v), "Cycle"),
+        (lambda v: FactorSelection(P1 * P1, (0,)).pushforward(v), "Cycle"),
         (lambda v: diagonal_pushforward(P1, v), "Cycle"),
         (lambda v: diagonal_pushforward(v, Cycle.one(P1)), "Variety"),
         (lambda v: orbit_compose(v, ORBIT), "OrbitMorphism"),
@@ -603,7 +605,7 @@ class TestOutsideInputStillChecked:
         (lambda v: dual(v), "Motive"),
         (lambda v: tate_twist(v, 1), "Motive"),
     ], ids=["compose_graded-f", "compose_graded-g", "external_product-f", "external_product-g",
-            "cartesian-a", "cartesian-b", "permute_factors", "diagonal_pushforward-class",
+            "cartesian-a", "cartesian-b", "permute_factors", "pullback", "pushforward", "diagonal_pushforward-class",
             "diagonal_pushforward-variety", "orbit_compose-f", "orbit_compose-g", "compose_motive-f",
             "compose_motive-g", "degree_zero_rigidify-f", "degree_zero_rigidify-g", "split_idempotent-m",
             "split_idempotent-p", "orlov_pipeline-e", "orlov_pipeline-f", "tensor-m", "tensor-n",
