@@ -39,6 +39,7 @@ from .motives import (
     orbit_compose,
     orlov_pipeline,
     split_idempotent,
+    tate_twist,
     unit_motive,
 )
 from .ring import Cycle, Variety, _reduced, _Value, make_variety
@@ -475,6 +476,17 @@ def check_orbit_rigidification(rng: random.Random, samples: int) -> tuple[bool, 
             problems.append(f"negative control {trial} was not rejected")
         except SupportConditionError:
             rejected += 1
+    # a fixed control, outside the stream and the count: the diagonal from P^1
+    # twisted once to P^1 and back is a mutually inverse pair at offsets +1
+    # and -1, which only the support test on the second morphism refuses
+    line = motive_of(varieties[0])
+    twisted = tate_twist(line, -1)
+    try:
+        degree_zero_rigidify(OrbitMorphism(twisted, line, line.idempotent),
+                             OrbitMorphism(line, twisted, line.idempotent))
+        problems.append("the control at offsets +1 and -1 was not rejected")
+    except SupportConditionError:
+        pass
     if problems:
         return False, problems[0]
     return True, f"{pairs} unipotent pairs rigidified; {rejected} negative controls rejected"

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from chowmot import motives
+from chowmot import motives, verify
 from chowmot import (
+    ChowError,
     Cycle,
     DomainMismatchError,
     FormalSum,
@@ -450,6 +451,35 @@ class TestDegreeZeroRigidify:
         g = OrbitMorphism(m, m, _geometric_inverse(ident, nil))
         with pytest.raises(SupportConditionError):
             degree_zero_rigidify(f, g)
+
+    def test_pair_at_offsets_plus_and_minus_one_is_refused_by_the_support_test(self):
+        """The diagonal from P^1 twisted once to P^1 and back: mutually
+        inverse, f at offset +1 and g at offset -1, so only the support test
+        on g refuses it, and its offset-0 parts are zero."""
+        m = motive_of(P1)
+        n = tate_twist(m, -1)
+        f, g = OrbitMorphism(n, m, m.idempotent), OrbitMorphism(m, n, m.idempotent)
+        assert (f.indices(), g.indices()) == ([1], [-1])
+        assert orbit_compose(f, g) == OrbitMorphism.identity(n) and orbit_compose(g, f) == OrbitMorphism.identity(m)
+        assert f.component(0).is_zero and g.component(0).is_zero
+        with pytest.raises(ChowError) as caught:
+            degree_zero_rigidify(f, g)
+        assert type(caught.value) is SupportConditionError
+
+    def test_a_lemma_without_the_support_test_on_g_fails_the_orbit_row(self, monkeypatch):
+        """Negative control: a lemma that lets a negative offset of g through
+        returns the zero pair for the row's fixed control, and the
+        orbit-rigidification row of verify fails."""
+        real = verify.degree_zero_rigidify
+
+        def skips_g(f, g):
+            if any(j < 0 for j in g.indices()) and not any(i < 0 for i in f.indices()):
+                return MotiveMorphism.zero(f.source, f.target), MotiveMorphism.zero(f.target, f.source)
+            return real(f, g)
+
+        monkeypatch.setattr(verify, "degree_zero_rigidify", skips_g)
+        passed, detail = dict(CHECKS)["orbit-rigidification"](random.Random("42:orbit-rigidification"), 200)
+        assert not passed and detail == "the control at offsets +1 and -1 was not rejected"
 
 
 def two_test_report(e: KKernel, f: KKernel) -> OrlovReport:
