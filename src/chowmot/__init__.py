@@ -17,8 +17,8 @@ _HOMES = {
         "series_inverse", "sqrt_todd", "tangent_class", "todd_class", "todd_series_coefficients",
     ),
     "corr": (
-        "FactorSelection", "GradedCorrespondence", "cartesian", "compose_graded",
-        "diagonal_class", "diagonal_pushforward", "external_product", "permute_factors",
+        "FactorSelection", "GradedCorrespondence", "compose_graded", "diagonal_class",
+        "diagonal_pushforward", "external_product", "permute_factors",
     ),
     "errors": (
         "ChowError", "DomainMismatchError", "InvalidInputError", "PreconditionError",

@@ -1,9 +1,9 @@
 """Correspondence calculus on products of projective spaces.
 
-Pullback and pushforward along factor projections, cartesian products,
-diagonal classes, the external product of correspondences
-(`external_product`, the tensor product of motives and of their
-morphisms), and composition of correspondences.  Composition matches
+Pullback and pushforward along factor projections, diagonal classes, the
+external product of correspondences (`external_product`, the tensor product
+of motives and of their morphisms, and from the point the cartesian product
+of cycles), and composition of correspondences.  Composition matches
 middle exponents: a term of the first cycle pairs with the terms of the
 second whose exponents on the middle factor complete it to the top
 monomial, which equals the pullback-intersect-pushforward pipeline through
@@ -106,17 +106,6 @@ def _field_moves(old: Variety, new: Variety, pairs) -> list[tuple[int, int, int]
 def _moved(key: int, moves) -> int:
     """The key with its fields moved; fields no move fills are 0."""
     return sum(((key >> shift) & mask) << to for shift, mask, to in moves)
-
-
-def cartesian(a: Cycle, b: Cycle) -> Cycle:
-    """External product: the cycle on X x Y whose terms concatenate one term
-    of a with one term of b (X's key fields above Y's).  Bilinear and
-    associative."""
-    shift = _require_instance(b, Cycle).variety._layout.bits
-    right = list(b._num.items())
-    return _reduced(_require_instance(a, Cycle).variety * b.variety, a._den * b._den, {
-        (k1 << shift) | k2: v1 * v2 for k1, v1 in a._num.items() for k2, v2 in right
-    })
 
 
 def permute_factors(a: Cycle, order: tuple[int, ...]) -> Cycle:

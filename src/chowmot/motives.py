@@ -386,7 +386,7 @@ def degree_zero_rigidify(f: OrbitMorphism, g: OrbitMorphism) -> tuple[MotiveMorp
     Raises PreconditionError when the pair is not mutually inverse and
     SupportConditionError when either morphism has a component at a negative
     offset.  Returns the offset-0 components, which are then mutual inverses
-    on the nose (verified)."""
+    on the nose: with every offset >= 0, the offset-0 part of f o g is f0 o g0."""
     m, n = _require_instance(f, OrbitMorphism).source, f.target
     if _require_instance(g, OrbitMorphism).source != n or g.target != m:
         raise DomainMismatchError("orbit morphisms do not form a round trip")
@@ -397,8 +397,6 @@ def degree_zero_rigidify(f: OrbitMorphism, g: OrbitMorphism) -> tuple[MotiveMorp
     # offset-0 components already passed the checks of a morphism m -> n
     f0 = _built(MotiveMorphism, m, n, f.component(0))
     g0 = _built(MotiveMorphism, n, m, g.component(0))
-    if compose_motive(f0, g0) != m.identity_morphism() or compose_motive(g0, f0) != n.identity_morphism():
-        raise PreconditionError("offset-0 components failed to invert each other")
     return f0, g0
 
 

@@ -31,7 +31,6 @@ from chowmot import (
     MotiveMorphism,
     OrbitMorphism,
     Variety,
-    cartesian,
     chern_character,
     chow_image,
     compose_graded,
@@ -136,7 +135,7 @@ class TestCyclesBuiltUnchecked:
             g = GradedCorrespondence(y, z, random_cycle(rng, y * z, 8))
             assert_clean(compose_graded(f, g).cycle)
             assert_clean(f.transpose().cycle)
-            assert_clean(cartesian(f.cycle, g.cycle))
+            assert_clean(external_product(f, g).cycle)
             k = (x * y).num_factors
             order = tuple(rng.sample(range(k), k))
             assert_clean(permute_factors(f.cycle, order))
@@ -581,8 +580,6 @@ class TestOutsideInputStillChecked:
         (lambda v: compose_graded(ID, v), "GradedCorrespondence"),
         (lambda v: external_product(v, ID), "GradedCorrespondence"),
         (lambda v: external_product(ID, v), "GradedCorrespondence"),
-        (lambda v: cartesian(v, ID.cycle), "Cycle"),
-        (lambda v: cartesian(ID.cycle, v), "Cycle"),
         (lambda v: permute_factors(v, (0,)), "Cycle"),
         (lambda v: FactorSelection(P1 * P1, (0,)).pullback(v), "Cycle"),
         (lambda v: FactorSelection(P1 * P1, (0,)).pushforward(v), "Cycle"),
@@ -605,7 +602,7 @@ class TestOutsideInputStillChecked:
         (lambda v: dual(v), "Motive"),
         (lambda v: tate_twist(v, 1), "Motive"),
     ], ids=["compose_graded-f", "compose_graded-g", "external_product-f", "external_product-g",
-            "cartesian-a", "cartesian-b", "permute_factors", "pullback", "pushforward", "diagonal_pushforward-class",
+            "permute_factors", "pullback", "pushforward", "diagonal_pushforward-class",
             "diagonal_pushforward-variety", "orbit_compose-f", "orbit_compose-g", "compose_motive-f",
             "compose_motive-g", "degree_zero_rigidify-f", "degree_zero_rigidify-g", "split_idempotent-m",
             "split_idempotent-p", "orlov_pipeline-e", "orlov_pipeline-f", "tensor-m", "tensor-n",

@@ -12,7 +12,6 @@ from chowmot import (
     GradedCorrespondence,
     InvalidInputError,
     Variety,
-    cartesian,
     compose_graded,
     diagonal_class,
     diagonal_pushforward,
@@ -107,19 +106,26 @@ class TestPushforward:
             assert sel.pushforward(sel.pullback(a) * fiber_top) == a
 
 
-class TestCartesian:
+def point_product(a: Cycle, b: Cycle) -> Cycle:
+    """The cartesian product of two cycles: the external product of the two
+    as correspondences from the point."""
+    return external_product(GradedCorrespondence(POINT, a.variety, a),
+                            GradedCorrespondence(POINT, b.variety, b)).cycle
+
+
+class TestExternalProductFromThePoint:
     def test_units(self):
-        assert cartesian(Cycle.one(P1), Cycle.one(P1)) == Cycle.one(P1xP1)
+        assert point_product(Cycle.one(P1), Cycle.one(P1)) == Cycle.one(P1xP1)
 
     def test_points(self):
         h = Cycle.hyperplane(P1, 0)
-        assert cartesian(h, h) == Cycle.monomial(P1xP1, (1, 1))
+        assert point_product(h, h) == Cycle.monomial(P1xP1, (1, 1))
 
     def test_bilinear(self):
         h = Cycle.hyperplane(P1, 0)
         other = Cycle.one(P1) + Cycle.hyperplane(P1, 0)
         expected = Cycle.hyperplane(P1xP1, 0) + Cycle.monomial(P1xP1, (1, 1))
-        assert cartesian(h, other) == expected
+        assert point_product(h, other) == expected
 
     def test_matches_pullback_intersection(self):
         rng = random.Random(13)
@@ -131,24 +137,34 @@ class TestCartesian:
             product = x * y
             px = FactorSelection(product, tuple(range(x.num_factors)))
             py = FactorSelection(product, tuple(range(x.num_factors, product.num_factors)))
-            assert cartesian(a, b) == px.pullback(a) * py.pullback(b)
+            assert point_product(a, b) == px.pullback(a) * py.pullback(b)
+
+
+def blocks_product(f: GradedCorrespondence, g: GradedCorrespondence) -> Cycle:
+    """The cycles of f and g pulled back to X x X' x Y x Y' along the
+    projections onto their blocks, and multiplied."""
+    whole = f.source * f.target * g.source * g.target
+    k = (f.source * f.target).num_factors
+    return (FactorSelection(whole, tuple(range(k))).pullback(f.cycle)
+            * FactorSelection(whole, tuple(range(k, whole.num_factors))).pullback(g.cycle))
 
 
 def reference_external_product(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCorrespondence:
-    """The external product by the route it replaced: `cartesian` puts the
-    cycle on X x X' x Y x Y', and `permute_factors` swaps the middle blocks."""
+    """The external product by pullback and intersection: the product of the
+    two block pullbacks lives on X x X' x Y x Y', and `permute_factors`
+    swaps the middle blocks."""
     kx, kx2, ky, ky2 = (v.num_factors for v in (f.source, f.target, g.source, g.target))
     order = (*range(kx), *range(kx + kx2, kx + kx2 + ky), *range(kx, kx + kx2),
              *range(kx + kx2 + ky, kx + kx2 + ky + ky2))
     return GradedCorrespondence(f.source * g.source, f.target * g.target,
-                                permute_factors(cartesian(f.cycle, g.cycle), order))
+                                permute_factors(blocks_product(f, g), order))
 
 
 def unswapped_external_product(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCorrespondence:
-    """Negative control: the exponents of `cartesian`, in the order
+    """Negative control: the exponents of the block product, in the order
     (x, x', y, y'), read as if they were in the order (x, y, x', y')."""
     source, target = f.source * g.source, f.target * g.target
-    return GradedCorrespondence(source, target, Cycle(source * target, dict(cartesian(f.cycle, g.cycle).terms)))
+    return GradedCorrespondence(source, target, Cycle(source * target, dict(blocks_product(f, g).terms)))
 
 
 LAW_SHAPES = [(), (1,), (2,), (1, 1), (2, 1), (3,)]
@@ -168,7 +184,7 @@ def product_laws_hold(product, x: Variety, y: Variety) -> bool:
 
 
 class TestExternalProduct:
-    def test_matches_cartesian_then_permute(self):
+    def test_matches_pullbacks_multiplied_then_permuted(self):
         rng = random.Random(71)
         pool = [make_variety(d) for d in ALGEBRA_POOL]
         for x, y in itertools.product(pool, repeat=2):

@@ -81,7 +81,7 @@ class TestCliLayers:
 
 class TestPackageExports:
     def test_names_resolve_to_their_home_objects(self):
-        assert len(chowmot.__all__) == 52 == len(set(chowmot.__all__))
+        assert len(chowmot.__all__) == 51 == len(set(chowmot.__all__))
         for name in chowmot.__all__:
             obj = getattr(chowmot, name)
             home = sys.modules[obj.__module__]

@@ -435,6 +435,26 @@ class TestDegreeZeroRigidify:
         assert compose_motive(f0, g0) == m.identity_morphism()
         assert compose_motive(g0, f0) == m.identity_morphism()
 
+    def test_the_two_orbit_composites_are_its_only_compositions(self, monkeypatch):
+        """With every offset >= 0 the offset-0 part of f o g is f0 o g0, so
+        the lemma composes f and g once each way and the offset-0 parts
+        never (it composed four times while it composed them again)."""
+        calls = []
+        real = motives.compose_graded
+
+        def spy(f, g):
+            calls.append((f.source, g.target))
+            return real(f, g)
+
+        m = motive_of(P2)
+        ident = GradedCorrespondence.identity(P2)
+        nil = GradedCorrespondence(P2, P2, Cycle.monomial(P2 * P2, (2, 1)))
+        f, g = OrbitMorphism(m, m, ident + nil), OrbitMorphism(m, m, _geometric_inverse(ident, nil))
+        monkeypatch.setattr(motives, "compose_graded", spy)
+        f0, g0 = degree_zero_rigidify(f, g)
+        assert calls == [(P2, P2)] * 2
+        assert f0.corr == g0.corr == ident
+
     def test_not_mutually_inverse_rejected(self):
         m = motive_of(P1)
         ident = GradedCorrespondence.identity(P1)

@@ -20,11 +20,11 @@ from chowmot import (
     FactorSelection,
     GradedCorrespondence,
     KKernel,
-    cartesian,
     compose_graded,
     diagonal_pushforward,
     euler_characteristic,
     exp_nilpotent,
+    external_product,
     k_compose,
     make_variety,
     permute_factors,
@@ -164,6 +164,14 @@ def engine(terms, bounds):
     return Cycle(make_variety(bounds), terms)
 
 
+def point_product(a, b):
+    """The cartesian product as the engine computes it: the external product
+    of the two cycles as correspondences from the point."""
+    point = make_variety([])
+    return external_product(GradedCorrespondence(point, a.variety, a),
+                            GradedCorrespondence(point, b.variety, b)).cycle
+
+
 def assert_matches(cycle, terms):
     assert dict(cycle.terms) == terms
     assert cycle == engine(terms, cycle.variety.factors)
@@ -295,7 +303,7 @@ class TestCorrespondenceOperations:
         for _ in range(10):
             other = rng.choice(WIDTH_LADDER)
             a, b = rand_terms(rng, bounds, rng.randint(0, 6)), rand_terms(rng, other, rng.randint(0, 6))
-            assert_matches(cartesian(engine(a, bounds), engine(b, other)), ref_cartesian(a, b))
+            assert_matches(point_product(engine(a, bounds), engine(b, other)), ref_cartesian(a, b))
             both = bounds + other
             order = tuple(rng.sample(range(len(both)), len(both)))
             c = rand_terms(rng, both, rng.randint(0, 8))
@@ -423,7 +431,7 @@ class TestResultBuilders:
             lambda: a.graded_component(2),
             lambda: sel.pullback(sel.pushforward(a)),
             lambda: sel.pushforward(a * b),
-            lambda: cartesian(a, b),
+            lambda: point_product(a, b),
             lambda: permute_factors(a, (1, 0)),
             lambda: diagonal_pushforward(x, a),
             lambda: exp_nilpotent(a - a.graded_component(0)),
