@@ -174,11 +174,10 @@ class GradedCorrespondence(_Value):
             )
 
     @staticmethod
-    @lru_cache(maxsize=CACHE_ENTRIES)
     def identity(variety: Variety) -> "GradedCorrespondence":
         """The diagonal class, the identity morphism of `variety`: computed
         once per variety and shared; callers never mutate it."""
-        return _built(GradedCorrespondence, variety, variety, diagonal_class(variety))
+        return _identity(_require_instance(variety, Variety))
 
     @staticmethod
     def zero(source: Variety, target: Variety) -> "GradedCorrespondence":
@@ -235,6 +234,11 @@ class GradedCorrespondence(_Value):
 
     def __str__(self) -> str:
         return f"{self.source} -> {self.target}: {self.cycle}"
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _identity(variety: Variety) -> GradedCorrespondence:
+    return _built(GradedCorrespondence, variety, variety, diagonal_class(variety))
 
 
 def external_product(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCorrespondence:

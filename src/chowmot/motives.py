@@ -130,14 +130,14 @@ class MotiveMorphism(_Value):
 
     # the checks are linear, so sums and negatives of morphisms pass them
     def __add__(self, other: "MotiveMorphism") -> "MotiveMorphism":
+        if not isinstance(other, MotiveMorphism):
+            return NotImplemented
         if self.source != other.source or self.target != other.target:
             raise DomainMismatchError("morphisms have different source or target")
         return _built(MotiveMorphism, self.source, self.target, self.corr + other.corr)
 
     def __sub__(self, other: "MotiveMorphism") -> "MotiveMorphism":
-        if self.source != other.source or self.target != other.target:
-            raise DomainMismatchError("morphisms have different source or target")
-        return _built(MotiveMorphism, self.source, self.target, self.corr - other.corr)
+        return self + -other if isinstance(other, MotiveMorphism) else NotImplemented
 
     def __neg__(self) -> "MotiveMorphism":
         return _built(MotiveMorphism, self.source, self.target, -self.corr)

@@ -624,6 +624,25 @@ class TestOutsideInputStillChecked:
         with pytest.raises(TypeError):
             ID - ID.cycle
 
+    def test_morphism_sum_with_a_non_morphism_is_not_implemented(self):
+        """`+` and `-` of motive morphisms once raised the AttributeError of
+        reading the other operand; like correspondences, they now leave it
+        to the other operand."""
+        assert IDM.__add__(7) is NotImplemented and IDM.__sub__(7) is NotImplemented
+        with pytest.raises(TypeError):
+            IDM + 7
+        with pytest.raises(TypeError):
+            IDM - ID
+        assert (IDM - IDM).is_zero and IDM + IDM - IDM == IDM
+
+    @pytest.mark.parametrize("call", [GradedCorrespondence.identity, motive_of], ids=["identity", "motive_of"])
+    @pytest.mark.parametrize("value", [[1], (1,), 7, None])
+    def test_identity_refuses_a_non_variety_before_its_cache(self, call, value):
+        """A list once raised the TypeError of hashing it for the cache."""
+        with pytest.raises(InvalidInputError) as caught:
+            call(value)
+        assert str(caught.value) == f"expected a Variety, got {value!r}"
+
     @pytest.mark.parametrize("order", [(1.0, 0), ("1", 0), 5, None, (True, 0), [0, 1.0]])
     def test_permute_factors_refuses_an_order_that_is_not_a_permutation_of_ints(self, order):
         """(1.0, 0), ("1", 0), 5 and None once raised a TypeError, and (True, 0)

@@ -1,7 +1,7 @@
 """Values computed once per process and shared: the variety of a factor
 tuple (`ring._variety`), the diagonal of a variety
-(`GradedCorrespondence.identity`) and the Todd series of a factor
-(`chern._todd_factor_series`).  A shared value is safe only while no
+(`GradedCorrespondence.identity`, cached in `corr._identity`) and the Todd
+series of a factor (`chern._todd_factor_series`).  A shared value is safe only while no
 operation mutates its operands, so a battery of operations runs on the
 shared values and each must still equal a fresh computation afterwards; a
 negative control shows that an operation mutating its input is caught.
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from chowmot import chern
+from chowmot import chern, corr
 from chowmot.chern import mul_todd_power, sqrt_todd
 from chowmot.corr import FactorSelection, GradedCorrespondence, permute_factors
 from chowmot.kshadow import chow_image, euler_characteristic, identity_kernel, k_compose
@@ -34,7 +34,7 @@ from chowmot.verify import ALGEBRA_POOL, random_cycle
 
 VARIETIES = [make_variety(factors) for factors in ALGEBRA_POOL]
 EXPONENTS = (1, Fraction(1, 2), -1, Fraction(-1, 2))
-CACHES = (GradedCorrespondence.identity, chern._todd_factor_series)
+CACHES = (corr._identity, chern._todd_factor_series)
 
 
 @pytest.fixture(autouse=True)
@@ -64,7 +64,7 @@ def stale_values():
     """The cached values that no longer equal a fresh computation by the
     uncached function."""
     stale = [x for x in VARIETIES
-             if GradedCorrespondence.identity(x) != GradedCorrespondence.identity.__wrapped__(x)]
+             if GradedCorrespondence.identity(x) != corr._identity.__wrapped__(x)]
     ns = sorted({n for x in VARIETIES for n in x.factors})
     stale += [(n, s) for n in ns for s in EXPONENTS
               if chern._todd_factor_series(n, s) != chern._todd_factor_series.__wrapped__(n, s)]
@@ -156,7 +156,7 @@ def test_varieties_made_outside_the_table_compare_and_hash_alike(remake):
             assert twin == x and x == twin and hash(twin) == hash(x) and not twin != x
             assert twin.factors == x.factors and twin._layout.top == x._layout.top
             assert GradedCorrespondence.identity(twin) is GradedCorrespondence.identity(x)
-            assert GradedCorrespondence.identity(twin) == GradedCorrespondence.identity.__wrapped__(twin)
+            assert GradedCorrespondence.identity(twin) == corr._identity.__wrapped__(twin)
             assert twin * twin == x * x and twin != make_variety((*factors, 1))
 
 
