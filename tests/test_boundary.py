@@ -636,9 +636,10 @@ class TestOutsideInputStillChecked:
         assert (IDM - IDM).is_zero and IDM + IDM - IDM == IDM
 
     @pytest.mark.parametrize("call", [GradedCorrespondence.identity, motive_of], ids=["identity", "motive_of"])
-    @pytest.mark.parametrize("value", [[1], (1,), 7, None])
+    @pytest.mark.parametrize("value", [[1], {1}])
     def test_identity_refuses_a_non_variety_before_its_cache(self, call, value):
-        """A list once raised the TypeError of hashing it for the cache."""
+        """An unhashable value once raised the TypeError of hashing it for
+        the cache."""
         with pytest.raises(InvalidInputError) as caught:
             call(value)
         assert str(caught.value) == f"expected a Variety, got {value!r}"
