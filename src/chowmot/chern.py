@@ -127,14 +127,6 @@ class BundleClass(_Value):
     def chern(self, i: int) -> Cycle:
         return self.total_chern.graded_component(i)
 
-    def direct_sum(self, other: "BundleClass") -> "BundleClass":
-        """Whitney sum: ranks add and total Chern classes multiply."""
-        if other.variety != self.variety:
-            raise InvalidInputError("summands live on different varieties")
-        return BundleClass(
-            self.variety, self.rank + other.rank, self.total_chern * other.total_chern
-        )
-
 
 def power_sums(bundle: BundleClass) -> tuple[Cycle, ...]:
     """Power sums p_1 .. p_dim of the Chern roots (p_k at index k - 1,

@@ -232,9 +232,6 @@ class GradedCorrespondence(_Value):
         if self.source != other.source or self.target != other.target:
             raise DomainMismatchError("correspondences have different source or target")
 
-    def __str__(self) -> str:
-        return f"{self.source} -> {self.target}: {self.cycle}"
-
 
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _identity(variety: Variety) -> GradedCorrespondence:

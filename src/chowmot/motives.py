@@ -77,10 +77,6 @@ class Motive(_Value):
     def dim(self) -> int:
         return self.variety.dim
 
-    @property
-    def is_zero(self) -> bool:
-        return self.idempotent.is_zero
-
     def identity_morphism(self) -> "MotiveMorphism":
         return _built(MotiveMorphism, self, self, self.idempotent)
 
@@ -124,9 +120,6 @@ class MotiveMorphism(_Value):
     @property
     def is_zero(self) -> bool:
         return self.corr.is_zero
-
-    def then(self, other: "MotiveMorphism") -> "MotiveMorphism":
-        return compose_motive(self, other)
 
     # the checks are linear, so sums and negatives of morphisms pass them
     def __add__(self, other: "MotiveMorphism") -> "MotiveMorphism":

@@ -88,26 +88,21 @@ VARIETY_ENTRIES = 128
 
 class _Value:
     """Base of the engine's immutable values.  A subclass lists its fields
-    as annotations, a default as a class attribute, and in `uncompared` the
-    fields that `==` and `hash` skip: values of one class compare and hash
-    by the tuple of the others.  Construction runs `__post_init__`."""
+    as annotations, every one required: values of one class compare and
+    hash by the tuple of their fields.  Construction runs `__post_init__`."""
 
-    def __init_subclass__(cls, uncompared=()):
+    def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
-        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
-        compared = [name for name in cls._fields if name not in uncompared]
-        cls._key = attrgetter(*compared)  # a bare value, not a tuple, for one field
-        if len(compared) == 1 and "__hash__" not in cls.__dict__:
+        cls._key = attrgetter(*cls._fields)  # a bare value, not a tuple, for one field
+        if len(cls._fields) == 1 and "__hash__" not in cls.__dict__:
             cls.__hash__ = lambda self: hash((self._key(self),))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        if kwargs or len(args) != len(fields):  # keywords and defaults, checked
-            given = {**self._defaults, **dict(zip(fields, args)), **kwargs}
-            if (len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):])
-                    or len(given) < len(fields)):
+        if kwargs or len(args) != len(fields):  # keywords, checked
+            if len(args) + len(kwargs) != len(fields) or not kwargs.keys() <= set(fields[len(args):]):
                 raise TypeError(f"{type(self).__name__}() takes the fields {fields}")
-            args = [given[name] for name in fields]
+            args = (*args, *(kwargs[name] for name in fields[len(args):]))
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
         self.__post_init__()

@@ -194,11 +194,11 @@ def split_bundle_oracle(variety: Variety) -> tuple[BundleClass, Cycle, Cycle]:
 # ---------------------------------------------------------------------------
 
 
-class CheckResult(_Value, uncompared=("seconds",)):
+class CheckResult(_Value):
     name: str
     passed: bool
     detail: str
-    seconds: float = 0.0  # wall time of the check
+    seconds: float  # wall time of the check
 
 
 def check_hrr_line_bundles(rng: random.Random, samples: int) -> tuple[bool, str]:

@@ -39,13 +39,19 @@ P4 = make_variety([4])
 UNIVERSAL = make_variety([4, 4, 4, 4])
 
 
+def whitney_sum(a, b):
+    """The direct sum of two bundles on one variety: ranks add and total
+    Chern classes multiply."""
+    return BundleClass(a.variety, a.rank + b.rank, a.total_chern * b.total_chern)
+
+
 def random_split_bundle(rng, variety, summands=3, max_degree=2):
     """Direct sum of line bundles with random degree vectors."""
     bundle = None
     for _ in range(summands):
         degrees = [rng.randint(-max_degree, max_degree) for _ in variety.factors]
         piece = line_bundle(variety, degrees)
-        bundle = piece if bundle is None else bundle.direct_sum(piece)
+        bundle = piece if bundle is None else whitney_sum(bundle, piece)
     return bundle
 
 
@@ -91,15 +97,15 @@ class TestBundleClass:
             BundleClass.from_json(data)
 
     def test_json_round_trip(self):
-        bundle = line_bundle(P2, [1]).direct_sum(line_bundle(P2, [-2]))
+        bundle = whitney_sum(line_bundle(P2, [1]), line_bundle(P2, [-2]))
         assert BundleClass.from_json(bundle.to_json()) == bundle
 
     def test_whitney_sum(self):
-        a = line_bundle(P2, [1])
-        b = line_bundle(P2, [2])
-        s = a.direct_sum(b)
+        # O(1) + O(2) on P^2: c = (1 + h)(1 + 2h) = 1 + 3h + 2h^2
+        s = whitney_sum(line_bundle(P2, [1]), line_bundle(P2, [2]))
+        h = Cycle.hyperplane(P2, 0)
         assert s.rank == 2
-        assert s.total_chern == a.total_chern * b.total_chern
+        assert (s.chern(0), s.chern(1), s.chern(2)) == (Cycle.one(P2), h.scale(3), (h * h).scale(2))
 
 
 class TestPowerSums:
@@ -116,7 +122,7 @@ class TestPowerSums:
     def test_rank_two_degree_two(self):
         # p2 = c1^2 - 2 c2, on a variety where c1, c2 stay independent
         x = make_variety([4, 4])
-        bundle = line_bundle(x, [1, 0]).direct_sum(line_bundle(x, [0, 1]))
+        bundle = whitney_sum(line_bundle(x, [1, 0]), line_bundle(x, [0, 1]))
         c1 = bundle.chern(1)
         c2 = bundle.chern(2)
         assert power_sums(bundle)[1] == c1 * c1 - c2.scale(2)
@@ -162,7 +168,7 @@ class TestChernCharacter:
             x = make_variety([rng.randint(1, 2) for _ in range(rng.randint(1, 2))])
             a = random_split_bundle(rng, x, summands=2)
             b = random_split_bundle(rng, x, summands=2)
-            assert chern_character(a.direct_sum(b)) == chern_character(a) + chern_character(b)
+            assert chern_character(whitney_sum(a, b)) == chern_character(a) + chern_character(b)
 
     def test_multiplicative_on_line_bundle_tensor(self):
         rng = random.Random(71)
@@ -223,7 +229,7 @@ class TestTodd:
             x = make_variety([rng.randint(1, 2) for _ in range(rng.randint(1, 2))])
             a = random_split_bundle(rng, x, summands=2)
             b = random_split_bundle(rng, x, summands=2)
-            assert todd_class(a.direct_sum(b)) == todd_class(a) * todd_class(b)
+            assert todd_class(whitney_sum(a, b)) == todd_class(a) * todd_class(b)
 
     def test_line_todd(self):
         td = mul_todd_power(Cycle.one(P1), 1)
