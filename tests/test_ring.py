@@ -69,6 +69,18 @@ class TestArithmetic:
         a = Cycle.one(line) + Cycle.hyperplane(line, 0)
         assert a.scale(0) == Cycle.zero(line)
 
+    def test_scalar_on_the_left_scales(self):
+        x = make_variety([1, 1])
+        c = Cycle.one(x) + Cycle.hyperplane(x, 0).scale(3) - Cycle.monomial(x, (1, 1), Fraction(1, 2))
+        assert 2 * c == c.scale(2)
+        assert Fraction(-3, 4) * c == c.scale(Fraction(-3, 4))
+        assert (0 * c).is_zero
+        with pytest.raises(InvalidInputError):
+            True * c
+        for scalar in (1.5, "x"):
+            with pytest.raises(TypeError):
+                scalar * c
+
     def test_linearity(self):
         x = make_variety([1, 1])
         h1 = Cycle.hyperplane(x, 0)
