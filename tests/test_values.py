@@ -1,8 +1,8 @@
 """The contract of the engine's immutable values, the classes on the `_Value`
-base of `ring`: equality within one class by the compared fields, a hash
-equal to that of their tuple, the repr of a frozen record, no assignment or
-deletion, and construction by position or keyword; and the JSON
-codec of the classes read and written as objects of named fields."""
+base of `ring`: equality within one class by the fields, a hash equal to
+that of their tuple, the repr of a frozen record, no assignment or
+deletion, and construction by position or keyword; and the JSON codec of
+the classes read and written as objects of named fields."""
 
 import json
 from fractions import Fraction
