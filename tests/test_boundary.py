@@ -758,7 +758,7 @@ def _replaced(value, path, new):
 def fuzz_corpus() -> dict[str, list]:
     """The mutated calls, by subcommand, as (argv, argument index, path,
     malformed value): each transcript call that exits 0 and takes JSON, with
-    one sub-value of one JSON argument replaced, 48,168 in all."""
+    one sub-value of one JSON argument replaced, 49,752 in all."""
     corpus: dict[str, list] = {}
     for case in json.loads(TRANSCRIPT.read_text(encoding="utf-8")):
         if case["code"] != 0:
@@ -813,7 +813,7 @@ class TestBoundaryFuzz:
 
     def test_fuzz_draws_every_subcommand_that_takes_json(self):
         sample = fuzz_sample()
-        assert sum(map(len, fuzz_corpus().values())) == 48168
+        assert sum(map(len, fuzz_corpus().values())) == 49752
         assert FUZZ_CALLS <= len(sample) < FUZZ_CALLS + 17 * 24
         assert {argv[0] for argv in sample} == {
             "chern-character", "compat", "compose", "diagonal", "euler", "identity-kernel", "k-compose",
