@@ -211,10 +211,11 @@ def _orlov(args, e, f) -> int:
     from .motives import orlov_pipeline
 
     report = orlov_pipeline(e, f)
+    inverse, exact = report.verdict != "not-equivalent", report.verdict == "exact-isomorphism"
 
     def payload():
-        fields = ("mutually_inverse", "isomorphic_modulo_twist", "support_ok", "exact_isomorphism", "verdict")
-        out = {name: getattr(report, name) for name in fields}
+        out = {"mutually_inverse": inverse, "isomorphic_modulo_twist": inverse, "support_ok": exact,
+               "exact_isomorphism": exact, "verdict": report.verdict}
         out["support_floors"] = ["inf" if floor is None else floor for floor in report.support_floors]
         if report.degree_zero_pair is not None:
             f0, g0 = report.degree_zero_pair
@@ -224,9 +225,9 @@ def _orlov(args, e, f) -> int:
 
     def text():
         return "\n".join([
-            f"mutually inverse: {'yes' if report.mutually_inverse else 'no'}",
-            f"isomorphic modulo twist: {'yes' if report.isomorphic_modulo_twist else 'no'}",
-            f"support condition: {'yes' if report.support_ok else 'no'}",
+            f"mutually inverse: {'yes' if inverse else 'no'}",
+            f"isomorphic modulo twist: {'yes' if inverse else 'no'}",
+            f"support condition: {'yes' if exact else 'no'}",
             f"verdict: {report.verdict}",
         ])
 

@@ -206,31 +206,22 @@ class GradedCorrespondence(_Value):
         return _built(GradedCorrespondence, self.target, self.source,
                       permute_factors(self.cycle, order))
 
-    def then(self, other: "GradedCorrespondence") -> "GradedCorrespondence":
-        return compose_graded(self, other)
-
     # correspondences between fixed varieties form a Q-module
     def __add__(self, other: "GradedCorrespondence") -> "GradedCorrespondence":
         if not isinstance(other, GradedCorrespondence):
             return NotImplemented
-        self._require_parallel(other)
+        if self.source != other.source or self.target != other.target:
+            raise DomainMismatchError("correspondences have different source or target")
         return _built(GradedCorrespondence, self.source, self.target, self.cycle + other.cycle)
 
     def __sub__(self, other: "GradedCorrespondence") -> "GradedCorrespondence":
-        if not isinstance(other, GradedCorrespondence):
-            return NotImplemented
-        self._require_parallel(other)
-        return _built(GradedCorrespondence, self.source, self.target, self.cycle - other.cycle)
+        return self + -other if isinstance(other, GradedCorrespondence) else NotImplemented
 
     def __neg__(self) -> "GradedCorrespondence":
         return _built(GradedCorrespondence, self.source, self.target, -self.cycle)
 
     def scale(self, scalar) -> "GradedCorrespondence":
         return _built(GradedCorrespondence, self.source, self.target, self.cycle.scale(scalar))
-
-    def _require_parallel(self, other: "GradedCorrespondence") -> None:
-        if self.source != other.source or self.target != other.target:
-            raise DomainMismatchError("correspondences have different source or target")
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)

@@ -73,10 +73,6 @@ class Motive(_Value):
         if compose_graded(p, p) != p:
             raise InvalidInputError("motive projector is not idempotent")
 
-    @property
-    def dim(self) -> int:
-        return self.variety.dim
-
     def identity_morphism(self) -> "MotiveMorphism":
         return _built(MotiveMorphism, self, self, self.idempotent)
 
@@ -401,10 +397,6 @@ def degree_zero_rigidify(f: OrbitMorphism, g: OrbitMorphism) -> tuple[MotiveMorp
 class OrlovReport(_Value):
     """Outcome of the derived-equivalence pipeline for a kernel pair."""
 
-    mutually_inverse: bool
-    isomorphic_modulo_twist: bool
-    support_ok: bool
-    exact_isomorphism: bool
     verdict: str
     support_floors: tuple[int | None, int | None]
     degree_zero_pair: tuple[MotiveMorphism, MotiveMorphism] | None
@@ -432,10 +424,10 @@ def orlov_pipeline(e: KKernel, f: KKernel) -> OrlovReport:
     try:
         pair = degree_zero_rigidify(_built(OrbitMorphism, mx, my, a), _built(OrbitMorphism, my, mx, b))
     except PreconditionError:
-        return OrlovReport(False, False, False, False, "not-equivalent", floors, None)
+        return OrlovReport("not-equivalent", floors, None)
     except SupportConditionError:
-        return OrlovReport(True, True, False, False, "tate-twist-only", floors, None)
-    return OrlovReport(True, True, True, True, "exact-isomorphism", floors, pair)
+        return OrlovReport("tate-twist-only", floors, None)
+    return OrlovReport("exact-isomorphism", floors, pair)
 
 
 def compatibility_check(e: KKernel, f: KKernel) -> bool:

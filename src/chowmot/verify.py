@@ -322,11 +322,12 @@ def check_correspondence_algebra(rng: random.Random, samples: int) -> tuple[bool
         f = random_correspondence(rng, x, y)
         g = random_correspondence(rng, y, z)
         h = random_correspondence(rng, z, w)
-        if f.then(g).then(h) != f.then(g.then(h)):
+        if compose_graded(compose_graded(f, g), h) != compose_graded(f, compose_graded(g, h)):
             problems.append(f"associativity fails at trial {trial}")
-        if GradedCorrespondence.identity(x).then(f) != f or f.then(GradedCorrespondence.identity(y)) != f:
+        if (compose_graded(GradedCorrespondence.identity(x), f) != f
+                or compose_graded(f, GradedCorrespondence.identity(y)) != f):
             problems.append(f"identity law fails at trial {trial}")
-        if f.then(g).transpose() != g.transpose().then(f.transpose()):
+        if compose_graded(f, g).transpose() != compose_graded(g.transpose(), f.transpose()):
             problems.append(f"transpose antihomomorphism fails at trial {trial}")
 
         # projection formula on a random factor projection of x*y

@@ -118,7 +118,7 @@ class TestKCompose:
             e = random_kernel(rng, P1, P1xP1)
             f = random_kernel(rng, P1xP1, P2)
             lhs = chow_image(k_compose(e, f))
-            rhs = chow_image(e).then(chow_image(f))
+            rhs = compose_graded(chow_image(e), chow_image(f))
             assert lhs == rhs
 
 

@@ -372,9 +372,9 @@ class TestOrbitCategory:
         def mixed_offsets(rng, source, target):
             base = target.twist - source.twist
             comps = {}
-            for d in range(-source.dim, target.dim + 1):
+            for d in range(-source.variety.dim, target.variety.dim + 1):
                 raw = GradedCorrespondence(source.variety, target.variety, random_cycle_in_codims(
-                    rng, source.variety * target.variety, [source.dim + d]))
+                    rng, source.variety * target.variety, [source.variety.dim + d]))
                 comps[d - base] = compose_graded(compose_graded(source.idempotent, raw), target.idempotent)
             return OrbitMorphism.from_components(source, target, comps)
 
@@ -512,12 +512,12 @@ def two_test_report(e: KKernel, f: KKernel) -> OrlovReport:
     floors = tuple(c.codimensions()[0] if c.codimensions() else None for c in (a.cycle, b.cycle))
     if (compose_graded(a, b) != GradedCorrespondence.identity(x)
             or compose_graded(b, a) != GradedCorrespondence.identity(y)):
-        return OrlovReport(False, False, False, False, "not-equivalent", floors, None)
+        return OrlovReport("not-equivalent", floors, None)
     if not all(floor is None or floor >= x.dim for floor in floors):
-        return OrlovReport(True, True, False, False, "tate-twist-only", floors, None)
+        return OrlovReport("tate-twist-only", floors, None)
     mx, my = motive_of(x), motive_of(y)
     pair = (MotiveMorphism(mx, my, a.degree_component(0)), MotiveMorphism(my, mx, b.degree_component(0)))
-    return OrlovReport(True, True, True, True, "exact-isomorphism", floors, pair)
+    return OrlovReport("exact-isomorphism", floors, pair)
 
 
 def twisted_diagonal(x, d: int) -> KKernel:
@@ -616,15 +616,14 @@ class TestOrlovPipeline:
         e = KKernel.from_ch(P1, P1, (ident + shift).cycle * back)
         f = KKernel.from_ch(P1, P1, _geometric_inverse(ident, shift).cycle * back)
         report = orlov_pipeline(e, f)
-        assert report.mutually_inverse and report.isomorphic_modulo_twist
-        assert not report.support_ok
         assert report.verdict == "tate-twist-only"
+        assert report.support_floors == (0, 0)  # below dim P^1 = 1, so the support condition fails
         assert report.degree_zero_pair is None
 
     def test_non_inverse_pair(self):
         report = orlov_pipeline(twisted_diagonal(P1, 1), twisted_diagonal(P1, 1))
         assert report.verdict == "not-equivalent"
-        assert not report.isomorphic_modulo_twist
+        assert report.degree_zero_pair is None
 
     def test_dimension_mismatch_rejected(self):
         e = random_kernel(random.Random(5), P1, P2)

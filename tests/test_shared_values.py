@@ -17,7 +17,7 @@ import pytest
 
 from chowmot import chern, corr
 from chowmot.chern import mul_todd_power, sqrt_todd
-from chowmot.corr import FactorSelection, GradedCorrespondence, permute_factors
+from chowmot.corr import FactorSelection, GradedCorrespondence, compose_graded, permute_factors
 from chowmot.kshadow import chow_image, euler_characteristic, identity_kernel, k_compose
 from chowmot.motives import OrbitMorphism, degree_zero_rigidify, motive_of
 from chowmot.ring import (
@@ -51,13 +51,13 @@ def empty_caches():
 def battery(x):
     """Run operations of every layer with the shared values of x as operands."""
     ident = GradedCorrespondence.identity(x)
-    (ident + ident.scale(Fraction(-3, 2))).then(ident)
+    compose_graded(ident + ident.scale(Fraction(-3, 2)), ident)
     orbit = OrbitMorphism.identity(motive_of(x))
     degree_zero_rigidify(orbit, orbit)
     kernel = identity_kernel(x)
     chow_image(k_compose(kernel, kernel))
     euler_characteristic(mul_todd_power(Cycle.one(x), 1) * sqrt_todd(x))
-    ident.transpose().then(ident)
+    compose_graded(ident.transpose(), ident)
 
 
 def stale_values():

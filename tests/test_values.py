@@ -58,10 +58,8 @@ def samples():
         (OrbitMorphism.identity(unit), ("source", "target", "corr"),
          f"OrbitMorphism(source={UNIT}, target={UNIT}, corr={DIAGONAL})"),
         (orlov_pipeline(identity_kernel(point), identity_kernel(point)),
-         ("mutually_inverse", "isomorphic_modulo_twist", "support_ok", "exact_isomorphism",
-          "verdict", "support_floors", "degree_zero_pair"),
-         "OrlovReport(mutually_inverse=True, isomorphic_modulo_twist=True, support_ok=True, "
-         "exact_isomorphism=True, verdict='exact-isomorphism', support_floors=(0, 0), "
+         ("verdict", "support_floors", "degree_zero_pair"),
+         "OrlovReport(verdict='exact-isomorphism', support_floors=(0, 0), "
          f"degree_zero_pair=({UNIT_ID}, {UNIT_ID}))"),
         (CheckResult("hrr", True, "ok", 0.25), ("name", "passed", "detail", "seconds"),
          "CheckResult(name='hrr', passed=True, detail='ok', seconds=0.25)"),
