@@ -181,7 +181,8 @@ class GradedCorrespondence(_Value):
 
     @staticmethod
     def zero(source: Variety, target: Variety) -> "GradedCorrespondence":
-        return _built(GradedCorrespondence, source, target, Cycle.zero(source * target))
+        product = _require_instance(source, Variety) * _require_instance(target, Variety)
+        return _built(GradedCorrespondence, source, target, Cycle.zero(product))
 
     @property
     def is_zero(self) -> bool:

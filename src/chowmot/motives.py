@@ -37,7 +37,7 @@ from .ring import Cycle, Variety, _built, _json_object, _require_instance, _requ
 def _check_component(source: Motive, target: Motive, c: GradedCorrespondence, degree: int, what: str):
     """A morphism component from outside must join the two varieties and
     have pure degree `degree`."""
-    if c.source != source.variety or c.target != target.variety:
+    if _require_instance(c, GradedCorrespondence).source != source.variety or c.target != target.variety:
         raise InvalidInputError(f"{what} does not match the motives' varieties")
     if not c.is_pure_degree(degree):
         raise InvalidInputError(f"{what} must have pure degree {degree}")
@@ -110,7 +110,8 @@ class MotiveMorphism(_Value):
 
     @staticmethod
     def zero(source: Motive, target: Motive) -> "MotiveMorphism":
-        zero = GradedCorrespondence.zero(source.variety, target.variety)
+        zero = GradedCorrespondence.zero(_require_instance(source, Motive).variety,
+                                         _require_instance(target, Motive).variety)
         return _built(MotiveMorphism, source, target, zero)
 
     @property
@@ -264,7 +265,7 @@ class FormalSumMorphism(_Value):
                     raise InvalidInputError(f"matrix entry ({i}, {j}) connects the wrong summands")
 
     def then(self, other: "FormalSumMorphism") -> "FormalSumMorphism":
-        if self.target != other.source:
+        if self.target != _require_instance(other, FormalSumMorphism).source:
             raise DomainMismatchError("matrix morphisms are not composable")
         rows = []
         for i in range(len(other.target)):
@@ -302,7 +303,7 @@ class OrbitMorphism(_Value):
 
     @staticmethod
     def identity(m: Motive) -> "OrbitMorphism":
-        return _built(OrbitMorphism, m, m, m.idempotent)
+        return _built(OrbitMorphism, m, m, _require_instance(m, Motive).idempotent)
 
     @staticmethod
     def from_components(source: Motive, target: Motive,
@@ -310,9 +311,9 @@ class OrbitMorphism(_Value):
         """The orbit morphism whose component at each offset i is
         `components[i]`, which must join the two varieties and have pure
         degree (s - r) + i."""
-        base = target.twist - source.twist
+        base = _require_instance(target, Motive).twist - _require_instance(source, Motive).twist
         corr = GradedCorrespondence.zero(source.variety, target.variety)
-        for i, c in components.items():
+        for i, c in _require_instance(components, Mapping).items():
             _check_component(source, target, c, base + _require_int(i, "component index"), f"component {i}")
             corr = corr + c
         return OrbitMorphism(source, target, corr)

@@ -284,7 +284,7 @@ def require_budget(variety: Variety, order: int = 0) -> None:
 def make_variety(dims: list[int] | tuple[int, ...]) -> Variety:
     """Product of projective spaces of the given dimensions; [] is Spec K.
     Equal dimensions give one shared variety."""
-    factors = tuple(dims)
+    factors = _as_tuple(dims, "factor dimensions")
     for n in factors:  # before the lookup: (True,) and (1.0,) are keys equal to (1,)
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise InvalidInputError(f"factor dimensions must be nonnegative integers, got {n!r}")
@@ -334,7 +334,7 @@ def _checked(variety: Variety, items):
     bounds = variety.factors
     shifts = variety._layout.shifts
     for exps, coeff in items:
-        exps = tuple(exps)
+        exps = _as_tuple(exps, "exponent vector")
         if len(exps) != len(bounds):
             raise InvalidInputError(f"exponent vector {exps} has wrong length for {variety}")
         key = 0
@@ -400,9 +400,10 @@ class Cycle:
     @classmethod
     def hyperplane(cls, variety: Variety, index: int) -> "Cycle":
         """The hyperplane class h_{index} pulled back from the given factor."""
-        if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < variety.num_factors:
+        k = _require_instance(variety, Variety).num_factors
+        if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < k:
             raise InvalidInputError(f"no factor {index!r} on {variety}")
-        exps = tuple(1 if i == index else 0 for i in range(variety.num_factors))
+        exps = tuple(1 if i == index else 0 for i in range(k))
         return cls(variety, {exps: 1})
 
     # -- structure ---------------------------------------------------------
@@ -581,6 +582,14 @@ def _require_instance(value, cls: type):
     if not isinstance(value, cls):
         raise InvalidInputError(f"expected a {cls.__name__}, got {value!r}")
     return value
+
+
+def _as_tuple(value, what: str) -> tuple:
+    """The argument `what`, an iterable, as a tuple."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be a sequence of integers, got {value!r}") from None
 
 
 def _require_int(value, what: str) -> int:

@@ -403,6 +403,7 @@ ID = GradedCorrespondence.identity(P1)
 M = motive_of(P1)
 IDM = M.identity_morphism()
 ORBIT = OrbitMorphism.identity(M)
+M_SUM = FormalSum((M,))
 KERNEL = identity_kernel(P1)
 
 
@@ -525,6 +526,20 @@ class TestOutsideInputStillChecked:
             call()
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: make_variety(3), "factor dimensions must be a sequence of integers, got 3"),
+        (lambda: Variety(3), "factor dimensions must be a sequence of integers, got 3"),
+        (lambda: Cycle(P1, {1: 1}), "exponent vector must be a sequence of integers, got 1"),
+        (lambda: Cycle.hyperplane([1], 0), "expected a Variety, got [1]"),
+    ], ids=["make_variety", "Variety", "Cycle-exponents", "hyperplane-variety"])
+    def test_ring_constructors_refuse_malformed_arguments(self, call, message):
+        """`make_variety(3)`, `Variety(3)` and a non-iterable exponent vector
+        once raised a TypeError, and `hyperplane` on a non-variety the
+        AttributeError of reading it."""
+        with pytest.raises(InvalidInputError) as caught:
+            call()
+        assert str(caught.value) == message
+
     def test_cycle_constructors_reject(self):
         x = make_variety([1, 1])
         for terms in ({(1,): 1}, {(1, -1): 1}, {(1, True): 1}, {(0, 0): 0.5}, {(0, 0): "1e99999"}):
@@ -601,16 +616,31 @@ class TestOutsideInputStillChecked:
         (lambda v: tensor_morphism(IDM, v), "MotiveMorphism"),
         (lambda v: dual(v), "Motive"),
         (lambda v: tate_twist(v, 1), "Motive"),
+        (lambda v: GradedCorrespondence.zero(v, P1), "Variety"),
+        (lambda v: GradedCorrespondence.zero(P1, v), "Variety"),
+        (lambda v: MotiveMorphism.zero(v, M), "Motive"),
+        (lambda v: MotiveMorphism.zero(M, v), "Motive"),
+        (lambda v: OrbitMorphism.identity(v), "Motive"),
+        (lambda v: OrbitMorphism.from_components(v, M, {}), "Motive"),
+        (lambda v: OrbitMorphism.from_components(M, v, {}), "Motive"),
+        (lambda v: OrbitMorphism.from_components(M, M, v), "Mapping"),
+        (lambda v: OrbitMorphism.from_components(M, M, {0: v}), "GradedCorrespondence"),
+        (lambda v: M_SUM.identity_morphism().then(v), "FormalSumMorphism"),
     ], ids=["compose_graded-f", "compose_graded-g", "external_product-f", "external_product-g",
             "permute_factors", "pullback", "pushforward", "diagonal_pushforward-class",
             "diagonal_pushforward-variety", "orbit_compose-f", "orbit_compose-g", "compose_motive-f",
             "compose_motive-g", "degree_zero_rigidify-f", "degree_zero_rigidify-g", "split_idempotent-m",
             "split_idempotent-p", "orlov_pipeline-e", "orlov_pipeline-f", "tensor-m", "tensor-n",
-            "tensor_morphism-f", "tensor_morphism-g", "dual", "tate_twist"])
+            "tensor_morphism-f", "tensor_morphism-g", "dual", "tate_twist", "GradedCorrespondence.zero-source",
+            "GradedCorrespondence.zero-target", "MotiveMorphism.zero-source", "MotiveMorphism.zero-target",
+            "OrbitMorphism.identity", "OrbitMorphism.from_components-source",
+            "OrbitMorphism.from_components-target", "OrbitMorphism.from_components-components",
+            "OrbitMorphism.from_components-component", "FormalSumMorphism.then"])
     def test_corr_and_motives_functions_refuse_a_wrongly_typed_argument(self, call, expected):
-        """The library entry points of `corr` and `motives` once raised the
-        AttributeError of reading an int argument, or for the variety of a
-        diagonal pushforward a DomainMismatchError."""
+        """The library entry points and static constructors of `corr` and
+        `motives` once raised the AttributeError of reading an int argument,
+        for the variety of a diagonal pushforward a DomainMismatchError, and
+        for a variety of `GradedCorrespondence.zero` a TypeError."""
         with pytest.raises(InvalidInputError) as caught:
             call(7)
         assert str(caught.value) == f"expected a {expected}, got 7"
