@@ -395,7 +395,7 @@ class Cycle:
 
     @classmethod
     def monomial(cls, variety: Variety, exps, coeff=1) -> "Cycle":
-        return cls(variety, {tuple(exps): coeff})
+        return cls(variety, {_as_tuple(exps, "exponent vector"): coeff})
 
     @classmethod
     def hyperplane(cls, variety: Variety, index: int) -> "Cycle":

@@ -530,12 +530,13 @@ class TestOutsideInputStillChecked:
         (lambda: make_variety(3), "factor dimensions must be a sequence of integers, got 3"),
         (lambda: Variety(3), "factor dimensions must be a sequence of integers, got 3"),
         (lambda: Cycle(P1, {1: 1}), "exponent vector must be a sequence of integers, got 1"),
+        (lambda: Cycle.monomial(P1, 1), "exponent vector must be a sequence of integers, got 1"),
         (lambda: Cycle.hyperplane([1], 0), "expected a Variety, got [1]"),
-    ], ids=["make_variety", "Variety", "Cycle-exponents", "hyperplane-variety"])
+    ], ids=["make_variety", "Variety", "Cycle-exponents", "monomial-exponents", "hyperplane-variety"])
     def test_ring_constructors_refuse_malformed_arguments(self, call, message):
         """`make_variety(3)`, `Variety(3)` and a non-iterable exponent vector
-        once raised a TypeError, and `hyperplane` on a non-variety the
-        AttributeError of reading it."""
+        of `Cycle` or `monomial` once raised a TypeError, and `hyperplane` on
+        a non-variety the AttributeError of reading it."""
         with pytest.raises(InvalidInputError) as caught:
             call()
         assert str(caught.value) == message
