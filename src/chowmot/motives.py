@@ -324,7 +324,7 @@ class OrbitMorphism(_Value):
         return MappingProxyType({d - base: self.corr.degree_component(d) for d in self.corr.degrees()})
 
     def component(self, i: int) -> GradedCorrespondence:
-        return self.corr.degree_component(self.target.twist - self.source.twist + i)
+        return self.corr.degree_component(self.target.twist - self.source.twist + _require_int(i, "component index"))
 
     def indices(self) -> list[int]:
         base = self.target.twist - self.source.twist

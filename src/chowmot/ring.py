@@ -176,6 +176,8 @@ class Variety(_Value):
         return len(self.factors)
 
     def __mul__(self, other: "Variety") -> "Variety":
+        if not isinstance(other, Variety):
+            return NotImplemented
         return _variety(self.factors + other.factors)
 
     def __str__(self) -> str:
@@ -413,7 +415,10 @@ class Cycle:
         return not self._num
 
     def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        exps = _as_tuple(exps, "exponent vector")
+        for e in exps:
+            _require_int(e, "exponent")
+        return self.terms.get(exps, Fraction(0))
 
     def codimensions(self) -> list[int]:
         """Sorted list of codimensions in which the cycle has a nonzero term."""

@@ -646,6 +646,33 @@ class TestOutsideInputStillChecked:
             call(7)
         assert str(caught.value) == f"expected a {expected}, got 7"
 
+    def test_variety_product_with_a_non_variety_is_not_implemented(self):
+        """`make_variety([1]) * 3` once raised the AttributeError of reading
+        the other operand's factors; Python now raises its TypeError."""
+        x = make_variety([1])
+        assert x.__mul__(3) is NotImplemented and x.__mul__((1,)) is NotImplemented
+        for call in (lambda: x * 3, lambda: 3 * x, lambda: x * (1,), lambda: x * Cycle.one(x)):
+            with pytest.raises(TypeError):
+                call()
+        assert x * x is make_variety([1, 1]) and x * Variety((2,)) is make_variety([1, 2])
+
+    @pytest.mark.parametrize("exps, message", [
+        (5, "exponent vector must be a sequence of integers, got 5"),
+        (None, "exponent vector must be a sequence of integers, got None"),
+        ([[1], 0], "exponent must be an integer, got [1]"),
+        ((True, 0), "exponent must be an integer, got True"),
+        ((1.0, 0), "exponent must be an integer, got 1.0"),
+    ], ids=["int", "None", "list-entry", "bool-entry", "float-entry"])
+    def test_coefficient_refuses_an_exponent_vector_not_of_ints(self, exps, message):
+        """5 and None once raised the TypeError of `tuple(exps)`, an entry
+        [1] that of hashing it, and (True, 0) and (1.0, 0) read the
+        coefficient of (1, 0)."""
+        c = Cycle.hyperplane(make_variety([1, 1]), 0)
+        with pytest.raises(InvalidInputError) as caught:
+            c.coefficient(exps)
+        assert str(caught.value) == message
+        assert c.coefficient([1, 0]) == c.coefficient((1, 0)) == 1 and c.coefficient((0, 1)) == 0
+
     def test_correspondence_sum_with_a_non_correspondence_is_not_implemented(self):
         """`+` and `-` once raised the AttributeError of reading the other
         operand; like `Cycle`, they now leave it to the other operand."""
@@ -689,10 +716,12 @@ class TestOutsideInputStillChecked:
         (lambda v: Cycle.hyperplane(make_variety([1, 1]), 0).graded_component(v), "codimension"),
         (lambda v: GradedCorrespondence.identity(make_variety([1])).degree_component(v), "degree"),
         (lambda v: GradedCorrespondence.identity(make_variety([1])).is_pure_degree(v), "degree"),
-    ], ids=["is_homogeneous", "graded_component", "degree_component", "is_pure_degree"])
+        (lambda v: ORBIT.component(v), "component index"),
+    ], ids=["is_homogeneous", "graded_component", "degree_component", "is_pure_degree", "component"])
     def test_grade_selectors_refuse_a_non_integer(self, call, what, value):
         """1.0 and True once selected grade 1, "1" and None gave the zero
-        cycle or False, and some raised a TypeError."""
+        cycle or False, and some raised a TypeError (`OrbitMorphism.component`
+        all but True, which selected component 1)."""
         with pytest.raises(InvalidInputError) as caught:
             call(value)
         assert str(caught.value) == f"{what} must be an integer, got {value!r}"
