@@ -200,12 +200,15 @@ class GradedCorrespondence(_Value):
         return self.cycle.is_homogeneous(self.source.dim + _require_int(d, "degree"))
 
     def transpose(self) -> "GradedCorrespondence":
-        """Swap the two factor blocks; involutive."""
-        kx = self.source.num_factors
-        ky = self.target.num_factors
-        order = tuple(range(kx, kx + ky)) + tuple(range(kx))
-        return _built(GradedCorrespondence, self.target, self.source,
-                      permute_factors(self.cycle, order))
+        """Swap the two factor blocks; involutive.  A key (x, y) of X x Y
+        becomes (y, x) on Y x X by one shift and mask each way, as in
+        `external_product`; `permute_factors` gives the same cycle, field
+        by field."""
+        x_bits, y_bits = self.source._layout.bits, self.target._layout.bits
+        y_mask = (1 << y_bits) - 1
+        cycle = _cycle(self.target * self.source, self.cycle._den,
+                       {(k & y_mask) << x_bits | k >> y_bits: v for k, v in self.cycle._num.items()})
+        return _built(GradedCorrespondence, self.target, self.source, cycle)
 
     # correspondences between fixed varieties form a Q-module
     def __add__(self, other: "GradedCorrespondence") -> "GradedCorrespondence":

@@ -63,9 +63,10 @@ ALGEBRA_POOL = [
 KERNEL_POOL = [(1,), (1, 1), (2,)]
 
 # Largest sample count `run_checks` accepts.  Three checks grow linearly
-# with it: run_checks took 0.14 s at 200 samples, 0.92 s at 2,000 and 5.8 s
-# at 10,000 in process on a 2-vCPU machine (about 0.55 ms per sample), so a
-# run at the bound ends in seconds and a larger count is refused up front.
+# with it: a first run_checks in a fresh process took 0.08 s at 200
+# samples, 0.59 s at 2,000 and 3.4 s at 10,000 (Python 3.11, 2-vCPU
+# machine, median of three; about 0.35 ms per sample), so a run at the
+# bound ends in seconds and a larger count is refused up front.
 MAX_SAMPLES = 10_000
 
 
@@ -76,15 +77,31 @@ MAX_SAMPLES = 10_000
 
 def random_cycle(rng: random.Random, variety: Variety, terms: int = 4,
                  lo: int = -5, hi: int = 5) -> Cycle:
-    """A sparse cycle with integer coefficients in [lo, hi], drawn by
-    `randrange` in the stream of `randint`, which costs a call more, and
-    summed on packed keys."""
-    acc: dict[int, int] = {}
+    """A sparse cycle with integer coefficients in [lo, hi], summed on
+    packed keys.  Each exponent and coefficient is drawn in the stream of
+    `randint`: a draw below m takes m.bit_length() random bits until they
+    fall below m, the rejection loop of CPython's `randrange` (its
+    `_randbelow_with_getrandbits`, the same on 3.10 to 3.13), run inline
+    on `getrandbits`, without the Python calls `randrange` makes around it.
+    A test holds the draws and the generator's state to `randrange`'s."""
     width = hi - lo + 1
-    fields = list(zip(variety.factors, variety._layout.shifts))
+    if width < 1:  # the rejection loop would never end
+        raise InvalidInputError(f"empty coefficient range [{lo}, {hi}]")
+    width_bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    draws = [(n + 1, (n + 1).bit_length(), shift) for n, shift in zip(variety.factors, variety._layout.shifts)]
+    acc: dict[int, int] = {}
     for _ in range(terms):
-        key = sum(rng.randrange(n + 1) << shift for n, shift in fields)
-        acc[key] = acc.get(key, 0) + lo + rng.randrange(width)
+        key = 0
+        for m, bits, shift in draws:
+            r = getrandbits(bits)
+            while r >= m:
+                r = getrandbits(bits)
+            key |= r << shift
+        r = getrandbits(width_bits)
+        while r >= width:
+            r = getrandbits(width_bits)
+        acc[key] = acc.get(key, 0) + lo + r
     return _reduced(variety, 1, acc)
 
 
@@ -322,12 +339,13 @@ def check_correspondence_algebra(rng: random.Random, samples: int) -> tuple[bool
         f = random_correspondence(rng, x, y)
         g = random_correspondence(rng, y, z)
         h = random_correspondence(rng, z, w)
-        if compose_graded(compose_graded(f, g), h) != compose_graded(f, compose_graded(g, h)):
+        fg = compose_graded(f, g)
+        if compose_graded(fg, h) != compose_graded(f, compose_graded(g, h)):
             problems.append(f"associativity fails at trial {trial}")
         if (compose_graded(GradedCorrespondence.identity(x), f) != f
                 or compose_graded(f, GradedCorrespondence.identity(y)) != f):
             problems.append(f"identity law fails at trial {trial}")
-        if compose_graded(f, g).transpose() != compose_graded(g.transpose(), f.transpose()):
+        if fg.transpose() != compose_graded(g.transpose(), f.transpose()):
             problems.append(f"transpose antihomomorphism fails at trial {trial}")
 
         # projection formula on a random factor projection of x*y
@@ -408,16 +426,15 @@ def _random_unit_endo(rng: random.Random, variety: Variety):
     inverse."""
     n = variety.factors[0]
     square = variety * variety
-    fwd = Cycle.zero(square)
-    bwd = Cycle.zero(square)
+    fwd: dict[tuple[int, int], Fraction] = {}
+    bwd: dict[tuple[int, int], Fraction] = {}
     for i in range(n + 1):
         a = Fraction(rng.choice([x for x in range(-4, 5) if x != 0]))
-        exps = (i, n - i)
-        fwd = fwd + Cycle.monomial(square, exps, a)
-        bwd = bwd + Cycle.monomial(square, exps, 1 / a)
+        fwd[i, n - i] = a
+        bwd[i, n - i] = 1 / a
     return (
-        GradedCorrespondence(variety, variety, fwd),
-        GradedCorrespondence(variety, variety, bwd),
+        GradedCorrespondence(variety, variety, Cycle(square, fwd)),
+        GradedCorrespondence(variety, variety, Cycle(square, bwd)),
     )
 
 

@@ -6,14 +6,17 @@ small closed-form criteria also carry a one-second wall-clock bound.
 Run with `pytest -s tests/test_acceptance.py` to see the table.
 """
 
+import inspect
 import random
 import time
 
 import pytest
 
+from chowmot import verify
 from chowmot.corr import GradedCorrespondence
 from chowmot.kshadow import KKernel
 from chowmot.ring import Cycle, make_variety
+from chowmot.errors import InvalidInputError
 from chowmot.verify import ALGEBRA_POOL, CHECKS, random_correspondence, random_cycle, random_kernel
 
 SEED = 42
@@ -147,3 +150,58 @@ def test_random_inputs_keep_the_randint_stream():
             assert random_correspondence(rng, x, y) == GradedCorrespondence(x, y, randint_cycle(ref, x * y))
             assert random_kernel(rng, y, x, 2) == KKernel(y, x, randint_cycle(ref, y * x, 2))
         assert rng.random() == ref.random()
+
+
+# every width 1..70, and 2^k - 1, 2^k and 2^k + 1 up to 2^64 + 1
+SAMPLER_WIDTHS = sorted({*range(1, 71), *(2 ** k + d for k in range(1, 65) for d in (-1, 0, 1))})
+
+
+def stream_mismatches(draw, seeds=range(200)):
+    """The (seed, width m) pairs where `draw(rng, P^(m-1), 1, 1, m)`, one
+    exponent and one coefficient each drawn below m, differs from the same
+    draws by `randrange(m)`, in the cycle or in the generator's state
+    afterwards.  Each seed runs through every width on one stream, resynced
+    after a mismatch."""
+    mismatches = []
+    spaces = [(m, make_variety([m - 1])) for m in SAMPLER_WIDTHS]
+    for seed in seeds:
+        rng, ref = random.Random(seed), random.Random(seed)
+        for m, x in spaces:
+            got = draw(rng, x, 1, 1, m)
+            exps = (ref.randrange(m),)
+            if got.terms != {exps: 1 + ref.randrange(m)} or rng.getstate() != ref.getstate():
+                mismatches.append((seed, m))
+                rng.setstate(ref.getstate())
+    return mismatches
+
+
+def random_cycle_with_fewer_bits():
+    """`random_cycle` with a draw below m taking (m - 1).bit_length() bits,
+    a copy of its source with the bit counts changed."""
+    source = inspect.getsource(verify.random_cycle)
+    for old, new in (("(n + 1).bit_length()", "n.bit_length()"), ("width.bit_length()", "(width - 1).bit_length()")):
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(verify))
+    exec(source, namespace)
+    return namespace["random_cycle"]
+
+
+def test_sampler_draws_as_randrange_does():
+    # the rejection sampler of random_cycle takes the draws and leaves the
+    # state of randrange, at every width the stream test above cannot reach
+    assert stream_mismatches(random_cycle) == []
+
+
+def test_sampler_with_one_bit_fewer_is_caught():
+    # negative control: (m - 1).bit_length() bits agree with randrange except
+    # at the powers of two, 1 included, and there the comparison sees it
+    caught = {m for _, m in stream_mismatches(random_cycle_with_fewer_bits(), range(20))}
+    assert caught == {m for m in SAMPLER_WIDTHS if m & (m - 1) == 0}
+
+
+def test_random_cycle_refuses_an_empty_coefficient_range():
+    # an empty range would keep the rejection loop drawing forever
+    with pytest.raises(InvalidInputError):
+        random_cycle(random.Random(0), make_variety([1]), 4, 3, 2)
+    assert random_cycle(random.Random(0), make_variety([1]), 4, 3, 3).coefficient((0,)) % 3 == 0

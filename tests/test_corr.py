@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import math
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -226,6 +228,46 @@ class TestTranspose:
     def test_diagonal_is_symmetric(self):
         d = GradedCorrespondence.identity(P1)
         assert d.transpose() == d
+
+    def test_block_swap_equals_the_factor_permutation(self):
+        """The block swap on packed keys against `permute_factors` on every
+        ordered pair of the algebra pool, the point included."""
+        assert block_swap_failures(GradedCorrespondence.transpose) == []
+
+    def test_misplaced_block_is_caught(self):
+        """Negative control: shifting the X block by Y's width is right only
+        when the two blocks are equally wide."""
+        source = textwrap.dedent(inspect.getsource(GradedCorrespondence.transpose))
+        assert source.count("<< x_bits") == 1
+        namespace = dict(vars(corr))
+        exec(source.replace("<< x_bits", "<< y_bits"), namespace)
+        pool = [make_variety(d) for d in ALGEBRA_POOL]
+        assert block_swap_failures(namespace["transpose"]) == [
+            (x, y) for x, y in itertools.product(pool, repeat=2) if x._layout.bits != y._layout.bits]
+
+
+def block_swap_failures(transpose):
+    """The ordered pairs (X, Y) of the algebra pool where `transpose` of a
+    random, a dense, the unit or the zero correspondence X -> Y is not
+    `permute_factors` of its cycle onto Y x X, or is not undone by a second
+    transpose."""
+    rng = random.Random(19)
+    pool = [make_variety(d) for d in ALGEBRA_POOL]
+    failures = []
+    for x, y in itertools.product(pool, repeat=2):
+        kx, ky = x.num_factors, y.num_factors
+        order = tuple(range(kx, kx + ky)) + tuple(range(kx))
+        monomials = itertools.product(*(range(n + 1) for n in (x * y).factors))
+        dense = Cycle(x * y, {e: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) for e in monomials})
+        cases = [random_correspondence(rng, x, y, 8), GradedCorrespondence(x, y, dense),
+                 GradedCorrespondence(x, y, Cycle.one(x * y)), GradedCorrespondence.zero(x, y)]
+        for c in cases:
+            t = transpose(c)
+            if ((t.source, t.target) != (y, x) or t.cycle != permute_factors(c.cycle, order)
+                    or transpose(t) != c):
+                failures.append((x, y))
+                break
+    return failures
 
 
 class TestDiagonal:
