@@ -14,9 +14,9 @@ import pytest
 
 from chowmot import verify
 from chowmot.corr import GradedCorrespondence
+from chowmot.errors import InvalidInputError
 from chowmot.kshadow import KKernel
 from chowmot.ring import Cycle, make_variety
-from chowmot.errors import InvalidInputError
 from chowmot.verify import ALGEBRA_POOL, CHECKS, random_correspondence, random_cycle, random_kernel
 
 SEED = 42

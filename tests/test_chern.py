@@ -481,9 +481,9 @@ EXPONENT_PAIRS = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(-1)),
 
 def factor_series_failures(series, n: int) -> list[str]:
     """The laws of td(P^n)^s = (x / (1 - e^{-x}))^{s(n+1)} up to x^n that
-    `series(n, p, q)` for s = p / q, in the engine's (D, integers) form, breaks, checked by
-    long division and truncated products alone: s = 1 is a plain power,
-    exponents add under products, and s = 0 gives 1."""
+    `series(n, p, q)`, for s = p / q in the engine's (D, integers) form,
+    breaks, checked by long division and truncated products alone: s = 1
+    is a plain power, exponents add under products, and s = 0 gives 1."""
     def coefficients(s):
         den, ints = series(n, *s.as_integer_ratio())
         return [Fraction(t, den) for t in ints]
