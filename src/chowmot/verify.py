@@ -426,8 +426,7 @@ def _random_unit_endo(rng: random.Random, variety: Variety):
     inverse."""
     n = variety.factors[0]
     square = variety * variety
-    fwd: dict[tuple[int, int], Fraction] = {}
-    bwd: dict[tuple[int, int], Fraction] = {}
+    fwd, bwd = {}, {}
     for i in range(n + 1):
         a = Fraction(rng.choice([x for x in range(-4, 5) if x != 0]))
         fwd[i, n - i] = a
