@@ -26,8 +26,8 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInputError, SingularSeriesError
-from .ring import (CACHE_ENTRIES, Cycle, Variety, _as_fraction, _built, _cycle, _from_json, _reduced, _require_instance,
-                   _require_int, _to_json, _total, _Value, make_variety, require_budget)
+from .ring import (CACHE_ENTRIES, Cycle, Variety, _built, _cycle, _from_json, _reduced, _require_instance, _require_int,
+                   _to_json, _total, _Value, make_variety, require_budget)
 
 
 def todd_series_coefficients(order: int) -> tuple[Fraction, ...]:
@@ -183,21 +183,15 @@ def tangent_class(variety: Variety) -> BundleClass:
     return _built(BundleClass, variety, variety.dim, _cycle(variety, 1, num))
 
 
-# The series cache is keyed by ints: the exponent s comes in as p and q, its
-# numerator and positive denominator in lowest terms, which `mul_todd_power`
-# reads off once per call.  An int and the equal Fraction therefore share an
-# entry, and a lookup hashes three ints (0.18 us) where a Fraction key costs
-# 0.88 us (Python 3.11, 2-vCPU machine), once per factor of every call.
 @functools.lru_cache(maxsize=CACHE_ENTRIES)
-def _todd_factor_series(n: int, p: int, q: int) -> tuple[int, tuple[int, ...]]:
-    """td(P^n)^s = (x / (1 - e^{-x}))^{s(n+1)} up to x^n for s = p / q, the
-    cycle exp_nilpotent(s(n+1) * log-Todd(h)) on P^n, as its denominator and
-    the numerators of h^0 .. h^n: (D, integers t_k) with coefficient k equal
-    to t_k / D.  Computed once per (n, p, q) and shared; callers never
-    mutate it."""
+def _todd_factor_series(n: int, s) -> tuple[int, tuple[int, ...]]:
+    """td(P^n)^s = (x / (1 - e^{-x}))^{s(n+1)} up to x^n, the cycle
+    exp_nilpotent(s(n+1) * log-Todd(h)) on P^n, as its denominator and the
+    numerators of h^0 .. h^n: (D, integers t_k) with coefficient k equal to
+    t_k / D.  Computed once per (n, s) and shared; callers never mutate it."""
     x = make_variety((n,))
     require_budget(x, n)
-    exponent = Fraction(p * (n + 1), q)
+    exponent = Fraction(s) * (n + 1)
     lam = todd_series_coefficients(n)
     series = exp_nilpotent(Cycle(x, {(k,): exponent * lam[k] for k in range(1, n + 1)}))
     return series._den, tuple(series._num.get(k, 0) for k in range(n + 1))  # h^k has key k on P^n
@@ -210,8 +204,6 @@ def mul_todd_power(c: Cycle, s, factors=None) -> Cycle:
     Each series is scaled to integers over one denominator, so a factor
     pass only shifts keys and adds integer products; the passes multiply
     their denominators, and the result is reduced once, at the end."""
-    s = _as_fraction(s)
-    p, q = s.numerator, s.denominator
     fields = c.variety._layout.fields
     factors = range(c.variety.num_factors) if factors is None else tuple(factors)
     require_budget(c.variety, max((c.variety.factors[i] for i in factors), default=0))
@@ -221,7 +213,7 @@ def mul_todd_power(c: Cycle, s, factors=None) -> Cycle:
     for i in factors:
         n = c.variety.factors[i]
         shift, mask = fields[i]
-        series_den, series = _todd_factor_series(n, p, q)
+        series_den, series = _todd_factor_series(n, s)
         steps = [(j << shift, t) for j, t in enumerate(series) if t]
         acc: dict[int, int] = {}
         get = acc.get

@@ -55,7 +55,7 @@ def euler_characteristic(ch: Cycle) -> Fraction:
     the degree of ch(E) * td(X), read as the pairing
     sum_e ch[e] * prod_i td(P^{n_i})[n_i - e_i] with no product built."""
     factors = _require_instance(ch, Cycle).variety.factors
-    per_factor = [_todd_factor_series(n, 1, 1) for n in factors]
+    per_factor = [_todd_factor_series(n, 1) for n in factors]
     fields = [(shift, mask, n, t)
               for (shift, mask), n, (_, t) in zip(ch.variety._layout.fields, factors, per_factor)]
     total = sum(v * math.prod(t[n - ((key >> shift) & mask)] for shift, mask, n, t in fields)

@@ -309,8 +309,8 @@ class TestFactorwiseTodd:
     def test_corrupted_factor_series_is_caught(self, factors, monkeypatch):
         real = chern._todd_factor_series
 
-        def corrupted(n, p, q):
-            den, coeffs = real(n, p, q)
+        def corrupted(n, s):
+            den, coeffs = real(n, s)
             return den, coeffs[:-1] + (coeffs[-1] + den,)  # the top coefficient plus 1
 
         monkeypatch.setattr(chern, "_todd_factor_series", corrupted)
@@ -331,7 +331,7 @@ TODD_EXPONENTS = (Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(-1, 2))
 
 def factor_series(n, s):
     """td(P^n)^s up to x^n as Fractions, from the engine's (D, integers) form."""
-    den, coeffs = REAL_FACTOR_SERIES(n, *s.as_integer_ratio())
+    den, coeffs = REAL_FACTOR_SERIES(n, s)
     return tuple(Fraction(t, den) for t in coeffs)
 
 
@@ -373,8 +373,8 @@ class TestMulToddPower:
 
     @pytest.mark.parametrize("factors", MUL_LADDER[1:])
     def test_corrupted_factor_series_is_caught(self, factors, monkeypatch):
-        def corrupted(n, p, q):
-            den, coeffs = REAL_FACTOR_SERIES(n, p, q)
+        def corrupted(n, s):
+            den, coeffs = REAL_FACTOR_SERIES(n, s)
             return den, coeffs[:-1] + (coeffs[-1] + den,)  # the top coefficient plus 1
 
         monkeypatch.setattr(chern, "_todd_factor_series", corrupted)
@@ -481,11 +481,11 @@ EXPONENT_PAIRS = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(-1)),
 
 def factor_series_failures(series, n: int) -> list[str]:
     """The laws of td(P^n)^s = (x / (1 - e^{-x}))^{s(n+1)} up to x^n that
-    `series(n, p, q)`, for s = p / q in the engine's (D, integers) form,
-    breaks, checked by long division and truncated products alone: s = 1
-    is a plain power, exponents add under products, and s = 0 gives 1."""
+    `series(n, s)`, in the engine's (D, integers) form, breaks, checked by
+    long division and truncated products alone: s = 1 is a plain power,
+    exponents add under products, and s = 0 gives 1."""
     def coefficients(s):
-        den, ints = series(n, *s.as_integer_ratio())
+        den, ints = series(n, s)
         return [Fraction(t, den) for t in ints]
 
     failed = []
@@ -509,8 +509,8 @@ class TestFactorSeriesOracle:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 40])
     def test_moved_top_coefficient_is_caught(self, n):
-        def moved(n, p, q):
-            den, ints = chern._todd_factor_series.__wrapped__(n, p, q)
+        def moved(n, s):
+            den, ints = chern._todd_factor_series.__wrapped__(n, s)
             return den, ints[:-1] + (ints[-1] + 1,)  # the top coefficient plus 1 / D
 
         assert factor_series_failures(moved, n) == ["power", "product", "zero"]
