@@ -64,7 +64,7 @@ KERNEL_POOL = [(1,), (1, 1), (2,)]
 
 # Largest sample count `run_checks` accepts.  Three checks grow linearly
 # with it: a first run_checks in a fresh process took 0.08 s at 200
-# samples, 0.59 s at 2,000 and 3.4 s at 10,000 (Python 3.11, 2-vCPU
+# samples, 0.64 s at 2,000 and 3.5 s at 10,000 (Python 3.11, 2-vCPU
 # machine, median of three; about 0.35 ms per sample), so a run at the
 # bound ends in seconds and a larger count is refused up front.
 MAX_SAMPLES = 10_000
