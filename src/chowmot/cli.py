@@ -6,18 +6,19 @@ JSON, emits text or JSON (`--format`), and maps failures to exit codes:
 
 Each subcommand is one row of `COMMANDS`, and the parser is built from that
 table alone, so adding a subcommand is adding a row.  A row names its
-inputs, then either its engine operation ("layer.name") and the text form of
+inputs, then either its engine operation (a package export such as
+"compose_graded" or "GradedCorrespondence.transpose") and the text form of
 its result, which `run_command` prints or replaces by `to_json`, or its own
 handler; only the requested form is built.  Only `errors` and `ring` are
-imported up front: a row's classes and operation are imported and looked up
-when it runs, so a cold call loads no layer its subcommand does not use.
+imported up front: every other engine name is read from the package, whose
+lazy exports load the name's home layer on first access, so a cold call
+loads no layer its subcommand does not use.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import json
 import os
 import re
@@ -27,6 +28,8 @@ from typing import Callable, NamedTuple
 
 from .errors import ChowError, InvalidInputError
 from .ring import Cycle, Variety, _as_text, _json_object, make_variety
+
+_package = sys.modules[__package__]
 
 
 def _load_json(text: str):
@@ -41,8 +44,8 @@ def _load_json(text: str):
         raise InvalidInputError(f"cannot read input file {text!r}: {exc}") from exc
     try:
         return json.loads(raw)
-    except json.JSONDecodeError:
-        raise
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an overlong integer, too deep a nesting
         raise InvalidInputError(f"JSON input rejected: {exc}") from exc
 
@@ -55,10 +58,9 @@ def _parse_variety(text: str) -> Variety:
 
 
 def _lookup(path: str):
-    """The object at "layer.name" (or "layer.Class.name"), importing the
-    layer on first use."""
-    layer, *names = path.split(".")
-    return functools.reduce(getattr, names, importlib.import_module(f"{__package__}.{layer}"))
+    """The object at "name" (or "Class.name"), a package export read through
+    the package, which loads its home layer on first use."""
+    return functools.reduce(getattr, path.split("."), _package)
 
 
 def _emit(args, text: Callable[[], str], payload: Callable[[], object]) -> int:
@@ -84,15 +86,9 @@ _LINE_BUNDLE = (
 
 def _line_bundle(args, alternative: str):
     """The line bundle given by the `--variety` and `--line-bundle` shorthand."""
-    from .chern import line_bundle
-
     if args.variety is None or args.line_bundle is None:
         raise InvalidInputError(f"provide either {alternative} or both --variety and --line-bundle")
-    variety = _parse_variety(args.variety)
-    degrees = _load_json(args.line_bundle)
-    if not isinstance(degrees, list) or not all(isinstance(d, int) for d in degrees):
-        raise InvalidInputError(f"expected a list of integer degrees, got {degrees!r}")
-    return line_bundle(variety, degrees)
+    return _package.line_bundle(_parse_variety(args.variety), _load_json(args.line_bundle))
 
 
 # -- inputs: each is (its `add_argument` calls, the function that reads it) --
@@ -100,7 +96,7 @@ def _line_bundle(args, alternative: str):
 
 def _json(dest: str, cls: str, help: str | None = None) -> tuple:
     """A positional JSON value, inline or a path, read by `from_json` of the
-    class at `cls` ("layer.Class")."""
+    exported class named `cls`."""
     return (_arg(dest, help=help),), lambda args: _lookup(cls).from_json(_load_json(getattr(args, dest)))
 
 
@@ -111,7 +107,7 @@ def _variety(help: str | None = None) -> tuple:
 
 def _read_bundle(args):
     if args.bundle is not None:
-        return _lookup("chern.BundleClass").from_json(_load_json(args.bundle))
+        return _package.BundleClass.from_json(_load_json(args.bundle))
     return _line_bundle(args, "a bundle class")
 
 
@@ -174,9 +170,6 @@ def _ring(args) -> int:
 
 
 def _euler(args) -> int:
-    from .chern import chern_character
-    from .kshadow import euler_characteristic
-
     if args.kclass is not None:
         data = _json_object("K-class", _load_json(args.kclass), ("variety", "ch"))
         variety = Variety.from_json(data["variety"])
@@ -184,18 +177,15 @@ def _euler(args) -> int:
         if ch.variety != variety:
             raise InvalidInputError("Chern character lives on the wrong variety")
     else:
-        ch = chern_character(_line_bundle(args, "a K-class"))
-    value = _as_text(euler_characteristic(ch))
+        ch = _package.chern_character(_line_bundle(args, "a K-class"))
+    value = _as_text(_package.euler_characteristic(ch))
     return _emit(args, lambda: value, lambda: {"euler_characteristic": value})
 
 
 def _split(args, motive, cycle) -> int:
-    from .corr import GradedCorrespondence
-    from .motives import MotiveMorphism, split_idempotent
-
-    corr = GradedCorrespondence(motive.variety, motive.variety, cycle)
-    projector = MotiveMorphism(motive, motive, corr)
-    image, section, retraction = split_idempotent(motive, projector)
+    corr = _package.GradedCorrespondence(motive.variety, motive.variety, cycle)
+    projector = _package.MotiveMorphism(motive, motive, corr)
+    image, section, retraction = _package.split_idempotent(motive, projector)
     return _emit(
         args,
         lambda: f"image: {image}\nsection: {section.corr.cycle}\nretraction: {retraction.corr.cycle}",
@@ -208,9 +198,7 @@ def _split(args, motive, cycle) -> int:
 
 
 def _orlov(args, e, f) -> int:
-    from .motives import orlov_pipeline
-
-    report = orlov_pipeline(e, f)
+    report = _package.orlov_pipeline(e, f)
     inverse, exact = report.verdict != "not-equivalent", report.verdict == "exact-isomorphism"
 
     def payload():
@@ -235,9 +223,7 @@ def _orlov(args, e, f) -> int:
 
 
 def _compat(args, e, f) -> int:
-    from .motives import compatibility_check
-
-    verdict = compatibility_check(e, f)
+    verdict = _package.compatibility_check(e, f)
     _emit(args, lambda: "true" if verdict else "false", lambda: {"compatible": verdict})
     return 0 if verdict else 1
 
@@ -278,9 +264,9 @@ class Command(NamedTuple):
     arguments: tuple = ()
 
 
-_CORR = "corr.GradedCorrespondence"
-_KERNEL = "kshadow.KKernel"
-_ORBIT = "motives.OrbitMorphism"
+_CORR = "GradedCorrespondence"
+_KERNEL = "KKernel"
+_ORBIT = "OrbitMorphism"
 
 COMMANDS = (
     Command("ring", "cycle arithmetic in the intersection ring", handler=_ring, arguments=(
@@ -289,35 +275,35 @@ COMMANDS = (
              help="cycle JSON (inline or path); scale takes a rational first, graded an integer"),
     )),
     Command("compose", "compose two graded correspondences",
-            (_json("first", _CORR), _json("second", _CORR)), "corr.compose_graded", _corr_text),
+            (_json("first", _CORR), _json("second", _CORR)), "compose_graded", _corr_text),
     Command("transpose", "transpose a graded correspondence",
             (_json("correspondence", _CORR),), f"{_CORR}.transpose", _corr_text),
     Command("diagonal", "the diagonal correspondence of a variety",
             (_variety('e.g. "[1,2]" for P^1 x P^2'),), f"{_CORR}.identity", _corr_text),
     Command("chern-character", "Chern character of a bundle class",
-            (_BUNDLE,), "chern.chern_character", _cycle_text),
-    Command("todd", "Todd class of a bundle class", (_BUNDLE,), "chern.todd_class", _cycle_text),
+            (_BUNDLE,), "chern_character", _cycle_text),
+    Command("todd", "Todd class of a bundle class", (_BUNDLE,), "todd_class", _cycle_text),
     Command("sqrt-todd", "square root of the Todd class of a variety",
-            (_variety(),), "chern.sqrt_todd", _cycle_text),
+            (_variety(),), "sqrt_todd", _cycle_text),
     Command("tangent", "tangent bundle class of a variety",
-            (_variety(),), "chern.tangent_class", _bundle_text),
+            (_variety(),), "tangent_class", _bundle_text),
     Command("euler", "Euler characteristic by Riemann-Roch", handler=_euler, arguments=(
         _arg("kclass", nargs="?", default=None, help="K-class JSON with 'variety' and 'ch'"),
         *_LINE_BUNDLE,
     )),
     Command("mu", "graded correspondence attached to a kernel",
-            (_json("kernel", _KERNEL),), "kshadow.chow_image", _corr_text),
+            (_json("kernel", _KERNEL),), "chow_image", _corr_text),
     Command("k-compose", "compose two K-theory kernels",
-            (_json("first", _KERNEL), _json("second", _KERNEL)), "kshadow.k_compose", _kernel_text),
+            (_json("first", _KERNEL), _json("second", _KERNEL)), "k_compose", _kernel_text),
     Command("identity-kernel", "kernel of the identity functor",
-            (_variety(),), "kshadow.identity_kernel", _kernel_text),
-    Command("motive", "the motive of a variety", (_variety(),), "motives.motive_of", str),
+            (_variety(),), "identity_kernel", _kernel_text),
+    Command("motive", "the motive of a variety", (_variety(),), "motive_of", str),
     Command("split", "split an idempotent endomorphism of a motive",
-            (_json("motive", "motives.Motive", "motive JSON"),
-             _json("projector", "ring.Cycle", "cycle JSON of the projector correspondence")),
+            (_json("motive", "Motive", "motive JSON"),
+             _json("projector", "Cycle", "cycle JSON of the projector correspondence")),
             handler=_split),
     Command("orbit-compose", "compose two orbit morphisms",
-            (_json("first", _ORBIT), _json("second", _ORBIT)), "motives.orbit_compose", _orbit_text),
+            (_json("first", _ORBIT), _json("second", _ORBIT)), "orbit_compose", _orbit_text),
     Command("orlov", "run the derived-equivalence pipeline on a kernel pair",
             (_json("first", _KERNEL), _json("second", _KERNEL)), handler=_orlov),
     Command("compat", "check Mukai functoriality on a composable kernel pair",
@@ -377,10 +363,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return run_command(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return 1
     except ChowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

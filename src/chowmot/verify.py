@@ -42,7 +42,7 @@ from .motives import (
     tate_twist,
     unit_motive,
 )
-from .ring import Cycle, Variety, _reduced, _Value, make_variety
+from .ring import Cycle, Variety, _reduced, _require_int, _Value, make_variety
 
 # varieties of dimension <= 4 used by the randomized algebra checks
 ALGEBRA_POOL = [
@@ -604,6 +604,7 @@ def run_checks(seed: int, samples: int) -> list[CheckResult]:
     """Run every check, each on its own stream derived from the seed and its
     name, so results do not depend on order.  A check that raises fails with
     the error as its detail; the others still run."""
+    _require_int(samples, "samples")
     if samples < 0:
         raise InvalidInputError(f"samples must be nonnegative, got {samples}")
     if samples > MAX_SAMPLES:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chowmot import Cycle, KKernel, k_compose, motives
+from chowmot import Cycle, InvalidInputError, KKernel, k_compose, motives
 from chowmot.cli import main
 from chowmot.verify import run_checks
 
@@ -192,6 +192,15 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "'exps' must be a list of integers" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("degrees", ['{"a": 1}', "[1.5]", "[true]", "[1, 2]"])
+    def test_malformed_line_bundle_refused(self, capsys, degrees):
+        """`chern.line_bundle` alone checks the `--line-bundle` degrees."""
+        code, out, err = run_cli(capsys, "chern-character", "--variety", "[1]", "--line-bundle", degrees)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "degrees" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
@@ -461,6 +470,13 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error:") and "samples" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("samples", [300.0, True, "200"])
+    def test_non_integer_samples_rejected(self, samples):
+        """A float or bool sample count would reach the checks: 300.0 makes
+        three of them raise, and True runs them as if it were 1."""
+        with pytest.raises(InvalidInputError, match="samples must be an integer"):
+            run_checks(42, samples)
 
 
 class TestEntryPoint:

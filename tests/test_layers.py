@@ -1,7 +1,9 @@
 """A cold CLI call loads only the layers its subcommand uses and neither
-`dataclasses` nor `inspect`, and the package exports resolve on first
-access to the objects of their home modules."""
+`dataclasses` nor `inspect`, `cli` reaches the engine through the package
+exports, and those resolve on first access to the objects of their home
+modules."""
 
+import ast
 import json
 import os
 import subprocess
@@ -77,6 +79,29 @@ class TestCliLayers:
         """Besides the layers, the values' base builds no class at start-up
         through `dataclasses`, whose import brings in `inspect`."""
         assert loaded_by(*argv) == set(BASE + layers)
+
+
+class TestCliImports:
+    def test_cli_reads_engine_names_through_the_package(self):
+        """`cli` imports `errors` and `ring` up front and `verify` only inside
+        `_verify`, and uses no `importlib`: every other engine name it reads
+        is a package export, so `_HOMES` is the one map from name to layer."""
+        tree = ast.parse((Path(chowmot.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+        relative = set()
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ImportFrom) and child.level:
+                    relative.add((scope, child.module))
+                inner = isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef)
+                visit(child, child.name if inner else scope)
+
+        visit(tree, None)
+        assert relative == {(None, "errors"), (None, "ring"), ("_verify", "verify")}
+        absolute = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        absolute += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
+        assert "importlib" not in {name.partition(".")[0] for name in absolute}
+        assert "__import__" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 class TestPackageExports:
