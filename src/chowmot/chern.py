@@ -8,8 +8,10 @@ Powers of the Todd class of a variety (td, its square root, their inverses)
 are instead taken factor by factor: the Todd class is multiplicative and
 td(P^n) = (h/(1 - e^{-h}))^{n+1}, so a cycle is multiplied by td^s one
 univariate series at a time (`mul_todd_power`), each series computed once
-per process and shared.  The factor passes multiply integer numerators and
-denominators, and the product is reduced to lowest terms once, at the end.
+per process and shared, as is the plan of passes for one variety, power
+and choice of factors (`_todd_plan`).  The factor passes multiply integer
+numerators and denominators, and the product is reduced to lowest terms
+once, at the end.
 A test ties the two routes together on a ladder of varieties.  The log-Todd
 coefficients are computed at runtime, not printed in tables, in closed form:
 log(x / (1 - e^{-x})) = x/2 - sum_k B_2k x^2k / (2k (2k)!), with the
@@ -197,24 +199,42 @@ def _todd_factor_series(n: int, s) -> tuple[int, tuple[int, ...]]:
     return series._den, tuple(series._num.get(k, 0) for k in range(n + 1))  # h^k has key k on P^n
 
 
+@functools.lru_cache(maxsize=CACHE_ENTRIES)
+def _todd_plan(variety: Variety, s, factors: tuple[int, ...] | None) -> tuple[int, tuple]:
+    """The passes of `mul_todd_power` on `variety`, over `factors` (None for
+    all): the product of the series denominators and, per chosen factor of
+    positive dimension (td(P^0) = 1), (n, shift, mask, steps), with steps
+    the (j << shift, t_j) of the series' nonzero integer numerators.  Built
+    once per key after the budget check, which a refused key raises again
+    on every call; callers never mutate it."""
+    chosen = range(variety.num_factors) if factors is None else factors
+    require_budget(variety, max((variety.factors[i] for i in chosen), default=0))
+    den, passes = 1, []
+    for i in chosen:
+        n = variety.factors[i]
+        if n:
+            shift, mask = variety._layout.fields[i]
+            series_den, series = _todd_factor_series(n, s)
+            den *= series_den
+            passes.append((n, shift, mask, tuple((j << shift, t) for j, t in enumerate(series) if t)))
+    return den, tuple(passes)
+
+
 def mul_todd_power(c: Cycle, s, factors=None) -> Cycle:
     """c * td^s, with td^s the product over the given factors (all by
     default) of the univariate series (h_i/(1 - e^{-h_i}))^{s(n_i+1)}: one
     truncated convolution along each factor, no product of full cycles.
     Each series is scaled to integers over one denominator, so a factor
     pass only shifts keys and adds integer products; the passes multiply
-    their denominators, and the result is reduced once, at the end."""
-    fields = c.variety._layout.fields
-    factors = range(c.variety.num_factors) if factors is None else tuple(factors)
-    require_budget(c.variety, max((c.variety.factors[i] for i in factors), default=0))
-    if not factors:
+    their denominators, and the result is reduced once, at the end.  What
+    depends only on the variety, s and the factors (the budget check, the
+    key fields, the integer series and their denominators) is one cached
+    plan (`_todd_plan`); a call runs the convolutions and the reduction."""
+    den, passes = _todd_plan(c.variety, s, None if factors is None else tuple(factors))
+    if not passes:
         return c
-    num, den = c._num, c._den
-    for i in factors:
-        n = c.variety.factors[i]
-        shift, mask = fields[i]
-        series_den, series = _todd_factor_series(n, s)
-        steps = [(j << shift, t) for j, t in enumerate(series) if t]
+    num = c._num
+    for n, shift, mask, steps in passes:
         acc: dict[int, int] = {}
         get = acc.get
         for key, v in num.items():
@@ -224,8 +244,8 @@ def mul_todd_power(c: Cycle, s, factors=None) -> Cycle:
                     break
                 k = key + step
                 acc[k] = get(k, 0) + v * t
-        num, den = acc, den * series_den
-    return _reduced(c.variety, den, num)
+        num = acc
+    return _reduced(c.variety, c._den * den, num)
 
 
 def sqrt_todd(variety: Variety) -> Cycle:

@@ -22,6 +22,10 @@ from .corr import GradedCorrespondence, compose_graded, diagonal_pushforward
 from .errors import DomainMismatchError, InvalidInputError
 from .ring import Cycle, Variety, _built, _from_json, _require_instance, _to_json, _Value
 
+# The powers of td(X x Y) in a Mukai vector and of td(X) in the identity kernel.
+_MUKAI_POWER = Fraction(1, 2)
+_IDENTITY_POWER = Fraction(-1)
+
 
 class KKernel(_Value):
     """A K-class on X x Y, recorded by its Chern character `ch`, regarded as
@@ -67,7 +71,7 @@ def chow_image(kernel: KKernel) -> GradedCorrespondence:
     """The graded correspondence attached to a kernel: its Mukai vector
     ch(E) * sqrt(td) on the product."""
     return _built(GradedCorrespondence, _require_instance(kernel, KKernel).source, kernel.target,
-                  mul_todd_power(kernel.ch, Fraction(1, 2)))
+                  mul_todd_power(kernel.ch, _MUKAI_POWER))
 
 
 def k_compose(e: KKernel, f: KKernel) -> KKernel:
@@ -88,6 +92,6 @@ def identity_kernel(variety: Variety) -> KKernel:
     """The kernel of the identity functor, the class of the diagonal's
     structure sheaf: by GRR for the diagonal and the projection formula
     (the diagonal pulls td(X x X) back to td(X)^2), ch = diagonal_*(td(X)^-1)."""
-    ch = diagonal_pushforward(variety, mul_todd_power(Cycle.one(variety), Fraction(-1)))
+    ch = diagonal_pushforward(variety, mul_todd_power(Cycle.one(variety), _IDENTITY_POWER))
     return _built(KKernel, variety, variety, ch)
 

@@ -77,8 +77,9 @@ MAX_MONOMIALS = 1 << 18
 MAX_SERIES_ORDER = 256
 
 # Entries of each cache of values computed once per process (README,
-# "Computed once per process"): above the 11 diagonals and 9 Todd series of
-# `verify`; within the budget an entry takes at most 85 KiB.
+# "Computed once per process"): above the 11 diagonals, 9 Todd series and 26
+# Todd plans of `verify`; within the budget an entry takes at most 85 KiB,
+# a plan 48 KiB of its own.
 CACHE_ENTRIES = 64
 
 # Entries of the table of shared varieties (`_variety`): above the 94

@@ -42,7 +42,7 @@ from .motives import (
     tate_twist,
     unit_motive,
 )
-from .ring import Cycle, Variety, _reduced, _require_int, _Value, make_variety
+from .ring import Cycle, Variety, _built, _reduced, _require_int, _Value, make_variety
 
 # varieties of dimension <= 4 used by the randomized algebra checks
 ALGEBRA_POOL = [
@@ -63,9 +63,9 @@ ALGEBRA_POOL = [
 KERNEL_POOL = [(1,), (1, 1), (2,)]
 
 # Largest sample count `run_checks` accepts.  Three checks grow linearly
-# with it: a first run_checks in a fresh process took 0.08 s at 200
-# samples, 0.64 s at 2,000 and 3.5 s at 10,000 (Python 3.11, 2-vCPU
-# machine, median of three; about 0.35 ms per sample), so a run at the
+# with it: a first run_checks in a fresh process took 0.065 s at 200
+# samples, 0.49 s at 2,000 and 2.5 s at 10,000 (Python 3.11, 2-vCPU
+# machine, median of three; about 0.25 ms per sample), so a run at the
 # bound ends in seconds and a larger count is refused up front.
 MAX_SAMPLES = 10_000
 
@@ -107,12 +107,16 @@ def random_cycle(rng: random.Random, variety: Variety, terms: int = 4,
 
 def random_correspondence(rng: random.Random, source: Variety, target: Variety,
                           terms: int = 4) -> GradedCorrespondence:
-    return GradedCorrespondence(source, target, random_cycle(rng, source * target, terms))
+    """A random correspondence from source to target; its cycle is drawn on
+    source x target, so it is built without the constructor's check."""
+    return _built(GradedCorrespondence, source, target, random_cycle(rng, source * target, terms))
 
 
 def random_kernel(rng: random.Random, source: Variety, target: Variety,
                   terms: int = 4) -> KKernel:
-    return KKernel(source, target, random_cycle(rng, source * target, terms))
+    """A random kernel from source to target, built as
+    `random_correspondence` is."""
+    return _built(KKernel, source, target, random_cycle(rng, source * target, terms))
 
 
 def random_cycle_in_codims(rng: random.Random, variety: Variety, codims: list[int],

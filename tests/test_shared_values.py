@@ -1,10 +1,12 @@
 """Values computed once per process and shared: the variety of a factor
 tuple (`ring._variety`), the diagonal of a variety
-(`GradedCorrespondence.identity`, cached in `corr._identity`) and the Todd
-series of a factor (`chern._todd_factor_series`).  A shared value is safe only while no
+(`GradedCorrespondence.identity`, cached in `corr._identity`), the Todd
+series of a factor (`chern._todd_factor_series`) and the passes of a Todd
+power (`chern._todd_plan`).  A shared value is safe only while no
 operation mutates its operands, so a battery of operations runs on the
-shared values and each must still equal a fresh computation afterwards; a
-negative control shows that an operation mutating its input is caught.
+shared values and each must still equal a fresh computation afterwards;
+negative controls show that an operation mutating its input, and a plan
+built from a corrupted series, are caught.
 Sharing a variety is only a fast path: one made outside the table compares
 and hashes as the shared one does."""
 
@@ -30,11 +32,12 @@ from chowmot.ring import (
     _variety,
     make_variety,
 )
-from chowmot.verify import ALGEBRA_POOL, random_cycle
+from chowmot.verify import ALGEBRA_POOL, random_cycle, run_checks
 
 VARIETIES = [make_variety(factors) for factors in ALGEBRA_POOL]
 EXPONENTS = (1, Fraction(1, 2), -1, Fraction(-1, 2))
-CACHES = (corr._identity, chern._todd_factor_series)
+CACHES = (corr._identity, chern._todd_factor_series, chern._todd_plan)
+TODD_PLAN = chern._todd_plan
 
 
 @pytest.fixture(autouse=True)
@@ -46,6 +49,19 @@ def empty_caches():
     yield
     for cache in (*CACHES, _variety):
         cache.cache_clear()
+
+
+@pytest.fixture
+def plan_keys(monkeypatch):
+    """The keys of the Todd plans the operations ask for, in call order."""
+    keys = []
+
+    def recorded(*key):
+        keys.append(key)
+        return TODD_PLAN(*key)
+
+    monkeypatch.setattr(chern, "_todd_plan", recorded)
+    return keys
 
 
 def battery(x):
@@ -60,14 +76,15 @@ def battery(x):
     compose_graded(ident.transpose(), ident)
 
 
-def stale_values():
+def stale_values(plan_keys=()):
     """The cached values that no longer equal a fresh computation by the
-    uncached function."""
+    uncached function, the Todd plans among them those of `plan_keys`."""
     stale = [x for x in VARIETIES
              if GradedCorrespondence.identity(x) != corr._identity.__wrapped__(x)]
     ns = sorted({n for x in VARIETIES for n in x.factors})
     stale += [(n, s) for n in ns for s in EXPONENTS
               if chern._todd_factor_series(n, s) != chern._todd_factor_series.__wrapped__(n, s)]
+    stale += [key for key in dict.fromkeys(plan_keys) if TODD_PLAN(*key) != TODD_PLAN.__wrapped__(*key)]
     return stale
 
 
@@ -78,20 +95,50 @@ def test_repeated_calls_share_one_value():
     for n in range(5):
         for s in EXPONENTS:
             assert chern._todd_factor_series(n, s) is chern._todd_factor_series(n, Fraction(s))
+    for x in VARIETIES:
+        for s in EXPONENTS:
+            assert TODD_PLAN(x, s, None) is TODD_PLAN(make_variety(x.factors), Fraction(s), None)
 
 
 def test_caches_hold_every_variety_of_verify():
     for cache in CACHES:
         assert cache.cache_info().maxsize == CACHE_ENTRIES > len(ALGEBRA_POOL)
+    run_checks(42, 200)
+    for cache in CACHES:  # every value a verify run makes stays cached: none is evicted
+        assert cache.cache_info().misses == cache.cache_info().currsize < CACHE_ENTRIES
 
 
-def test_shared_values_survive_the_operations():
+def test_the_plan_cache_keeps_its_bound():
+    one = Cycle.one(make_variety((1, 2)))
+    for k in range(2 * CACHE_ENTRIES):
+        mul_todd_power(one, Fraction(k, 7))
+    assert TODD_PLAN.cache_info().currsize == CACHE_ENTRIES
+
+
+def test_shared_values_survive_the_operations(plan_keys):
     for x in VARIETIES:
         battery(x)
-    assert stale_values() == []
+    assert TODD_PLAN.cache_info().currsize == len(set(plan_keys))  # every plan asked for is still cached
+    assert stale_values(plan_keys) == []
 
 
-def test_an_operation_mutating_its_input_is_caught(monkeypatch):
+def test_a_plan_built_from_a_corrupted_series_is_caught(monkeypatch, plan_keys):
+    real = chern._todd_factor_series
+
+    def corrupted(n, s):
+        den, coeffs = real(n, s)
+        return den, coeffs[:-1] + (coeffs[-1] + den,)  # the top coefficient plus 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(chern, "_todd_factor_series", corrupted)
+        for x in VARIETIES:
+            battery(x)
+    keys = list(dict.fromkeys(plan_keys))
+    assert TODD_PLAN.cache_info().currsize == len(keys)
+    assert stale_values(keys) == [key for key in keys if key[0].factors]  # a point has no factor pass
+
+
+def test_an_operation_mutating_its_input_is_caught(monkeypatch, plan_keys):
     real = GradedCorrespondence.transpose
 
     def mutating_transpose(self):
@@ -103,7 +150,7 @@ def test_an_operation_mutating_its_input_is_caught(monkeypatch):
     monkeypatch.setattr(GradedCorrespondence, "transpose", mutating_transpose)
     for x in VARIETIES:
         battery(x)
-    assert stale_values() == VARIETIES
+    assert stale_values(plan_keys) == VARIETIES
 
 
 def routes(factors):
