@@ -3,7 +3,10 @@ class and its square root, truncated series arithmetic, tangent classes.
 
 Chern roots are never materialized.  For an arbitrary bundle class every
 root-symmetric expression is evaluated through the Newton power sums of the
-total Chern class, and exponentiated grade by grade (`exp_nilpotent`).
+total Chern class, and exponentiated grade by grade (`exp_nilpotent`).  The
+power sums, the sums over them and each grade of an exponential run on
+integer numerators over one denominator, as `ring` stores a cycle, and each
+result is reduced to lowest terms once.
 Powers of the Todd class of a variety (td, its square root, their inverses)
 are instead taken factor by factor: the Todd class is multiplicative and
 td(P^n) = (h/(1 - e^{-h}))^{n+1}, so a cycle is multiplied by td^s one
@@ -28,8 +31,8 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInputError, SingularSeriesError
-from .ring import (CACHE_ENTRIES, Cycle, Variety, _built, _cycle, _from_json, _reduced, _require_instance, _require_int,
-                   _to_json, _total, _Value, make_variety, require_budget)
+from .ring import (CACHE_ENTRIES, Cycle, Variety, _add_product, _built, _cycle, _from_json, _reduced, _require_instance,
+                   _require_int, _to_json, _total, _Value, make_variety, require_budget)
 
 
 def todd_series_coefficients(order: int) -> tuple[Fraction, ...]:
@@ -56,33 +59,53 @@ def todd_series_coefficients(order: int) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _by_codimension(c: Cycle) -> list[dict[int, int]]:
+    """The integer numerators of c, over c's denominator, split by
+    codimension: one dict per codimension 0 .. dim."""
+    codim = c.variety._layout.codim
+    parts: list[dict[int, int]] = [{} for _ in range(c.variety.dim + 1)]
+    for key, v in c._num.items():
+        parts[codim(key)][key] = v
+    return parts
+
+
 def exp_nilpotent(u: Cycle) -> Cycle:
     """exp of a cycle with vanishing constant term (a finite sum here, since
     positive-codimension classes are nilpotent), built grade by grade: with
     g_j the codimension-j part of u, the codimension-k part of exp(u) is
-    E_k = (1/k) sum_j j g_j E_{k-j}, from f' = g' f."""
+    E_k = (1/k) sum_j j g_j E_{k-j}, from f' = g' f.  Each grade is summed
+    on integer numerators, over the lcm of the denominators of its
+    products, and reduced once; the grades are reduced, since the log-Todd
+    denominators grow too fast to carry unreduced."""
     x = _require_instance(u, Cycle).variety
+    require_budget(x, x.dim)
     if 0 in u._num:  # key 0 is the constant monomial
         raise InvalidInputError("exp requires a cycle with zero constant term")
-    weighted = [u.graded_component(j).scale(j) for j in range(x.dim + 1)]
+    grades = [(j, g) for j, g in enumerate(_by_codimension(u)) if g]
     parts = [Cycle.one(x)]
     for k in range(1, x.dim + 1):
-        pairs = [(weighted[j], parts[k - j]) for j in range(1, k + 1)]
-        part = _total(x, [g * e for g, e in pairs if g._num and e._num])
-        parts.append(part.scale(Fraction(1, k)))
+        pairs = [(j, g, parts[k - j]) for j, g in grades if j <= k and parts[k - j]._num]
+        den = math.lcm(*(e._den for _, _, e in pairs))
+        acc: dict[int, int] = {}
+        for j, g, e in pairs:
+            m = j * (den // e._den)
+            _add_product(acc, x, e._num, [(key, m * v) for key, v in g.items()])
+        parts.append(_reduced(x, u._den * den * k, acc))
     return _total(x, parts)
 
 
 def series_inverse(u: Cycle) -> Cycle:
     """The unique cycle v with u * v = 1, for u with nonzero constant term,
     computed by the truncated geometric series."""
-    one = Cycle.one(_require_instance(u, Cycle).variety)
+    x = _require_instance(u, Cycle).variety
+    require_budget(x, x.dim)
+    one = Cycle.one(x)
     c0 = Fraction(u._num.get(0, 0), u._den)  # key 0 is the constant monomial
     if c0 == 0:
         raise SingularSeriesError("cycle has zero constant term, no inverse exists")
     w = u.scale(1 / c0) - one
     acc = power = one
-    for _ in range(u.variety.dim):
+    for _ in range(x.dim):
         power = power * (-w)
         if power.is_zero:
             break
@@ -137,39 +160,65 @@ def power_sums(bundle: BundleClass) -> tuple[Cycle, ...]:
 
         p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^k e_{k-1} p_1
               + (-1)^{k-1} k e_k
-    """
+
+    The identities run on integer numerators: with D the denominator of the
+    total Chern class and E_i the numerators of e_i, P_k = D^k p_k is
+    sum_{i<k} (-1)^{i-1} D^{i-1} E_i P_{k-i} + (-1)^{k-1} k D^{k-1} E_k, and
+    each p_k is P_k / D^k reduced once."""
     x = _require_instance(bundle, BundleClass).variety
     d = x.dim
     require_budget(x, d)
-    e = [bundle.chern(i) for i in range(d + 1)]
-    p: list[Cycle] = []
+    den = bundle.total_chern._den
+    e = _by_codimension(bundle.total_chern)
+    terms = [(i, [(key, (-1) ** (i - 1) * den ** (i - 1) * v) for key, v in e_i.items()])
+             for i, e_i in enumerate(e) if i and e_i]  # (i, the terms of (-1)^(i-1) D^(i-1) E_i)
+    nums: list[dict[int, int]] = []  # P_k at index k - 1, only read once built
+    sums = []
     for k in range(1, d + 1):
-        acc = e[k].scale((-1) ** (k - 1) * k)
-        for i in range(1, k):
-            acc = acc + (e[i] * p[k - i - 1]).scale((-1) ** (i - 1))
-        p.append(acc)
-    return tuple(p)
+        scale = (-1) ** (k - 1) * k * den ** (k - 1)
+        acc = {key: scale * v for key, v in e[k].items()}
+        for i, weighted in terms:
+            if i >= k:
+                break
+            if nums[k - i - 1]:
+                _add_product(acc, x, nums[k - i - 1], weighted)
+        if 0 in acc.values():  # cancelled terms would be multiplied again in every later P_k
+            acc = {key: v for key, v in acc.items() if v}
+        nums.append(acc)
+        sums.append(_reduced(x, den ** k, acc))
+    return tuple(sums)
+
+
+def _weighted_sum(x: Variety, constant: int, weighted) -> Cycle:
+    """constant + sum (a / b) p over the triples (a, b, p) of `weighted`,
+    whose cycles p are homogeneous of distinct positive codimensions, so no
+    two share a key: summed on integer numerators over the lcm of the b
+    times the denominators of p, and reduced once."""
+    weighted = [(a, b * p._den, p._num) for a, b, p in weighted if a and p._num]
+    den = math.lcm(*(b for _, b, _ in weighted))
+    acc = {0: constant * den} if constant else {}  # key 0 is the constant monomial
+    for a, b, num in weighted:
+        m = a * (den // b)
+        for key, v in num.items():
+            acc[key] = v * m
+    return _reduced(x, den, acc)
 
 
 def chern_character(bundle: BundleClass) -> Cycle:
-    """rank + sum_k p_k / k!, exact."""
+    """rank + sum_k p_k / k!, exact: summed on integer numerators over one
+    denominator and reduced once."""
     x = _require_instance(bundle, BundleClass).variety
-    acc = Cycle.one(x).scale(bundle.rank)
-    fact = 1
-    for k, pk in enumerate(power_sums(bundle), start=1):
-        fact *= k
-        acc = acc + pk.scale(Fraction(1, fact))
-    return acc
+    sums = power_sums(bundle)
+    return _weighted_sum(x, bundle.rank, ((1, math.factorial(k), p) for k, p in enumerate(sums, start=1)))
 
 
 def todd_class(bundle: BundleClass) -> Cycle:
     """Todd class, evaluated as exp of the universal log-Todd series applied
-    to the power sums of the Chern roots."""
+    to the power sums of the Chern roots (summed as in `chern_character`)."""
     x = _require_instance(bundle, BundleClass).variety
     lam = todd_series_coefficients(x.dim)
-    arg = Cycle.zero(x)
-    for k, pk in enumerate(power_sums(bundle), start=1):
-        arg = arg + pk.scale(lam[k])
+    sums = power_sums(bundle)
+    arg = _weighted_sum(x, 0, ((lam[k].numerator, lam[k].denominator, p) for k, p in enumerate(sums, start=1)))
     return exp_nilpotent(arg)
 
 
@@ -265,9 +314,10 @@ def line_bundle(variety: Variety, degrees: list[int] | tuple[int, ...]) -> Bundl
         raise InvalidInputError(
             f"{variety} has {variety.num_factors} factors but {len(degrees)} degrees were given"
         )
-    c1 = Cycle.zero(variety)
-    for i, d in enumerate(degrees):
+    for d in degrees:
         if not isinstance(d, int) or isinstance(d, bool):
             raise InvalidInputError(f"degrees must be integers, got {d!r}")
-        c1 = c1 + Cycle.hyperplane(variety, i).scale(d)
-    return _built(BundleClass, variety, 1, Cycle.one(variety) + c1)
+    num = {0: 1}  # key 0 is the constant monomial; h_i is 0 on a point factor
+    fields = variety._layout.fields
+    num.update((1 << shift, d) for (shift, _), n, d in zip(fields, variety.factors, degrees) if n and d)
+    return _built(BundleClass, variety, 1, _cycle(variety, 1, num))

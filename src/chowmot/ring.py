@@ -35,9 +35,11 @@ The other `from_json` only parse, most through one codec (`_from_json`).
 Results the engine computes are correct by construction and skip the checks:
 cycles are built from integer numerators by `_cycle` (already canonical),
 `_reduced` (drops cancelled terms and the common factor; both keep the
-caller's fresh dict when they can) or `_total` (sums cycles), and every value
-of the `_Value` base (varieties here, correspondences, kernels and motives in
-the layers above) by `_built`.
+caller's fresh dict when they can) or `_total` (sums cycles), truncated
+products of numerator maps are added up by `_add_product` (for `intersect`
+and the series of `chern`), and every value of the `_Value` base (varieties
+here, correspondences, kernels and motives in the layers above) is built by
+`_built`.
 
 Varieties are shared: `make_variety`, `Variety.from_json` and the engine's
 products, selection targets and permutations return the one variety of a
@@ -70,9 +72,9 @@ _SCALARS = (int, Fraction)
 # diagonal, X x Y for a correspondence) and the order of its series.  The
 # series are exact rational arithmetic, O(order^2) operations on numbers
 # that grow with the order: a cold `sqrt-todd` on P^n, nearly all of it the
-# factor series, takes 0.11-0.17 s at n = 128, 0.38-0.48 s at 256 and (in
-# process, budget lifted) 3.3-4.0 s at 512 on a 2-vCPU machine, so the order
-# stops where the series of one call stay within 2 s.
+# factor series, takes 0.07-0.09 s at n = 128, 0.21 s at 256 and (in process,
+# budget lifted) 1.8-2.0 s at 512 on a 2-vCPU machine, so the order stops
+# where the series of one call stay within 2 s.
 MAX_MONOMIALS = 1 << 18
 MAX_SERIES_ORDER = 256
 
@@ -489,18 +491,8 @@ class Cycle:
         """Truncated polynomial product; codimensions add, and any monomial
         crossing a nilpotency bound is discarded by the guard-bit test."""
         self._require_same_variety(other)
-        layout = self.variety._layout
-        guard, bias = layout.guard, layout.bias
-        right = list(other._num.items())
-        acc: dict[int, int] = {}
-        get = acc.get
-        for k1, v1 in self._num.items():
-            kb = k1 + bias
-            for k2, v2 in right:
-                if not (kb + k2) & guard:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + v1 * v2
-        return _reduced(self.variety, self._den * other._den, acc)
+        product = _add_product({}, self.variety, self._num, other._num.items())
+        return _reduced(self.variety, self._den * other._den, product)
 
     # -- comparison and display --------------------------------------------
 
@@ -621,13 +613,31 @@ def _cycle(variety: Variety, den: int, num: dict) -> Cycle:
 def _reduced(variety: Variety, den: int, acc: dict) -> Cycle:
     """The cycle acc / den of accumulated numerators, without the cancelled
     terms, in lowest terms.  With nothing to drop or divide, `acc` becomes
-    the cycle's own map: every caller passes a fresh dict it never touches again."""
+    the cycle's own map: every caller passes a fresh dict it never changes again."""
     if 0 in acc.values():
         acc = {k: v for k, v in acc.items() if v}
     if den != 1 and (g := gcd(den, *acc.values())) != 1:
         den //= g
         acc = {k: v // g for k, v in acc.items()}
     return _cycle(variety, den, acc)
+
+
+def _add_product(acc: dict, variety: Variety, left: dict, right) -> dict:
+    """Add left * right, the truncated product on `variety` of a numerator
+    map and the (key, numerator) pairs `right` (a map's items, or a list
+    the caller has scaled), into `acc` and return it; a monomial crossing a
+    nilpotency bound is discarded by the guard-bit test, and cancelled terms
+    stay as zeros."""
+    layout = variety._layout
+    guard, bias = layout.guard, layout.bias
+    get = acc.get
+    for k1, v1 in left.items():
+        kb = k1 + bias
+        for k2, v2 in right:
+            if not (kb + k2) & guard:
+                k = k1 + k2
+                acc[k] = get(k, 0) + v1 * v2
+    return acc
 
 
 def _total(variety: Variety, cycles) -> Cycle:

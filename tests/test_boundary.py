@@ -12,6 +12,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -774,6 +775,23 @@ class TestSeriesOrderBudget:
             assert code == 1 and out == ""
             assert err.startswith("error: P^257 (258 monomials) with series order 257 ")
             assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("n", [256, 300])
+    def test_exp_and_inverse_run_a_series_only_within_the_budget(self, n):
+        """exp_nilpotent and series_inverse run a series of order dim X and,
+        like the characteristic classes, refuse one over the budget before
+        any work; at order 256 both run."""
+        x = make_variety([n])
+        h = Cycle.hyperplane(x, 0)
+        calls = (lambda: exp_nilpotent(h), lambda: series_inverse(Cycle.one(x) + h))
+        if n > 256:
+            for call in calls:
+                with pytest.raises(InvalidInputError, match=rf"^P\^{n} \({n + 1} monomials\) with series order {n} "):
+                    call()
+        else:
+            exp, inverse = (call() for call in calls)
+            assert exp.coefficient((n,)) == Fraction(1, math.factorial(n))
+            assert inverse.coefficient((n,)) == (-1) ** n and len(inverse.terms) == n + 1
 
     def test_a_monomial_count_past_the_digit_limit_is_refused(self, capsys):
         """The refusal of a factor of 4,001 digits names the count of its

@@ -55,6 +55,66 @@ def random_split_bundle(rng, variety, summands=3, max_degree=2):
     return bundle
 
 
+def newton_power_sums(bundle):
+    """Newton's identities written on `Cycle` operations, each product,
+    scale and sum a reduced cycle: the reference for `power_sums`, which
+    runs them on integer numerators."""
+    x = bundle.variety
+    e = [bundle.chern(i) for i in range(x.dim + 1)]
+    p = []
+    for k in range(1, x.dim + 1):
+        acc = e[k].scale((-1) ** (k - 1) * k)
+        for i in range(1, k):
+            acc = acc + (e[i] * p[k - i - 1]).scale((-1) ** (i - 1))
+        p.append(acc)
+    return tuple(p)
+
+
+def newton_chern_character(bundle):
+    acc = Cycle.one(bundle.variety).scale(bundle.rank)
+    for k, pk in enumerate(newton_power_sums(bundle), start=1):
+        acc = acc + pk.scale(Fraction(1, math.factorial(k)))
+    return acc
+
+
+def newton_todd_class(bundle):
+    lam = chern.todd_series_coefficients(bundle.variety.dim)
+    arg = Cycle.zero(bundle.variety)
+    for k, pk in enumerate(newton_power_sums(bundle), start=1):
+        arg = arg + pk.scale(lam[k])
+    return taylor_exp(arg)
+
+
+# c = 1 + h2 - 3 h1^2 + (5/7) h1 h2 - 3 h1^2 h2 on [2,1]: p_3 = 0, while
+# Newton's product terms without their powers of the denominator give
+# p_3 = -(18/7) h1^2 h2
+RANK_SEVEN = BundleClass(make_variety([2, 1]), 7, Cycle(make_variety([2, 1]), {
+    (0, 0): 1, (0, 1): 1, (2, 0): -3, (1, 1): Fraction(5, 7), (2, 1): -3}))
+
+
+def rational_bundles():
+    """Bundle classes whose total Chern class has denominator 2, 3, 7 or 12
+    and terms in codimensions 1 and 2 at least, on varieties of dimension 3
+    or more (some with a P^0 factor), so Newton's product terms e_i p_{k-i}
+    with i >= 2 carry powers of the denominator; each with an honest rank
+    (the top codimension and two more) and two virtual ones."""
+    rng = random.Random(97)
+    bundles = [RANK_SEVEN]
+    for factors in ([2, 1], [3], [1, 0, 2], [0, 2, 1], [2, 2], [1, 1, 1]):
+        x = make_variety(factors)
+        monomials = [e for e in itertools.product(*(range(n + 1) for n in factors)) if any(e)]
+        for den in (2, 3, 7, 12):
+            chosen = [rng.choice([e for e in monomials if sum(e) == k]) for k in (1, 2)]
+            chosen += rng.sample(monomials, 2)
+            terms = {(0,) * len(factors): 1}
+            terms.update((e, Fraction(rng.choice([-5, -1, 1, 5, 11]), den)) for e in chosen)
+            c = Cycle(x, terms)
+            assert c._den == den
+            top = max(c.codimensions())
+            bundles += [BundleClass(x, rank, c) for rank in (top, top + 2, -1, -3)]
+    return bundles
+
+
 def evaluate_golden(entries, chern):
     """Evaluate a golden expansion (list of c-monomials) at given Chern
     classes."""
@@ -156,8 +216,35 @@ class TestPowerSums:
                     expected = expected + power
                 assert sums[k - 1] == expected
 
+    def test_rational_classes_match_newton_on_cycles(self):
+        for bundle in rational_bundles():
+            assert power_sums(bundle) == newton_power_sums(bundle)
+
+    def test_rational_rank_seven_class_has_no_third_power_sum(self):
+        x = RANK_SEVEN.variety
+        p1, p2, p3 = power_sums(RANK_SEVEN)
+        assert p1 == Cycle.hyperplane(x, 1)
+        assert p2 == Cycle(x, {(2, 0): 6, (1, 1): Fraction(-10, 7)})
+        assert p3.is_zero
+
 
 class TestChernCharacter:
+    def test_rational_classes_match_newton_on_cycles(self):
+        for bundle in rational_bundles():
+            assert chern_character(bundle) == newton_chern_character(bundle)
+            assert todd_class(bundle) == newton_todd_class(bundle)
+
+    def test_line_bundles_with_zero_negative_and_point_degrees(self):
+        for factors, degrees in [([2, 0, 1], [0, 5, -3]), ([0], [4]), ([3, 2], [-2, 0]), ([1, 1, 0], [-1, 2, -7])]:
+            x = make_variety(factors)
+            bundle = line_bundle(x, degrees)
+            expected = Cycle.one(x)
+            for i, d in enumerate(degrees):
+                expected = expected + Cycle.hyperplane(x, i).scale(d)
+            assert bundle.rank == 1 and bundle.total_chern == expected
+            assert chern_character(bundle) == newton_chern_character(bundle)
+            assert todd_class(bundle) == newton_todd_class(bundle)
+
     def test_line_bundle_on_line(self):
         ch = chern_character(line_bundle(P1, [3]))
         assert ch == Cycle.one(P1) + Cycle.hyperplane(P1, 0).scale(3)
