@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInputError, SingularSeriesError
-from .ring import (CACHE_ENTRIES, Cycle, Variety, _add_product, _built, _cycle, _from_json, _reduced, _require_instance,
+from .ring import (CACHE_ENTRIES, Cycle, Variety, _add_product, _cycle, _from_json, _reduced, _require_instance,
                    _require_int, _to_json, _total, _Value, make_variety, require_budget)
 
 
@@ -231,7 +231,7 @@ def tangent_class(variety: Variety) -> BundleClass:
     num = {0: 1}
     for (shift, _), n in zip(variety._layout.fields, variety.factors):
         num = {k + (e << shift): v * math.comb(n + 1, e) for k, v in num.items() for e in range(n + 1)}
-    return _built(BundleClass, variety, variety.dim, _cycle(variety, 1, num))
+    return BundleClass._built(variety, variety.dim, _cycle(variety, 1, num))
 
 
 @functools.lru_cache(maxsize=CACHE_ENTRIES)
@@ -320,4 +320,4 @@ def line_bundle(variety: Variety, degrees: list[int] | tuple[int, ...]) -> Bundl
     num = {0: 1}  # key 0 is the constant monomial; h_i is 0 on a point factor
     fields = variety._layout.fields
     num.update((1 << shift, d) for (shift, _), n, d in zip(fields, variety.factors, degrees) if n and d)
-    return _built(BundleClass, variety, 1, _cycle(variety, 1, num))
+    return BundleClass._built(variety, 1, _cycle(variety, 1, num))

@@ -243,7 +243,7 @@ def _verify(args) -> int:
     _emit(args, table, lambda: [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results])
     if args.timings:
         for r in results:
-            print(f"{r.name}  {r.seconds:.3f} s", file=sys.stderr)
+            print(f"{r.name}  {r.seconds:.4f} s", file=sys.stderr)
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -27,7 +27,7 @@ coefficients.
 `GradedCorrespondence(...)`, which `from_json` calls, checks that the cycle
 lives on source x target; every correspondence built here from checked ones
 (identities, zeros, degree parts, transposes, sums, scalings, external
-products, composites) is made by `ring._built` without that check.
+products, composites) is made by `GradedCorrespondence._built` without that check.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import (CACHE_ENTRIES, MAX_MONOMIALS, Cycle, Variety, _built, _cycle, _from_json, _reduced,
+from .ring import (CACHE_ENTRIES, MAX_MONOMIALS, Cycle, Variety, _cycle, _from_json, _reduced,
                    _require_instance, _require_int, _to_json, _Value, _variety, require_budget)
 
 
@@ -182,7 +182,7 @@ class GradedCorrespondence(_Value):
     @staticmethod
     def zero(source: Variety, target: Variety) -> "GradedCorrespondence":
         product = _require_instance(source, Variety) * _require_instance(target, Variety)
-        return _built(GradedCorrespondence, source, target, Cycle.zero(product))
+        return GradedCorrespondence._built(source, target, Cycle.zero(product))
 
     @property
     def is_zero(self) -> bool:
@@ -193,8 +193,8 @@ class GradedCorrespondence(_Value):
         return [k - base for k in self.cycle.codimensions()]
 
     def degree_component(self, d: int) -> "GradedCorrespondence":
-        return _built(GradedCorrespondence, self.source, self.target,
-                      self.cycle.graded_component(self.source.dim + _require_int(d, "degree")))
+        part = self.cycle.graded_component(self.source.dim + _require_int(d, "degree"))
+        return GradedCorrespondence._built(self.source, self.target, part)
 
     def is_pure_degree(self, d: int) -> bool:
         return self.cycle.is_homogeneous(self.source.dim + _require_int(d, "degree"))
@@ -208,7 +208,7 @@ class GradedCorrespondence(_Value):
         y_mask = (1 << y_bits) - 1
         cycle = _cycle(self.target * self.source, self.cycle._den,
                        {(k & y_mask) << x_bits | k >> y_bits: v for k, v in self.cycle._num.items()})
-        return _built(GradedCorrespondence, self.target, self.source, cycle)
+        return GradedCorrespondence._built(self.target, self.source, cycle)
 
     # correspondences between fixed varieties form a Q-module
     def __add__(self, other: "GradedCorrespondence") -> "GradedCorrespondence":
@@ -216,21 +216,21 @@ class GradedCorrespondence(_Value):
             return NotImplemented
         if self.source != other.source or self.target != other.target:
             raise DomainMismatchError("correspondences have different source or target")
-        return _built(GradedCorrespondence, self.source, self.target, self.cycle + other.cycle)
+        return GradedCorrespondence._built(self.source, self.target, self.cycle + other.cycle)
 
     def __sub__(self, other: "GradedCorrespondence") -> "GradedCorrespondence":
         return self + -other if isinstance(other, GradedCorrespondence) else NotImplemented
 
     def __neg__(self) -> "GradedCorrespondence":
-        return _built(GradedCorrespondence, self.source, self.target, -self.cycle)
+        return GradedCorrespondence._built(self.source, self.target, -self.cycle)
 
     def scale(self, scalar) -> "GradedCorrespondence":
-        return _built(GradedCorrespondence, self.source, self.target, self.cycle.scale(scalar))
+        return GradedCorrespondence._built(self.source, self.target, self.cycle.scale(scalar))
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _identity(variety: Variety) -> GradedCorrespondence:
-    return _built(GradedCorrespondence, variety, variety, diagonal_class(variety))
+    return GradedCorrespondence._built(variety, variety, diagonal_class(variety))
 
 
 def external_product(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCorrespondence:
@@ -250,7 +250,7 @@ def external_product(f: GradedCorrespondence, g: GradedCorrespondence) -> Graded
     source, target = f.source * g.source, f.target * g.target
     cycle = _reduced(source * target, f.cycle._den * g.cycle._den,
                      {k1 | k2: a * b for k1, a in left for k2, b in right})
-    return _built(GradedCorrespondence, source, target, cycle)
+    return GradedCorrespondence._built(source, target, cycle)
 
 
 # The packed contraction runs when g has on average at least this many
@@ -298,16 +298,17 @@ def compose_graded(f: GradedCorrespondence, g: GradedCorrespondence) -> GradedCo
         raise DomainMismatchError(
             f"middle variety mismatch: {f.target} vs {g.source}"
         )
+    xz = _variety(f.source.factors + g.target.factors)  # f.source * g.target, without the type test
     if len(f.cycle._num) * len(g.cycle._num) > MAX_MONOMIALS:
-        require_budget(f.source * g.target)
+        require_budget(xz)
     rows = _middle_rows(g)
     if (f.cycle._num and rows and len(g.cycle._num) >= PACKED_MIN_PARTNERS * len(rows)
             and (w := _slot_width(f, g)) <= PACKED_MAX_BITS):
         acc = _contract_packed(f, g, rows, w)
     else:
         acc = _contract_dict(f, g, rows)
-    composite = _reduced(f.source * g.target, f.cycle._den * g.cycle._den, acc)
-    return _built(GradedCorrespondence, f.source, g.target, composite)
+    composite = _reduced(xz, f.cycle._den * g.cycle._den, acc)
+    return GradedCorrespondence._built(f.source, g.target, composite)
 
 
 def _middle_rows(g: GradedCorrespondence) -> dict[int, list[tuple[int, int]]]:

@@ -9,7 +9,7 @@ that this respects composition is Mukai's theorem, which
 
 `KKernel(...)`, which `KKernel.from_json` calls, checks that the class lives
 on source x target; the kernels and correspondences computed here from
-checked ones are made by `ring._built` without that check.
+checked ones are made by their classes' `_built` without that check.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from .chern import _todd_factor_series, mul_todd_power
 from .corr import GradedCorrespondence, compose_graded, diagonal_pushforward
 from .errors import DomainMismatchError, InvalidInputError
-from .ring import Cycle, Variety, _built, _from_json, _require_instance, _to_json, _Value
+from .ring import Cycle, Variety, _from_json, _require_instance, _to_json, _Value
 
 # The powers of td(X x Y) in a Mukai vector and of td(X) in the identity kernel.
 _MUKAI_POWER = Fraction(1, 2)
@@ -70,8 +70,8 @@ def euler_characteristic(ch: Cycle) -> Fraction:
 def chow_image(kernel: KKernel) -> GradedCorrespondence:
     """The graded correspondence attached to a kernel: its Mukai vector
     ch(E) * sqrt(td) on the product."""
-    return _built(GradedCorrespondence, _require_instance(kernel, KKernel).source, kernel.target,
-                  mul_todd_power(kernel.ch, _MUKAI_POWER))
+    return GradedCorrespondence._built(_require_instance(kernel, KKernel).source, kernel.target,
+                                       mul_todd_power(kernel.ch, _MUKAI_POWER))
 
 
 def k_compose(e: KKernel, f: KKernel) -> KKernel:
@@ -82,10 +82,10 @@ def k_compose(e: KKernel, f: KKernel) -> KKernel:
         raise DomainMismatchError(f"middle variety mismatch: {e.target} vs {f.source}")
     twisted = mul_todd_power(f.ch, 1, range(f.source.num_factors))
     composed = compose_graded(
-        _built(GradedCorrespondence, e.source, e.target, e.ch),
-        _built(GradedCorrespondence, f.source, f.target, twisted),
+        GradedCorrespondence._built(e.source, e.target, e.ch),
+        GradedCorrespondence._built(f.source, f.target, twisted),
     )
-    return _built(KKernel, e.source, f.target, composed.cycle)
+    return KKernel._built(e.source, f.target, composed.cycle)
 
 
 def identity_kernel(variety: Variety) -> KKernel:
@@ -93,5 +93,5 @@ def identity_kernel(variety: Variety) -> KKernel:
     structure sheaf: by GRR for the diagonal and the projection formula
     (the diagonal pulls td(X x X) back to td(X)^2), ch = diagonal_*(td(X)^-1)."""
     ch = diagonal_pushforward(variety, mul_todd_power(Cycle.one(variety), _IDENTITY_POWER))
-    return _built(KKernel, variety, variety, ch)
+    return KKernel._built(variety, variety, ch)
 

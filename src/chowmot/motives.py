@@ -15,7 +15,7 @@ that are correct by construction (the motive of a variety, the zero and
 Lefschetz motives, composites, sums, identities, the pieces of a split
 idempotent, duals, tensor products, twists, matrix products and the
 diagonal-sandwiched images of a kernel pair) are built unchecked by
-`ring._built`.
+their classes' `_built`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     SupportConditionError,
 )
 from .kshadow import KKernel, chow_image, k_compose
-from .ring import Cycle, Variety, _built, _json_object, _require_instance, _require_int, _Value, make_variety
+from .ring import Cycle, Variety, _json_object, _require_instance, _require_int, _Value, make_variety
 
 
 def _check_component(source: Motive, target: Motive, c: GradedCorrespondence, degree: int, what: str):
@@ -74,7 +74,7 @@ class Motive(_Value):
             raise InvalidInputError("motive projector is not idempotent")
 
     def identity_morphism(self) -> "MotiveMorphism":
-        return _built(MotiveMorphism, self, self, self.idempotent)
+        return MotiveMorphism._built(self, self, self.idempotent)
 
     def __str__(self) -> str:
         return f"({self.variety}, {self.twist}, {self.idempotent.cycle})"
@@ -112,7 +112,7 @@ class MotiveMorphism(_Value):
     def zero(source: Motive, target: Motive) -> "MotiveMorphism":
         zero = GradedCorrespondence.zero(_require_instance(source, Motive).variety,
                                          _require_instance(target, Motive).variety)
-        return _built(MotiveMorphism, source, target, zero)
+        return MotiveMorphism._built(source, target, zero)
 
     @property
     def is_zero(self) -> bool:
@@ -124,13 +124,13 @@ class MotiveMorphism(_Value):
             return NotImplemented
         if self.source != other.source or self.target != other.target:
             raise DomainMismatchError("morphisms have different source or target")
-        return _built(MotiveMorphism, self.source, self.target, self.corr + other.corr)
+        return MotiveMorphism._built(self.source, self.target, self.corr + other.corr)
 
     def __sub__(self, other: "MotiveMorphism") -> "MotiveMorphism":
         return self + -other if isinstance(other, MotiveMorphism) else NotImplemented
 
     def __neg__(self) -> "MotiveMorphism":
-        return _built(MotiveMorphism, self.source, self.target, -self.corr)
+        return MotiveMorphism._built(self.source, self.target, -self.corr)
 
 
 def compose_motive(f: MotiveMorphism, g: MotiveMorphism) -> MotiveMorphism:
@@ -139,7 +139,7 @@ def compose_motive(f: MotiveMorphism, g: MotiveMorphism) -> MotiveMorphism:
     composite passes the checks by construction."""
     if _require_instance(f, MotiveMorphism).target != _require_instance(g, MotiveMorphism).source:
         raise DomainMismatchError("morphisms are not composable: object mismatch")
-    return _built(MotiveMorphism, f.source, g.target, compose_graded(f.corr, g.corr))
+    return MotiveMorphism._built(f.source, g.target, compose_graded(f.corr, g.corr))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def compose_motive(f: MotiveMorphism, g: MotiveMorphism) -> MotiveMorphism:
 
 def motive_of(variety: Variety) -> Motive:
     """The motive of a variety: twist 0 and the diagonal as idempotent."""
-    return _built(Motive, variety, 0, GradedCorrespondence.identity(variety))
+    return Motive._built(variety, 0, GradedCorrespondence.identity(variety))
 
 
 def unit_motive() -> Motive:
@@ -160,7 +160,7 @@ def zero_motive() -> Motive:
     """The zero object, represented concretely on the point with the zero
     projector."""
     point = make_variety(())
-    return _built(Motive, point, 0, GradedCorrespondence.zero(point, point))
+    return Motive._built(point, 0, GradedCorrespondence.zero(point, point))
 
 
 def lefschetz_motive() -> Motive:
@@ -168,8 +168,8 @@ def lefschetz_motive() -> Motive:
     [P^1 x point] = h2."""
     line = make_variety((1,))
     square = line * line
-    beta = _built(GradedCorrespondence, line, line, Cycle.hyperplane(square, 1))
-    return _built(Motive, line, 0, beta)
+    beta = GradedCorrespondence._built(line, line, Cycle.hyperplane(square, 1))
+    return Motive._built(line, 0, beta)
 
 
 def tensor(m: Motive, n: Motive) -> Motive:
@@ -177,26 +177,26 @@ def tensor(m: Motive, n: Motive) -> Motive:
     the external product of the two, idempotent of degree zero because both
     factors are."""
     p = external_product(_require_instance(m, Motive).idempotent, _require_instance(n, Motive).idempotent)
-    return _built(Motive, p.source, m.twist + n.twist, p)
+    return Motive._built(p.source, m.twist + n.twist, p)
 
 
 def tensor_morphism(f: MotiveMorphism, g: MotiveMorphism) -> MotiveMorphism:
     """Tensor product of morphisms, on the tensor products of the objects."""
     corr = external_product(_require_instance(f, MotiveMorphism).corr, _require_instance(g, MotiveMorphism).corr)
-    return _built(MotiveMorphism, tensor(f.source, g.source), tensor(f.target, g.target), corr)
+    return MotiveMorphism._built(tensor(f.source, g.source), tensor(f.target, g.target), corr)
 
 
 def dual(m: Motive) -> Motive:
     """Dual motive: transpose the idempotent (still idempotent, as transposing
     reverses composition) and reflect the twist at dim X."""
     _require_instance(m, Motive)
-    return _built(Motive, m.variety, m.variety.dim - m.twist, m.idempotent.transpose())
+    return Motive._built(m.variety, m.variety.dim - m.twist, m.idempotent.transpose())
 
 
 def tate_twist(m: Motive, i: int) -> Motive:
     """The i-th twist lowers the twist index by i and keeps everything else."""
     _require_instance(m, Motive)
-    return _built(Motive, m.variety, m.twist - _require_int(i, "twist shift"), m.idempotent)
+    return Motive._built(m.variety, m.twist - _require_int(i, "twist shift"), m.idempotent)
 
 
 def split_idempotent(m: Motive, p: MotiveMorphism) -> tuple[Motive, MotiveMorphism, MotiveMorphism]:
@@ -211,8 +211,8 @@ def split_idempotent(m: Motive, p: MotiveMorphism) -> tuple[Motive, MotiveMorphi
     if p.is_zero:
         image = zero_motive()
         return image, MotiveMorphism.zero(image, m), MotiveMorphism.zero(m, image)
-    image = _built(Motive, m.variety, m.twist, p.corr)
-    return image, _built(MotiveMorphism, image, m, p.corr), _built(MotiveMorphism, m, image, p.corr)
+    image = Motive._built(m.variety, m.twist, p.corr)
+    return image, MotiveMorphism._built(image, m, p.corr), MotiveMorphism._built(m, image, p.corr)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ class FormalSum(_Value):
             )
             for i, s in enumerate(self.summands)
         )
-        return _built(FormalSumMorphism, self, self, rows)
+        return FormalSumMorphism._built(self, self, rows)
 
 
 class FormalSumMorphism(_Value):
@@ -276,7 +276,7 @@ class FormalSumMorphism(_Value):
                     acc = acc + compose_motive(self.matrix[k][j], other.matrix[i][k])
                 row.append(acc)
             rows.append(tuple(row))
-        return _built(FormalSumMorphism, self.source, other.target, tuple(rows))
+        return FormalSumMorphism._built(self.source, other.target, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ class OrbitMorphism(_Value):
 
     @staticmethod
     def identity(m: Motive) -> "OrbitMorphism":
-        return _built(OrbitMorphism, m, m, _require_instance(m, Motive).idempotent)
+        return OrbitMorphism._built(m, m, _require_instance(m, Motive).idempotent)
 
     @staticmethod
     def from_components(source: Motive, target: Motive,
@@ -366,7 +366,7 @@ def orbit_compose(f: OrbitMorphism, g: OrbitMorphism) -> OrbitMorphism:
     correspondences."""
     if _require_instance(f, OrbitMorphism).target != _require_instance(g, OrbitMorphism).source:
         raise DomainMismatchError("orbit morphisms are not composable: object mismatch")
-    return _built(OrbitMorphism, f.source, g.target, compose_graded(f.corr, g.corr))
+    return OrbitMorphism._built(f.source, g.target, compose_graded(f.corr, g.corr))
 
 
 def degree_zero_rigidify(f: OrbitMorphism, g: OrbitMorphism) -> tuple[MotiveMorphism, MotiveMorphism]:
@@ -385,8 +385,8 @@ def degree_zero_rigidify(f: OrbitMorphism, g: OrbitMorphism) -> tuple[MotiveMorp
     if any(i < 0 for i in f.indices()) or any(j < 0 for j in g.indices()):
         raise SupportConditionError("mutually inverse pair has components at negative offsets")
     # offset-0 components already passed the checks of a morphism m -> n
-    f0 = _built(MotiveMorphism, m, n, f.component(0))
-    g0 = _built(MotiveMorphism, n, m, g.component(0))
+    f0 = MotiveMorphism._built(m, n, f.component(0))
+    g0 = MotiveMorphism._built(n, m, g.component(0))
     return f0, g0
 
 
@@ -423,7 +423,7 @@ def orlov_pipeline(e: KKernel, f: KKernel) -> OrlovReport:
     mx, my = motive_of(x), motive_of(y)
     # the idempotents of mx and my are diagonals, which fix every correspondence
     try:
-        pair = degree_zero_rigidify(_built(OrbitMorphism, mx, my, a), _built(OrbitMorphism, my, mx, b))
+        pair = degree_zero_rigidify(OrbitMorphism._built(mx, my, a), OrbitMorphism._built(my, mx, b))
     except PreconditionError:
         return OrlovReport("not-equivalent", floors, None)
     except SupportConditionError:

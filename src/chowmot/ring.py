@@ -39,7 +39,8 @@ caller's fresh dict when they can) or `_total` (sums cycles), truncated
 products of numerator maps are added up by `_add_product` (for `intersect`
 and the series of `chern`), and every value of the `_Value` base (varieties
 here, correspondences, kernels and motives in the layers above) is built by
-`_built`.
+its class's own `_built`, made once when the class is defined, which stores
+the fields directly, one store each.
 
 Varieties are shared: `make_variety`, `Variety.from_json` and the engine's
 products, selection targets and permutations return the one variety of a
@@ -48,7 +49,8 @@ the factors before the lookup, since (True,) and (1.0,) are keys equal to
 (1,).  A variety stores its key layout and hash on first use, and `==`
 tests identity first; sharing is only that fast path, so a variety made
 any other way (`Variety(...)`, a copy, an unpickled one) compares and
-hashes alike.
+hashes alike.  Cycles and the values that hold them copy and pickle too:
+a cycle is rebuilt from its fields by `_cycle`, without its `terms` view.
 """
 
 from __future__ import annotations
@@ -89,14 +91,52 @@ CACHE_ENTRIES = 64
 VARIETY_ENTRIES = 128
 
 
+def _unrolled_constructor(cls) -> staticmethod:
+    """`cls._built(*values)`: an instance of a `_Value` class from field
+    values the engine computed, correct by construction, in the field order
+    of `cls._fields`, made without running its checks.  Each field is one
+    direct store into the instance's `__dict__` (its `__setattr__` refuses
+    every assignment), unrolled for one to four fields."""
+    new = object.__new__
+    match cls._fields:
+        case (a,):
+            def built(x):
+                obj = new(cls)
+                obj.__dict__[a] = x
+                return obj
+        case (a, b):
+            def built(x, y):
+                obj = new(cls)
+                d = obj.__dict__
+                d[a], d[b] = x, y
+                return obj
+        case (a, b, c):
+            def built(x, y, z):
+                obj = new(cls)
+                d = obj.__dict__
+                d[a], d[b], d[c] = x, y, z
+                return obj
+        case (a, b, c, e):
+            def built(w, x, y, z):
+                obj = new(cls)
+                d = obj.__dict__
+                d[a], d[b], d[c], d[e] = w, x, y, z
+                return obj
+        case fields:
+            raise TypeError(f"{cls.__name__} has {len(fields)} fields; a value has one to four")
+    return staticmethod(built)
+
+
 class _Value:
     """Base of the engine's immutable values.  A subclass lists its fields
     as annotations, every one required: values of one class compare and
-    hash by the tuple of their fields.  Construction runs `__post_init__`."""
+    hash by the tuple of their fields.  Construction runs `__post_init__`;
+    the class's `_built` skips it."""
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
         cls._key = attrgetter(*cls._fields)  # a bare value, not a tuple, for one field
+        cls._built = _unrolled_constructor(cls)
         if len(cls._fields) == 1 and "__hash__" not in cls.__dict__:
             cls.__hash__ = lambda self: hash((self._key(self),))
 
@@ -199,15 +239,6 @@ class Variety(_Value):
         return make_variety(factors)
 
 
-def _built(cls, *values):
-    """An instance of a `_Value` class from field values the engine
-    computed, correct by construction, made without running its checks.
-    The values follow the field order of `cls._fields`."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls._fields, values))
-    return obj
-
-
 def _json_object(noun: str, data: object, keys) -> dict:
     """`data`, refused unless it is a JSON object holding every key."""
     if not isinstance(data, dict) or not set(keys) <= data.keys():
@@ -269,7 +300,7 @@ class _Layout:
 def _variety(factors: tuple[int, ...]) -> Variety:
     """The shared variety of a tuple of plain nonnegative ints, which the
     engine computed or a checked route validated."""
-    return _built(Variety, factors)
+    return Variety._built(factors)
 
 
 def require_budget(variety: Variety, order: int = 0) -> None:
@@ -375,6 +406,9 @@ class Cycle:
 
     def __setattr__(self, name, value):
         raise AttributeError("Cycle instances are immutable")
+
+    def __reduce__(self):
+        return _cycle, (self.variety, self._den, self._num)
 
     @property
     def terms(self) -> MappingProxyType:

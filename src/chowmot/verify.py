@@ -42,7 +42,7 @@ from .motives import (
     tate_twist,
     unit_motive,
 )
-from .ring import Cycle, Variety, _built, _reduced, _require_int, _Value, make_variety
+from .ring import Cycle, Variety, _reduced, _require_int, _Value, make_variety
 
 # varieties of dimension <= 4 used by the randomized algebra checks
 ALGEBRA_POOL = [
@@ -109,14 +109,14 @@ def random_correspondence(rng: random.Random, source: Variety, target: Variety,
                           terms: int = 4) -> GradedCorrespondence:
     """A random correspondence from source to target; its cycle is drawn on
     source x target, so it is built without the constructor's check."""
-    return _built(GradedCorrespondence, source, target, random_cycle(rng, source * target, terms))
+    return GradedCorrespondence._built(source, target, random_cycle(rng, source * target, terms))
 
 
 def random_kernel(rng: random.Random, source: Variety, target: Variety,
                   terms: int = 4) -> KKernel:
     """A random kernel from source to target, built as
     `random_correspondence` is."""
-    return _built(KKernel, source, target, random_cycle(rng, source * target, terms))
+    return KKernel._built(source, target, random_cycle(rng, source * target, terms))
 
 
 def random_cycle_in_codims(rng: random.Random, variety: Variety, codims: list[int],

@@ -1,7 +1,7 @@
 """Validation happens once, at the boundary.
 
 Every value has two ways in: a checked constructor or `from_json` for input
-from outside, and the private cycle builders of `ring` or `ring._built` for
+from outside, and the private cycle builders of `ring` or a class's `_built` for
 results the engine computes, which are correct by construction.  These tests re-run the
 validating constructors on such results (they must accept them and rebuild
 equal objects), check that the engine's own operations run no validator,

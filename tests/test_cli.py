@@ -446,6 +446,7 @@ class TestVerifyCommand:
         for _, seconds in rows:
             value, unit = seconds.split(" ")
             assert unit == "s" and float(value) >= 0
+            assert len(value.partition(".")[2]) == 4  # to 0.1 ms
 
     def test_raising_check_is_a_fail_row(self, capsys, monkeypatch):
         from chowmot import verify

@@ -8,7 +8,8 @@ shared values and each must still equal a fresh computation afterwards;
 negative controls show that an operation mutating its input, and a plan
 built from a corrupted series, are caught.
 Sharing a variety is only a fast path: one made outside the table compares
-and hashes as the shared one does."""
+and hashes as the shared one does.  A copy, a deep copy or a pickle of a
+cycle, and of each value that holds one, compares and hashes alike too."""
 
 import copy
 import pickle
@@ -20,14 +21,13 @@ import pytest
 from chowmot import chern, corr
 from chowmot.chern import mul_todd_power, sqrt_todd
 from chowmot.corr import FactorSelection, GradedCorrespondence, compose_graded, permute_factors
-from chowmot.kshadow import chow_image, euler_characteristic, identity_kernel, k_compose
+from chowmot.kshadow import KKernel, chow_image, euler_characteristic, identity_kernel, k_compose
 from chowmot.motives import OrbitMorphism, degree_zero_rigidify, motive_of
 from chowmot.ring import (
     CACHE_ENTRIES,
     VARIETY_ENTRIES,
     Cycle,
     Variety,
-    _built,
     _Layout,
     _variety,
     make_variety,
@@ -188,16 +188,18 @@ def test_layout_and_hash_are_stored_once():
         assert x._layout is x._layout and vars(x).keys() == {"factors", "_layout", "_hash"}
 
 
+COPIES = [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+COPY_IDS = ["copy", "deepcopy", "pickle"]
+
+
 @pytest.mark.parametrize("remake", [
-    copy.copy,
-    copy.deepcopy,
-    lambda x: pickle.loads(pickle.dumps(x)),
-    lambda x: _built(Variety, x.factors),
+    *COPIES,
+    lambda x: Variety._built(x.factors),
     lambda x: Variety(list(x.factors)),
-], ids=["copy", "deepcopy", "pickle", "built", "constructor"])
+], ids=[*COPY_IDS, "built", "constructor"])
 def test_varieties_made_outside_the_table_compare_and_hash_alike(remake):
     for factors in ALGEBRA_POOL:
-        for x in (make_variety(factors), _built(Variety, factors)):
+        for x in (make_variety(factors), Variety._built(factors)):
             hash(x), x._layout  # stored before some of the copies
             twin = remake(x)
             assert twin == x and x == twin and hash(twin) == hash(x) and not twin != x
@@ -205,6 +207,26 @@ def test_varieties_made_outside_the_table_compare_and_hash_alike(remake):
             assert GradedCorrespondence.identity(twin) is GradedCorrespondence.identity(x)
             assert GradedCorrespondence.identity(twin) == corr._identity.__wrapped__(twin)
             assert twin * twin == x * x and twin != make_variety((*factors, 1))
+
+
+@pytest.mark.parametrize("remake", COPIES, ids=COPY_IDS)
+@pytest.mark.parametrize("terms_read", [False, True], ids=["fresh", "terms-read"])
+def test_cycles_and_the_values_holding_them_survive_copies(remake, terms_read):
+    rng = random.Random(29)
+    x, y = make_variety([1, 1]), make_variety([2])
+    cycle = random_cycle(rng, x * y, 6).scale(Fraction(2, 3))
+    if terms_read:
+        cycle.terms  # the view a copy leaves out
+    f = GradedCorrespondence(x, y, cycle)
+    values = [cycle, f, KKernel(x, y, cycle), motive_of(x), OrbitMorphism(motive_of(x), motive_of(y), f)]
+    for value in values:
+        twin = remake(value)
+        assert twin == value and value == twin and hash(twin) == hash(value) and not twin != value
+        assert repr(twin) == repr(value), type(value).__name__
+    twin = remake(cycle)
+    assert twin._den == 3 and twin.terms == cycle.terms and str(twin) == str(cycle)
+    assert twin + cycle == cycle.scale(2)
+    assert compose_graded(remake(f), f.transpose()) == compose_graded(f, f.transpose())
 
 
 def test_the_table_keeps_its_bound():

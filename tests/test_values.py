@@ -1,29 +1,35 @@
 """The contract of the engine's immutable values, the classes on the `_Value`
 base of `ring`: equality within one class by the fields, a hash equal to
 that of their tuple, the repr of a frozen record, no assignment or
-deletion, and construction by position or keyword; and the JSON codec of
-the classes read and written as objects of named fields."""
+deletion, construction by position or keyword, an unchecked constructor
+`_built` per class that gives what the checked one gives, and copies and
+pickles that compare alike; and the JSON codec of the classes read and
+written as objects of named fields."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from chowmot.chern import BundleClass, line_bundle
 from chowmot.corr import FactorSelection, GradedCorrespondence
-from chowmot.errors import InvalidInputError
+from chowmot.errors import DomainMismatchError, InvalidInputError
 from chowmot.kshadow import KKernel, identity_kernel
 from chowmot.motives import (
     FormalSum,
     FormalSumMorphism,
     Motive,
+    MotiveMorphism,
     OrbitMorphism,
+    OrlovReport,
     motive_of,
     orlov_pipeline,
     tate_twist,
     unit_motive,
 )
-from chowmot.ring import Cycle, Variety, _built, _Value
+from chowmot.ring import Cycle, Variety, _Value
 from chowmot.verify import CheckResult
 
 P = "Variety(factors=())"
@@ -74,7 +80,7 @@ def violations(value, compared, expected_repr) -> list[str]:
         found.append("hash")
     if repr(value) != expected_repr:
         found.append("repr")
-    twin = _built(type(value), *fields)
+    twin = type(value)._built(*fields)
     if not (twin == value and hash(twin) == hash(value)) or twin != value:
         found.append("equality")
     if value.__eq__(object()) is not NotImplemented or value == object():
@@ -98,6 +104,13 @@ class TestValueContract:
     def test_every_value_keeps_the_contract(self):
         for value, compared, expected_repr in samples():
             assert violations(value, compared, expected_repr) == [], type(value).__name__
+
+    @pytest.mark.parametrize("remake", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_every_value_survives_copies_and_pickles(self, remake):
+        for value, _, expected_repr in samples():
+            twin = remake(value)
+            assert twin == value and hash(twin) == hash(value) and repr(twin) == expected_repr, type(value).__name__
 
     def test_hash_leaving_out_a_field_is_caught(self, monkeypatch):
         """Negative control: a base whose hash skips the last compared field
@@ -130,6 +143,69 @@ class TestValueContract:
                     lambda: CheckResult("hrr", True, "ok")):
             with pytest.raises(TypeError):
                 bad()
+
+
+def value_classes() -> set[type]:
+    """Every class on the `_Value` base, found recursively, so that a class
+    added later is covered too."""
+    found, todo = set(), [_Value]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls not in found:
+                found.add(cls)
+                todo.append(cls)
+    return found
+
+
+def constructor_fields() -> dict[type, tuple]:
+    """The fields of one valid value of every class, the first two unequal
+    where the class allows it, so that stores into the wrong field show."""
+    x, y = Variety((1,)), Variety((2,))
+    cycle = Cycle(x * y, {(1, 0): Fraction(1, 2), (0, 2): -3})
+    mx, my = motive_of(x), motive_of(y)
+    zero = MotiveMorphism.zero(mx, my)
+    return {
+        Variety: ((1, 2),),
+        FactorSelection: (Variety((1, 2)), (1,)),
+        GradedCorrespondence: (x, y, cycle),
+        KKernel: (y, x, GradedCorrespondence(x, y, cycle).transpose().cycle),
+        BundleClass: tuple(getattr(line_bundle(y, [3]), name) for name in BundleClass._fields),
+        Motive: (x, 2, GradedCorrespondence.identity(x)),
+        MotiveMorphism: (mx, my, zero.corr),
+        FormalSum: ((mx, my),),
+        FormalSumMorphism: (FormalSum((mx,)), FormalSum((mx, my)), ((mx.identity_morphism(),), (zero,))),
+        OrbitMorphism: (mx, my, GradedCorrespondence(x, y, cycle)),
+        OrlovReport: ("not-equivalent", (None, 1), None),
+        CheckResult: ("hrr", True, "ok", 0.25),
+    }
+
+
+class TestUncheckedConstructor:
+    def test_every_class_has_fields_and_every_field_count_is_covered(self):
+        assert constructor_fields().keys() == value_classes()
+        assert {len(cls._fields) for cls in value_classes()} == {1, 2, 3, 4}
+
+    def test_each_class_makes_its_own(self):
+        for cls in value_classes():
+            assert "_built" in cls.__dict__, cls.__name__
+
+    @pytest.mark.parametrize("cls", sorted(value_classes(), key=lambda c: c.__name__), ids=lambda c: c.__name__)
+    def test_unchecked_and_checked_values_agree(self, cls):
+        fields = constructor_fields()[cls]
+        unchecked, checked = cls._built(*fields), cls(*fields)
+        assert tuple(getattr(unchecked, name) for name in cls._fields) == fields
+        assert vars(unchecked) == vars(checked)
+        assert unchecked == checked and checked == unchecked and hash(unchecked) == hash(checked)
+        assert repr(unchecked) == repr(checked)
+        if hasattr(cls, "to_json"):
+            assert unchecked.to_json() == checked.to_json()
+
+    def test_the_unchecked_constructor_runs_no_check(self):
+        x = Variety((1,))
+        stray = GradedCorrespondence._built(x, x, Cycle.one(x))  # its cycle lives on x, not on x * x
+        assert stray.cycle.variety == x
+        with pytest.raises(DomainMismatchError):
+            GradedCorrespondence(x, x, Cycle.one(x))
 
 
 def json_samples():
