@@ -91,7 +91,7 @@ def exp_nilpotent(u: Cycle) -> Cycle:
             m = j * (den // e._den)
             _add_product(acc, x, e._num, [(key, m * v) for key, v in g.items()])
         parts.append(_reduced(x, u._den * den * k, acc))
-    return _total(x, parts)
+    return _total(x, ((1, 1, p) for p in parts))
 
 
 def series_inverse(u: Cycle) -> Cycle:
@@ -189,27 +189,12 @@ def power_sums(bundle: BundleClass) -> tuple[Cycle, ...]:
     return tuple(sums)
 
 
-def _weighted_sum(x: Variety, constant: int, weighted) -> Cycle:
-    """constant + sum (a / b) p over the triples (a, b, p) of `weighted`,
-    whose cycles p are homogeneous of distinct positive codimensions, so no
-    two share a key: summed on integer numerators over the lcm of the b
-    times the denominators of p, and reduced once."""
-    weighted = [(a, b * p._den, p._num) for a, b, p in weighted if a and p._num]
-    den = math.lcm(*(b for _, b, _ in weighted))
-    acc = {0: constant * den} if constant else {}  # key 0 is the constant monomial
-    for a, b, num in weighted:
-        m = a * (den // b)
-        for key, v in num.items():
-            acc[key] = v * m
-    return _reduced(x, den, acc)
-
-
 def chern_character(bundle: BundleClass) -> Cycle:
     """rank + sum_k p_k / k!, exact: summed on integer numerators over one
     denominator and reduced once."""
     x = _require_instance(bundle, BundleClass).variety
     sums = power_sums(bundle)
-    return _weighted_sum(x, bundle.rank, ((1, math.factorial(k), p) for k, p in enumerate(sums, start=1)))
+    return _total(x, ((1, math.factorial(k), p) for k, p in enumerate(sums, start=1)), bundle.rank)
 
 
 def todd_class(bundle: BundleClass) -> Cycle:
@@ -218,7 +203,7 @@ def todd_class(bundle: BundleClass) -> Cycle:
     x = _require_instance(bundle, BundleClass).variety
     lam = todd_series_coefficients(x.dim)
     sums = power_sums(bundle)
-    arg = _weighted_sum(x, 0, ((lam[k].numerator, lam[k].denominator, p) for k, p in enumerate(sums, start=1)))
+    arg = _total(x, ((lam[k].numerator, lam[k].denominator, p) for k, p in enumerate(sums, start=1)))
     return exp_nilpotent(arg)
 
 

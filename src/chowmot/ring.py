@@ -35,12 +35,14 @@ The other `from_json` only parse, most through one codec (`_from_json`).
 Results the engine computes are correct by construction and skip the checks:
 cycles are built from integer numerators by `_cycle` (already canonical),
 `_reduced` (drops cancelled terms and the common factor; both keep the
-caller's fresh dict when they can) or `_total` (sums cycles), truncated
-products of numerator maps are added up by `_add_product` (for `intersect`
-and the series of `chern`), and every value of the `_Value` base (varieties
-here, correspondences, kernels and motives in the layers above) is built by
-its class's own `_built`, made once when the class is defined, which stores
-the fields directly, one store each.
+caller's fresh dict when they can) or `_total` (the one weighted sum of
+cycles, for `+` and the sums of `chern`), truncated products of numerator
+maps are added up by `_add_product` (for `intersect` and the series of
+`chern`), and every value of the `_Value` base (varieties here,
+correspondences, kernels and motives in the layers above) is built by its
+class's own `_built`, made once when the class is defined, which stores
+the fields directly, one store each for the one- and three-field classes
+the engine builds.
 
 Varieties are shared: `make_variety`, `Variety.from_json` and the engine's
 products, selection targets and permutations return the one variety of a
@@ -94,9 +96,10 @@ VARIETY_ENTRIES = 128
 def _unrolled_constructor(cls) -> staticmethod:
     """`cls._built(*values)`: an instance of a `_Value` class from field
     values the engine computed, correct by construction, in the field order
-    of `cls._fields`, made without running its checks.  Each field is one
-    direct store into the instance's `__dict__` (its `__setattr__` refuses
-    every assignment), unrolled for one to four fields."""
+    of `cls._fields`, made without running its checks.  The field counts the
+    engine builds, one (a variety) and three, are direct stores into the
+    instance's `__dict__` (its `__setattr__` refuses every assignment);
+    every other count fills it from the field names in one update."""
     new = object.__new__
     match cls._fields:
         case (a,):
@@ -104,26 +107,17 @@ def _unrolled_constructor(cls) -> staticmethod:
                 obj = new(cls)
                 obj.__dict__[a] = x
                 return obj
-        case (a, b):
-            def built(x, y):
-                obj = new(cls)
-                d = obj.__dict__
-                d[a], d[b] = x, y
-                return obj
         case (a, b, c):
             def built(x, y, z):
                 obj = new(cls)
                 d = obj.__dict__
                 d[a], d[b], d[c] = x, y, z
                 return obj
-        case (a, b, c, e):
-            def built(w, x, y, z):
-                obj = new(cls)
-                d = obj.__dict__
-                d[a], d[b], d[c], d[e] = w, x, y, z
-                return obj
         case fields:
-            raise TypeError(f"{cls.__name__} has {len(fields)} fields; a value has one to four")
+            def built(*values):
+                obj = new(cls)
+                obj.__dict__.update(zip(fields, values, strict=True))
+                return obj
     return staticmethod(built)
 
 
@@ -492,7 +486,7 @@ class Cycle:
         if not isinstance(other, Cycle):
             return NotImplemented
         self._require_same_variety(other)
-        return _total(self.variety, (self, other))
+        return _total(self.variety, ((1, 1, self), (1, 1, other)))
 
     def __neg__(self) -> "Cycle":
         return _cycle(self.variety, self._den, {k: -v for k, v in self._num.items()})
@@ -674,13 +668,16 @@ def _add_product(acc: dict, variety: Variety, left: dict, right) -> dict:
     return acc
 
 
-def _total(variety: Variety, cycles) -> Cycle:
-    """The sum of cycles on one variety, over the lcm of their denominators."""
-    den = lcm(*(c._den for c in cycles))
-    acc: dict[int, int] = {}
+def _total(variety: Variety, weighted, constant: int = 0) -> Cycle:
+    """constant + sum (a / b) c over the triples (a, b, c) of `weighted`,
+    cycles c on `variety`: summed on integer numerators over the lcm of the
+    b times the denominators of c, and reduced once."""
+    weighted = [(a, b * c._den, c._num) for a, b, c in weighted if a and c._num]
+    den = lcm(*(b for _, b, _ in weighted))
+    acc = {0: constant * den} if constant else {}  # key 0 is the constant monomial
     get = acc.get
-    for c in cycles:
-        m = den // c._den
-        for k, v in c._num.items():
+    for a, b, num in weighted:
+        m = a * (den // b)
+        for k, v in num.items():
             acc[k] = get(k, 0) + v * m
     return _reduced(variety, den, acc)
