@@ -41,8 +41,8 @@ maps are added up by `_add_product` (for `intersect` and the series of
 `chern`), and every value of the `_Value` base (varieties here,
 correspondences, kernels and motives in the layers above) is built by its
 class's own `_built`, made once when the class is defined, which stores
-the fields directly, one store each for the one- and three-field classes
-the engine builds.
+the fields directly, one store each for the three-field classes the engine
+builds most.
 
 Varieties are shared: `make_variety`, `Variety.from_json` and the engine's
 products, selection targets and permutations return the one variety of a
@@ -96,17 +96,12 @@ VARIETY_ENTRIES = 128
 def _unrolled_constructor(cls) -> staticmethod:
     """`cls._built(*values)`: an instance of a `_Value` class from field
     values the engine computed, correct by construction, in the field order
-    of `cls._fields`, made without running its checks.  The field counts the
-    engine builds, one (a variety) and three, are direct stores into the
-    instance's `__dict__` (its `__setattr__` refuses every assignment);
-    every other count fills it from the field names in one update."""
+    of `cls._fields`, made without running its checks.  Three fields, the
+    count the engine builds most, are direct stores into the instance's
+    `__dict__` (its `__setattr__` refuses every assignment); every other
+    count fills it from the field names in one update."""
     new = object.__new__
     match cls._fields:
-        case (a,):
-            def built(x):
-                obj = new(cls)
-                obj.__dict__[a] = x
-                return obj
         case (a, b, c):
             def built(x, y, z):
                 obj = new(cls)
@@ -449,7 +444,8 @@ class Cycle:
         exps = _as_tuple(exps, "exponent vector")
         for e in exps:
             _require_int(e, "exponent")
-        return self.terms.get(exps, Fraction(0))
+        key = next(_checked(self.variety, [(exps, 0)]), (-1,))[0]  # none past a bound
+        return Fraction(self._num.get(key, 0), self._den)
 
     def codimensions(self) -> list[int]:
         """Sorted list of codimensions in which the cycle has a nonzero term."""

@@ -1,9 +1,9 @@
 """Seeded verification suites.
 
 Each check replays one of the package's contract guarantees with a
-deterministic random stream and reports pass/fail plus a short detail
-string.  The CLI `verify` subcommand and the test suite both run the checks
-from this module, so there is a single source of truth for acceptance.
+deterministic random stream and returns the laws it found broken, empty when
+it passes, and its pass detail.  `run_check` runs one row of CHECKS; the CLI
+`verify` subcommand and the test suite both run the rows through it.
 
 Sample counts passed in are floors only in the sense that every check
 enforces its own contractual minimum.
@@ -222,10 +222,10 @@ class CheckResult(_Value):
     seconds: float  # wall time of the check
 
 
-def check_hrr_line_bundles(rng: random.Random, samples: int) -> tuple[bool, str]:
+def check_hrr_line_bundles(rng: random.Random, samples: int) -> tuple[list[str], str]:
     """Riemann-Roch Euler characteristics of twists on P^0..P^4 against the
     falling-factorial oracle."""
-    failures = []
+    problems = []
     count = 0
     for n in range(5):
         x = make_variety([n])
@@ -235,13 +235,11 @@ def check_hrr_line_bundles(rng: random.Random, samples: int) -> tuple[bool, str]
             want = binomial_euler_oracle(n, d)
             count += 1
             if got != want:
-                failures.append(f"P^{n}, twist {d}: got {got}, want {want}")
-    if failures:
-        return False, "; ".join(failures[:3])
-    return True, f"{count} Euler characteristics match the falling-factorial oracle"
+                problems.append(f"P^{n}, twist {d}: got {got}, want {want}")
+    return problems, f"{count} Euler characteristics match the falling-factorial oracle"
 
 
-def check_char_class_expansions(rng: random.Random, samples: int) -> tuple[bool, str]:
+def check_char_class_expansions(rng: random.Random, samples: int) -> tuple[list[str], str]:
     """Chern character and Todd class of a generic split bundle against the
     root-level oracle, plus the classical closed-form coefficients through
     degree 4 (the cubic character term carries 3*c3; see the golden file)."""
@@ -283,12 +281,10 @@ def check_char_class_expansions(rng: random.Random, samples: int) -> tuple[bool,
     for (which, k), want in expected.items():
         if actual[which].graded_component(k) != want:
             problems.append(f"{which} degree {k} differs from the closed form")
-    if problems:
-        return False, "; ".join(problems)
-    return True, "split-bundle oracle and closed forms agree through degree 4"
+    return problems, "split-bundle oracle and closed forms agree through degree 4"
 
 
-def check_identity_kernel(rng: random.Random, samples: int) -> tuple[bool, str]:
+def check_identity_kernel(rng: random.Random, samples: int) -> tuple[list[str], str]:
     """The identity kernel maps to the diagonal correspondence exactly and
     is a two-sided unit for kernel composition."""
     problems = []
@@ -307,9 +303,7 @@ def check_identity_kernel(rng: random.Random, samples: int) -> tuple[bool, str]:
                 problems.append(f"left unit fails on {x} -> {y}")
             if k_compose(f, ident) != f:
                 problems.append(f"right unit fails on {y} -> {x}")
-    if problems:
-        return False, "; ".join(problems[:3])
-    return True, f"diagonal images on 4 varieties; unit law on {2 * tested} compositions"
+    return problems, f"diagonal images on 4 varieties; unit law on {2 * tested} compositions"
 
 
 def _triple_product_composite(f: GradedCorrespondence, g: GradedCorrespondence) -> Cycle:
@@ -331,7 +325,7 @@ def _dense_correspondence(rng: random.Random, source: Variety, target: Variety) 
     return GradedCorrespondence(source, target, Cycle(product, terms))
 
 
-def check_correspondence_algebra(rng: random.Random, samples: int) -> tuple[bool, str]:
+def check_correspondence_algebra(rng: random.Random, samples: int) -> tuple[list[str], str]:
     """Associativity, identity, transpose antihomomorphism, and the
     projection formula on seeded random correspondences of dimension <= 4;
     then one dense composite, on the packed contraction, against the
@@ -372,12 +366,10 @@ def check_correspondence_algebra(rng: random.Random, samples: int) -> tuple[bool
     f, g = _dense_correspondence(rng, line, line), _dense_correspondence(rng, line, cube)
     if compose_graded(f, g).cycle != _triple_product_composite(f, g):
         problems.append("dense composite differs from the triple-product route")
-    if problems:
-        return False, problems[0]
-    return True, f"{instances} random instances satisfy all four correspondence laws"
+    return problems, f"{instances} random instances satisfy all four correspondence laws"
 
 
-def check_lefschetz_decomposition(rng: random.Random, samples: int) -> tuple[bool, str]:
+def check_lefschetz_decomposition(rng: random.Random, samples: int) -> tuple[list[str], str]:
     """The projective line splits into the unit and Lefschetz pieces through
     the two coordinate projectors, with explicit section/retraction data."""
     line = make_variety([1])
@@ -419,9 +411,7 @@ def check_lefschetz_decomposition(rng: random.Random, samples: int) -> tuple[boo
     v = compose_motive(to_line, retr_a)
     if compose_motive(u, v) != image_a.identity_morphism() or compose_motive(v, u) != point.identity_morphism():
         problems.append("alpha piece is not isomorphic to the unit motive")
-    if problems:
-        return False, "; ".join(problems[:3])
-    return True, "projectors split the line into unit and Lefschetz pieces with explicit inverses"
+    return problems, "projectors split the line into unit and Lefschetz pieces with explicit inverses"
 
 
 def _random_unit_endo(rng: random.Random, variety: Variety):
@@ -454,7 +444,7 @@ def _geometric_inverse(base: GradedCorrespondence, nil: GradedCorrespondence) ->
     return acc
 
 
-def check_orbit_rigidification(rng: random.Random, samples: int) -> tuple[bool, str]:
+def check_orbit_rigidification(rng: random.Random, samples: int) -> tuple[list[str], str]:
     """Unipotent perturbations of invertible twist-preserving morphisms
     rigidify to exact inverses; negative-offset contamination is refused."""
     pairs = max(50, samples // 4)
@@ -507,12 +497,10 @@ def check_orbit_rigidification(rng: random.Random, samples: int) -> tuple[bool, 
         problems.append("the control at offsets +1 and -1 was not rejected")
     except SupportConditionError:
         pass
-    if problems:
-        return False, problems[0]
-    return True, f"{pairs} unipotent pairs rigidified; {controls} negative controls rejected"
+    return problems, f"{pairs} unipotent pairs rigidified; {controls} negative controls rejected"
 
 
-def check_orlov_pipeline(rng: random.Random, samples: int) -> tuple[bool, str]:
+def check_orlov_pipeline(rng: random.Random, samples: int) -> tuple[list[str], str]:
     """Twisted diagonal kernels on the line give exact motive isomorphisms;
     a unipotently shifted pair only matches with twists forgotten."""
     line = make_variety([1])
@@ -547,23 +535,23 @@ def check_orlov_pipeline(rng: random.Random, samples: int) -> tuple[bool, str]:
     mismatch = orlov_pipeline(twist_kernel(1), twist_kernel(1))
     if mismatch.verdict != "not-equivalent":
         problems.append(f"non-inverse control: verdict {mismatch.verdict}")
-    if problems:
-        return False, "; ".join(problems[:3])
-    return True, "5 twisted kernels exact; shifted and non-inverse controls classified"
+    return problems, "5 twisted kernels exact; shifted and non-inverse controls classified"
 
 
-def check_compatibility_triangle(rng: random.Random, samples: int) -> tuple[bool, str]:
+def check_compatibility_triangle(rng: random.Random, samples: int) -> tuple[list[str], str]:
     """Mukai functoriality along a chain of kernels X0 -> X1 -> ...: the
     Mukai vector of each consecutive composite equals the composite of the
     Mukai vectors; a route with the normalization dropped is detected."""
     trials = max(100, samples)
+    problems = []
     source = make_variety(list(rng.choice(KERNEL_POOL)))
     previous = None
     for trial in range(trials):
         target = make_variety(list(rng.choice(KERNEL_POOL)))
         kernel = random_kernel(rng, source, target)
         if previous is not None and not compatibility_check(previous, kernel):
-            return False, f"routes disagree at trial {trial}"
+            problems.append(f"routes disagree at trial {trial}")
+            break
         previous, source = kernel, target
     x = make_variety([1])  # a rank-1 kernel is a unit, so the control always shows
     ch = random_kernel(rng, x, x).ch
@@ -573,13 +561,14 @@ def check_compatibility_triangle(rng: random.Random, samples: int) -> tuple[bool
         GradedCorrespondence(x, x, corrupted.ch), GradedCorrespondence(x, x, ident.ch)
     )
     if chow_image(k_compose(corrupted, ident)) == bare:
-        return False, "corrupted route was not detected"
-    return True, f"{trials} kernels agree on both routes; corrupted route detected"
+        problems.append("corrupted route was not detected")
+    return problems, f"{trials} kernels agree on both routes; corrupted route detected"
 
 
-def check_chern_character_basis(rng: random.Random, samples: int) -> tuple[bool, str]:
+def check_chern_character_basis(rng: random.Random, samples: int) -> tuple[list[str], str]:
     """The characters of the twists O(0), O(-1), ..., O(-n) span the whole
     rational cohomology of P^n."""
+    problems = []
     for n in range(5):
         x = make_variety([n])
         rows = []
@@ -587,8 +576,9 @@ def check_chern_character_basis(rng: random.Random, samples: int) -> tuple[bool,
             ch = chern_character(line_bundle(x, [-i]))
             rows.append([ch.coefficient((k,)) for k in range(n + 1)])
         if rational_matrix_rank(rows) != n + 1:
-            return False, f"twists on P^{n} are linearly dependent"
-    return True, "twist characters have full rank on P^0..P^4"
+            problems.append(f"twists on P^{n} are linearly dependent")
+            break
+    return problems, "twist characters have full rank on P^0..P^4"
 
 
 CHECKS = [
@@ -604,22 +594,26 @@ CHECKS = [
 ]
 
 
-def run_checks(seed: int, samples: int) -> list[CheckResult]:
-    """Run every check, each on its own stream derived from the seed and its
-    name, so results do not depend on order.  A check that raises fails with
-    the error as its detail; the others still run."""
+def run_check(name: str, seed: int, samples: int) -> CheckResult:
+    """Run the row `name` of CHECKS, timed, on a stream derived from the seed
+    and the name, so no row depends on another.  A raise is a FAIL, and a
+    FAIL shows the row's first three problems as its detail."""
     _require_int(samples, "samples")
     if samples < 0:
         raise InvalidInputError(f"samples must be nonnegative, got {samples}")
     if samples > MAX_SAMPLES:
         raise InvalidInputError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
-    results = []
-    for name, fn in CHECKS:
-        rng = random.Random(f"{seed}:{name}")
-        start = time.perf_counter()
-        try:
-            passed, detail = fn(rng, samples)
-        except Exception as exc:  # noqa: BLE001 - report any failure as a check failure
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
-    return results
+    fn = dict(CHECKS)[name]
+    start = time.perf_counter()
+    try:
+        problems, detail = fn(random.Random(f"{seed}:{name}"), samples)
+    except Exception as exc:  # noqa: BLE001 - report any failure as a check failure
+        problems = [f"raised {type(exc).__name__}: {exc}"]
+    seconds = time.perf_counter() - start
+    return CheckResult(name, not problems, "; ".join(problems[:3]) if problems else detail, seconds)
+
+
+def run_checks(seed: int, samples: int) -> list[CheckResult]:
+    """Run every row of CHECKS, in order; a row that fails or raises does
+    not stop the others."""
+    return [run_check(name, seed, samples) for name, _ in CHECKS]

@@ -1,14 +1,14 @@
 """Acceptance suite: one test per criterion, exact equality everywhere.
 
-Each test runs the corresponding seeded verification check at (or above)
-its contractual sample count and prints a single pass/fail line; the three
-small closed-form criteria also carry a one-second wall-clock bound.
-Run with `pytest -s tests/test_acceptance.py` to see the table.
+Each test runs the corresponding seeded verification check through
+`run_check`, at (or above) its contractual sample count, and prints a single
+pass/fail line; the three small closed-form criteria also carry a
+one-second wall-clock bound.  Run with `pytest -s tests/test_acceptance.py`
+to see the table.
 """
 
 import inspect
 import random
-import time
 
 import pytest
 
@@ -17,116 +17,91 @@ from chowmot.corr import GradedCorrespondence
 from chowmot.errors import InvalidInputError
 from chowmot.kshadow import KKernel
 from chowmot.ring import Cycle, make_variety
-from chowmot.verify import ALGEBRA_POOL, CHECKS, random_correspondence, random_cycle, random_kernel
+from chowmot.verify import ALGEBRA_POOL, CHECKS, random_correspondence, random_cycle, random_kernel, run_check
 
 SEED = 42
-CHECK_BY_NAME = dict(CHECKS)
+
+# each row's sample count and wall-clock bound in seconds (None: no bound)
+CRITERIA = {
+    # chi(P^n, O(d)) = C(n+d, n) for 0 <= n <= 4, -6 <= d <= 6
+    "hrr-line-bundles": (200, 1.0),
+    # low-degree closed forms plus the degree-3/4 terms pinned by the
+    # independent root oracle (see tests/golden/char_expansions.json)
+    "char-class-expansions": (200, None),
+    # the identity kernel maps to the diagonal and is a two-sided unit,
+    # over the point, the line, the plane, and the product of lines
+    "identity-kernel": (200, 1.0),
+    # associativity, identity, transpose antihomomorphism, projection
+    # formula on >= 200 seeded instances of dimension <= 4
+    "correspondence-algebra": (200, None),
+    # orthogonal idempotents summing to the diagonal; explicit splittings
+    "lefschetz-decomposition": (200, 1.0),
+    # >= 50 unipotent pairs rigidify; >= 10 negative controls are refused
+    "orbit-rigidification": (200, None),
+    # twisted diagonal kernels for |d| <= 2 give exact isomorphisms; the
+    # shifted control is twist-only and the mismatched control fails
+    "orlov-pipeline": (200, None),
+    # >= 100 random kernels agree on both routes; corrupted route detected
+    "compatibility-triangle": (100, None),
+    # ch(O(0)), ..., ch(O(-n)) are linearly independent on P^n for n <= 4
+    "chern-character-basis": (200, None),
+}
 
 
-def run_criterion(number, name, samples=200, max_seconds=None):
-    rng = random.Random(f"{SEED}:{name}")
-    start = time.perf_counter()
-    passed, detail = CHECK_BY_NAME[name](rng, samples)
-    elapsed = time.perf_counter() - start
-    status = "PASS" if passed else "FAIL"
-    print(f"criterion {number} [{name}]: {status} ({detail}; {elapsed * 1000:.0f} ms)")
-    assert passed, f"criterion {number} [{name}]: {detail}"
+@pytest.mark.parametrize("number, name", [(i, name) for i, (name, _) in enumerate(CHECKS, 1)])
+def test_criterion(number, name):
+    samples, max_seconds = CRITERIA[name]
+    result = run_check(name, SEED, samples)
+    status = "PASS" if result.passed else "FAIL"
+    print(f"criterion {number} [{name}]: {status} ({result.detail}; {result.seconds * 1000:.0f} ms)")
+    assert result.passed, f"criterion {number} [{name}]: {result.detail}"
     if max_seconds is not None:
-        assert elapsed < max_seconds, (
-            f"criterion {number} [{name}] took {elapsed:.3f}s, bound {max_seconds}s"
+        assert result.seconds < max_seconds, (
+            f"criterion {number} [{name}] took {result.seconds:.3f}s, bound {max_seconds}s"
         )
 
 
-def test_criterion_1_riemann_roch_euler_characteristics():
-    # chi(P^n, O(d)) = C(n+d, n) for 0 <= n <= 4, -6 <= d <= 6, under 1 s
-    run_criterion(1, "hrr-line-bundles", max_seconds=1.0)
+def test_run_check_reads_the_rows_at_call_time_and_shows_three_problems(monkeypatch):
+    # a row that finds four broken laws shows the first three; a passing
+    # row's stream depends on the seed alone, not on the rows run before
+    rows = [("four", lambda rng, samples: (["a", "b", "c", "d"], "unused")),
+            ("draw", lambda rng, samples: ([], f"drew {rng.random()}"))]
+    monkeypatch.setattr(verify, "CHECKS", rows)
+    four = run_check("four", SEED, 0)
+    assert not four.passed and four.detail == "a; b; c"
+    draw = run_check("draw", SEED, 0)
+    assert draw.passed and draw.detail != run_check("draw", SEED + 1, 0).detail
+    assert [(r.name, r.detail) for r in verify.run_checks(SEED, 0)] == [("four", "a; b; c"), ("draw", draw.detail)]
 
 
-def test_criterion_2_characteristic_class_expansions():
-    # low-degree closed forms plus the degree-3/4 terms pinned by the
-    # independent root oracle (see tests/golden/char_expansions.json)
-    run_criterion(2, "char-class-expansions")
-
-
-def test_criterion_3_identity_kernel_theorem():
-    # the identity kernel maps to the diagonal and is a two-sided unit,
-    # over the point, the line, the plane, and the product of lines
-    run_criterion(3, "identity-kernel", max_seconds=1.0)
-
-
-def test_criterion_4_correspondence_algebra():
-    # associativity, identity, transpose antihomomorphism, projection
-    # formula on >= 200 seeded instances of dimension <= 4
-    run_criterion(4, "correspondence-algebra", samples=200)
-
-
-def test_criterion_4_catches_a_faulty_packed_contraction(monkeypatch):
-    # negative control: the dense pair composed after the random instances
-    # takes the packed loop, so one corrupted slot fails the row
+@pytest.mark.parametrize("contraction, detail", [
+    # the dense pair composed after the random instances takes the packed
+    # loop, so one corrupted slot fails the row
+    ("_contract_packed", "dense composite differs from the triple-product route"),
+    # the random instances compose on the dict loop, so one corrupted entry
+    # per contraction fails the row at its first trial
+    ("_contract_dict", "associativity fails at trial 0; identity law fails at trial 0"),
+], ids=["packed", "dict"])
+def test_criterion_4_catches_a_faulty_contraction(monkeypatch, contraction, detail):
+    # negative control: a contraction loop that adds 1 to its first entry
     from chowmot import corr
 
-    contract = corr._contract_packed
+    contract = getattr(corr, contraction)
     calls = []
 
-    def corrupted(f, g, rows, w):
-        acc = contract(f, g, rows, w)
-        key = min(acc)
-        acc[key] += 1
-        calls.append(key)
-        return acc
-
-    monkeypatch.setattr(corr, "_contract_packed", corrupted)
-    passed, detail = CHECK_BY_NAME["correspondence-algebra"](random.Random(f"{SEED}:correspondence-algebra"), 200)
-    assert len(calls) == 1
-    assert not passed and detail == "dense composite differs from the triple-product route"
-
-
-def test_criterion_4_catches_a_faulty_dict_contraction(monkeypatch):
-    # negative control: the random instances compose on the dict loop, so
-    # one corrupted entry per contraction fails the row
-    from chowmot import corr
-
-    contract = corr._contract_dict
-    calls = []
-
-    def corrupted(f, g, rows):
-        acc = contract(f, g, rows)
+    def corrupted(*args):
+        acc = contract(*args)
         if acc:
             key = min(acc)
             acc[key] += 1
             calls.append(key)
         return acc
 
-    monkeypatch.setattr(corr, "_contract_dict", corrupted)
-    passed, detail = CHECK_BY_NAME["correspondence-algebra"](random.Random(f"{SEED}:correspondence-algebra"), 200)
-    assert calls
-    assert not passed and detail == "associativity fails at trial 0"
-
-
-def test_criterion_5_lefschetz_decomposition():
-    # orthogonal idempotents summing to the diagonal; explicit splittings
-    run_criterion(5, "lefschetz-decomposition", max_seconds=1.0)
-
-
-def test_criterion_6_orbit_rigidification():
-    # >= 50 unipotent pairs rigidify; >= 10 negative controls are refused
-    run_criterion(6, "orbit-rigidification", samples=200)
-
-
-def test_criterion_7_orlov_pipeline():
-    # twisted diagonal kernels for |d| <= 2 give exact isomorphisms; the
-    # shifted control is twist-only and the mismatched control fails
-    run_criterion(7, "orlov-pipeline")
-
-
-def test_criterion_8_compatibility_triangle():
-    # >= 100 random kernels agree on both routes; corrupted route detected
-    run_criterion(8, "compatibility-triangle", samples=100)
-
-
-def test_criterion_9_chern_character_basis():
-    # ch(O(0)), ..., ch(O(-n)) are linearly independent on P^n for n <= 4
-    run_criterion(9, "chern-character-basis")
+    monkeypatch.setattr(corr, contraction, corrupted)
+    result = run_check("correspondence-algebra", SEED, 200)
+    # only the dense pair is dense enough for the packed loop
+    assert len(calls) == 1 if contraction == "_contract_packed" else calls
+    assert not result.passed and result.detail == detail
 
 
 def randint_cycle(rng, variety, terms=4, lo=-5, hi=5):

@@ -674,6 +674,23 @@ class TestOutsideInputStillChecked:
         assert str(caught.value) == message
         assert c.coefficient([1, 0]) == c.coefficient((1, 0)) == 1 and c.coefficient((0, 1)) == 0
 
+    @pytest.mark.parametrize("exps, message", [
+        ((0, 0, 0), "exponent vector (0, 0, 0) has wrong length for P^1 x P^2"),
+        ((-1, 0), "exponents must be nonnegative integers, got -1"),
+    ], ids=["wrong-length", "negative"])
+    def test_coefficient_refuses_what_monomial_refuses(self, exps, message):
+        """A vector of the wrong length or with a negative entry once read
+        0; `coefficient` now refuses it with `monomial`'s message, and a
+        vector past a nilpotency bound still reads 0."""
+        x = make_variety([1, 2])
+        c = Cycle(x, {(1, 2): 3, (0, 1): Fraction(1, 2)})
+        for call in (lambda: c.coefficient(exps), lambda: Cycle.monomial(x, exps)):
+            with pytest.raises(InvalidInputError) as caught:
+                call()
+            assert str(caught.value) == message
+        assert c.coefficient((1, 2)) == 3 and c.coefficient([0, 1]) == Fraction(1, 2)
+        assert c.coefficient((2, 0)) == c.coefficient((0, 3)) == c.coefficient((0, 0)) == 0
+
     def test_correspondence_sum_with_a_non_correspondence_is_not_implemented(self):
         """`+` and `-` once raised the AttributeError of reading the other
         operand; like `Cycle`, they now leave it to the other operand."""

@@ -519,10 +519,10 @@ class TestTranscript:
         assert [case["argv"] for case in cases if not replays(case)] == []
 
     def test_text_output_reads_no_terms_view(self, monkeypatch):
-        """`str(cycle)` and `to_json` read the packed fields, not the
-        `Cycle.terms` view: with that view made to raise, every recorded call
-        but `verify` replays byte for byte, and of `verify`'s checks only
-        `chern-character-basis`, which calls `coefficient`, fails."""
+        """`str(cycle)`, `to_json` and `coefficient` read the packed fields,
+        not the `Cycle.terms` view: with that view made to raise, every
+        recorded call but `verify` replays byte for byte, and every check of
+        `verify` passes."""
         def refused(self):
             raise AssertionError("Cycle.terms read")
 
@@ -533,7 +533,7 @@ class TestTranscript:
         assert len(cases) > 100
         assert [case["argv"] for case in cases if not replays(case)] == []
         failed = [result.name for result in run_checks(42, 200) if not result.passed]
-        assert failed == ["chern-character-basis"]
+        assert failed == []
 
     @pytest.mark.parametrize("form, writer", [("json", "__str__"), ("text", "to_json")])
     def test_only_the_requested_form_is_built(self, monkeypatch, form, writer):

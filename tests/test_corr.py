@@ -25,6 +25,7 @@ from chowmot import (
 from chowmot import corr, ring
 from chowmot.corr import PACKED_MAX_BITS, PACKED_MIN_PARTNERS
 from chowmot.verify import ALGEBRA_POOL, random_correspondence, random_cycle
+from chowmot.verify import _triple_product_composite as triple_product_composite  # the textbook route
 
 POINT = make_variety([])
 P1 = make_variety([1])
@@ -336,16 +337,6 @@ class TestComposeHomogeneous:
 
 
 SHAPES = [(), (1,), (2,), (1, 1), (1, 2), (3,)]
-
-
-def triple_product_composite(f, g):
-    """The textbook route p_XZ*(p_XY* f . p_YZ* g) through X x Y x Z."""
-    kx, ky, kz = f.source.num_factors, f.target.num_factors, g.target.num_factors
-    triple = f.source * f.target * g.target
-    p_xy = FactorSelection(triple, tuple(range(kx + ky)))
-    p_yz = FactorSelection(triple, tuple(range(kx, kx + ky + kz)))
-    p_xz = FactorSelection(triple, tuple(range(kx)) + tuple(range(kx + ky, kx + ky + kz)))
-    return p_xz.pushforward(p_xy.pullback(f.cycle) * p_yz.pullback(g.cycle))
 
 
 def _random_triple(rng):

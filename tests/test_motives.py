@@ -45,10 +45,10 @@ from chowmot import (
     zero_motive,
 )
 from chowmot.verify import (
-    CHECKS,
     _geometric_inverse,
     random_cycle_in_codims,
     random_kernel,
+    run_check,
 )
 
 POINT = make_variety([])
@@ -498,8 +498,8 @@ class TestDegreeZeroRigidify:
             return real(f, g)
 
         monkeypatch.setattr(verify, "degree_zero_rigidify", skips_g)
-        passed, detail = dict(CHECKS)["orbit-rigidification"](random.Random("42:orbit-rigidification"), 200)
-        assert not passed and detail == "the control at offsets +1 and -1 was not rejected"
+        result = run_check("orbit-rigidification", 42, 200)
+        assert not result.passed and result.detail == "the control at offsets +1 and -1 was not rejected"
 
 
 def two_test_report(e: KKernel, f: KKernel) -> OrlovReport:
@@ -582,8 +582,8 @@ class TestOrlovPipeline:
         alone, so hiding the offsets of every orbit morphism fails the
         orlov-pipeline row of verify."""
         monkeypatch.setattr(OrbitMorphism, "indices", lambda self: [])
-        passed, detail = dict(CHECKS)["orlov-pipeline"](random.Random("42:orlov-pipeline"), 200)
-        assert not passed and detail == "shifted control: verdict exact-isomorphism"
+        result = run_check("orlov-pipeline", 42, 200)
+        assert not result.passed and result.detail == "shifted control: verdict exact-isomorphism"
 
     def test_identity_pair_exact(self):
         ik = identity_kernel(P1)

@@ -71,6 +71,10 @@ MUTANTS = [
            "fails verify at hrr-line-bundles",
            "chowmot/chern.py", {"exponent = Fraction(s) * (n + 1)": "exponent = Fraction(s) * (n + 2)"},
            VERIFY, "hrr-line-bundles", scope="_todd_factor_series"),
+    Mutant("a copy of the engine whose _check_sandwiched refuses a correspondence only when both its ends are "
+           "wrong fails the end-check tests (verify --seed 42 and every other test do not see it)",
+           "chowmot/motives.py", {" or c.target != target.variety": " and c.target != target.variety"},
+           ("-m", "pytest", "-q", "tests/test_end_checks.py"), scope="_check_sandwiched"),
 ]
 
 
