@@ -4,8 +4,8 @@ Every subcommand accepts inputs either as paths to JSON files or as inline
 JSON, emits text or JSON (`--format`), and maps failures to exit codes:
 0 success, 1 domain or parse error, 2 usage error.
 
-Each subcommand is one row of `COMMANDS`, and the parser is built from that
-table alone, so adding a subcommand is adding a row.  A row names its
+Each subcommand is one row of `COMMANDS`, and its grammar is the row's
+`_arg`s alone, so adding a subcommand is adding a row.  A row names its
 inputs, then either its engine operation (a package export such as
 "compose_graded" or "GradedCorrespondence.transpose") and the text form of
 its result, which `run_command` prints or replaces by `to_json`, or its own
@@ -13,17 +13,23 @@ handler; only the requested form is built.  Only `errors` and `ring` are
 imported up front: every other engine name is read from the package, whose
 lazy exports load the name's home layer on first access, so a cold call
 loads no layer its subcommand does not use.
+
+The grammar is read in two ways.  `_read_table` builds argparse's namespace
+for a plain call (the subcommand, then exact flags and operands in any
+order) from the row; anything it cannot decide for certain, such as help,
+a usage error, an abbreviated flag, `--` or `--flag=value`, goes unchanged
+to the parser of `build_parser`, so `argparse` is imported only for those.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .errors import ChowError, InvalidInputError
@@ -78,6 +84,9 @@ def _arg(*flags, **options) -> tuple:
     return flags, options
 
 
+# "-3/4" is a value, as argparse reads "-3" and "-0.75"
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+_FORMAT = _arg("--format", choices=["text", "json"], default="text", help="output format (default text)")
 _LINE_BUNDLE = (
     _arg("--variety", help="shorthand: variety for a line bundle"),
     _arg("--line-bundle", help="shorthand: degree list of a line bundle"),
@@ -328,39 +337,118 @@ def run_command(args) -> int:
     return _emit(args, lambda: row.text(result), result.to_json)
 
 
-def build_parser(rows=COMMANDS) -> argparse.ArgumentParser:
-    """The parser of the given rows, all by default; a parser of some rows
-    still names every subcommand in its usage line."""
+def _grammar(row: Command) -> tuple:
+    """Every `_arg` of a subcommand: its inputs', its own and `--format`."""
+    return (*(a for arguments, _ in row.inputs for a in arguments), *row.arguments, _FORMAT)
+
+
+class _Undecided(Exception):
+    """A call that argparse, not the table, must read."""
+
+
+_ROWS = {row.name: row for row in COMMANDS}
+
+
+def _is_value(arg: str) -> bool:
+    """Whether argparse reads `arg` as a value, not as an option."""
+    return not arg.startswith("-") or _NEGATIVE_NUMBER.match(arg) is not None
+
+
+def _typed(options: dict, text: str):
+    """`text` as argparse stores it for an `_arg` with these options."""
+    try:
+        value = options.get("type", str)(text)
+    except ValueError:
+        raise _Undecided from None
+    if value not in options.get("choices", (value,)):
+        raise _Undecided
+    return value
+
+
+def _read_table(argv: list[str]) -> SimpleNamespace:
+    """The namespace argparse builds for a plain call, read from the named
+    row's `_arg`s; raises `_Undecided` for any call argparse must read."""
+    row = _ROWS.get(argv[0]) if argv else None
+    if row is None:
+        raise _Undecided
+    values = {"command": row.name, "row": row}
+    flags, positionals = {}, []
+    for names, options in _grammar(row):
+        dest = names[0].lstrip("-").replace("-", "_")
+        values[dest] = False if options.get("action") == "store_true" else options.get("default")
+        if names[0].startswith("-"):
+            flags[names[0]] = dest, options
+        else:
+            positionals.append((dest, options))
+    required = {flag for flag, (_, options) in flags.items() if options.get("required")}
+    given, seen = [], 0  # each operand with the number of options before it
+    rest = iter(argv[1:])
+    for arg in rest:
+        if _is_value(arg):
+            given.append((arg, seen))
+            continue
+        if arg not in flags:  # -h, --, an abbreviated or unknown flag, --flag=value
+            raise _Undecided
+        dest, options = flags[arg]
+        required.discard(arg)
+        seen += 1
+        if options.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(rest, None)
+        if value is None or not _is_value(value):
+            raise _Undecided
+        values[dest] = _typed(options, value)
+    if required:
+        raise _Undecided
+    for dest, options in positionals:
+        if options.get("nargs") == "+":
+            # argparse fills "+" from one run of operands between two options
+            if not given or given[0][1] != given[-1][1]:
+                raise _Undecided
+            values[dest], given = [arg for arg, _ in given], []
+        elif given:
+            values[dest] = _typed(options, given.pop(0)[0])
+        elif options.get("nargs") != "?":
+            raise _Undecided
+    if given:
+        raise _Undecided
+    return SimpleNamespace(**values)
+
+
+def build_parser():
+    """The argparse parser of every row, for help, usage errors and the
+    calls `_read_table` leaves undecided."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="chowmot",
         description="Exact intersection calculus, characteristic classes, "
                     "and Chow motives on products of projective spaces.",
     )
-    every = "{%s}" % ",".join(row.name for row in COMMANDS)
-    sub = parser.add_subparsers(dest="command", metavar=None if rows is COMMANDS else every)
-    for row in rows:
+    sub = parser.add_subparsers(dest="command")
+    for row in COMMANDS:
         p = sub.add_parser(row.name, help=row.help)
-        # "-3/4" is a value, as argparse reads "-3" and "-0.75"
-        p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
-        for flags, options in (*(a for arguments, _ in row.inputs for a in arguments), *row.arguments):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        for flags, options in _grammar(row):
             p.add_argument(*flags, **options)
-        p.add_argument("--format", choices=["text", "json"], default="text",
-                       help="output format (default text)")
         p.set_defaults(row=row)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a cold call builds only the subcommand it names, when argv starts with one
-    parser = build_parser([row for row in COMMANDS if argv and argv[0] == row.name] or COMMANDS)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    if not hasattr(args, "row"):
-        parser.print_usage(sys.stderr)
-        return 2
+        args = _read_table(argv)
+    except _Undecided:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else 0
+        if not hasattr(args, "row"):
+            parser.print_usage(sys.stderr)
+            return 2
     try:
         return run_command(args)
     except ChowError as exc:

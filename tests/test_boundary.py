@@ -770,6 +770,26 @@ class TestComposeBudget:
             assert code == 1 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1 and "over the budget" in err
 
+    @pytest.mark.parametrize("f_terms, g_terms, refused", [(512, 512, False), (481, 545, True)])
+    def test_the_budget_starts_one_past_max_monomials_term_pairs(self, f_terms, g_terms, refused):
+        """On P^600 x P^1 and P^1 x P^600, whose composite ring P^600 x P^600
+        is over the budget, exactly MAX_MONOMIALS term pairs (512 * 512) are
+        composed and one more (481 * 545) is refused.  Each operand has one
+        term at h^1 on the line, the only partner of the other's terms at
+        h^0, so the work is small either way."""
+        assert 512 * 512 == MAX_MONOMIALS == 481 * 545 - 1
+        x, line = make_variety([600]), make_variety([1])
+        f = GradedCorrespondence(x, line, Cycle(x * line, {**{(i, 0): 1 for i in range(f_terms - 1)}, (0, 1): 1}))
+        g = GradedCorrespondence(line, x, Cycle(line * x, {**{(0, j): 1 for j in range(g_terms - 1)}, (1, 0): 1}))
+        assert (len(f.cycle.terms), len(g.cycle.terms)) == (f_terms, g_terms)
+        if refused:
+            with pytest.raises(InvalidInputError, match="over the budget"):
+                compose_graded(f, g)
+        else:
+            composite = compose_graded(f, g).cycle
+            assert len(composite.terms) == 511 + 511 - 1
+            assert composite.coefficient((0, 0)) == 2 and composite.coefficient((510, 0)) == 1
+
     def test_many_term_pairs_on_a_small_ring_still_run(self):
         x = make_variety([4, 4])  # the dense pairs of compose-large: 390,625 pairs, 625 monomials
         dense = GradedCorrespondence(x, x, Cycle(x * x, {e: 1 for e in itertools.product(range(5), repeat=4)}))

@@ -135,6 +135,17 @@ class TestBundleClass:
         with pytest.raises(InvalidInputError):
             BundleClass(P2, 1, c)
 
+    def test_rank_zero_carries_no_chern_components(self):
+        """Rank 0 is an honest rank: c_1 != 0 is refused, while rank -1 marks
+        a virtual class and keeps it."""
+        c = Cycle.one(P1) + Cycle.hyperplane(P1, 0)
+        with pytest.raises(InvalidInputError, match=r"rank-0 class has Chern components in codimension \[1\]"):
+            BundleClass(P1, 0, c)
+        with pytest.raises(InvalidInputError, match="rank-0 class"):
+            BundleClass.from_json({"variety": P1.to_json(), "rank": 0, "total_chern": c.to_json()})
+        assert BundleClass(P1, 0, Cycle.one(P1)).chern(1).is_zero
+        assert BundleClass(P1, -1, c).chern(1) == Cycle.hyperplane(P1, 0)
+
     def test_constant_term_must_be_one(self):
         with pytest.raises(InvalidInputError):
             BundleClass(P1, 1, Cycle.hyperplane(P1, 0))

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import re
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from chowmot import Cycle, InvalidInputError, KKernel, k_compose, motives
+from chowmot import Cycle, InvalidInputError, KKernel, cli, k_compose, motives
 from chowmot.cli import main
 from chowmot.verify import run_checks
 
@@ -552,6 +553,118 @@ class TestTranscript:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(list(case["argv"]))
             assert [code, out.getvalue(), err.getvalue()] == [0, case["stdout"], case["stderr"]], case["argv"]
+
+
+
+# operands of the generated calls by destination; any other is a file name
+OPERANDS = {"operation": ["scale"], "operands": ["-3/4", CYCLE_H_ON_P1]}
+FLAG_VALUES = {"--variety": "[1, 1]", "--line-bundle": "[2]", "--seed": "7", "--samples": "3", "--format": "json"}
+
+
+def table_vars(argv: list[str]) -> dict | None:
+    """The table's namespace for `argv` as a dict, or None if it hands over."""
+    try:
+        return vars(cli._read_table(argv))
+    except cli._Undecided:
+        return None
+
+
+def argparse_vars(parser, argv: list[str]) -> dict | None:
+    """argparse's namespace for `argv` as a dict, or None when it refuses
+    `argv` or prints help."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def plain(row, argv: list[str]) -> bool:
+    """Whether every token of `argv` that starts with "-" is one of the
+    row's flags or a negative number: no help, `--`, `--flag=value` or
+    abbreviation."""
+    flags = {name for names, _ in cli._grammar(row) for name in names if name.startswith("-")}
+    return all(a in flags or re.fullmatch(r"-\d+(/\d+)?|-\d*\.\d+", a) for a in argv[1:] if a.startswith("-"))
+
+
+def generated_calls(row) -> list[list[str]]:
+    """Calls of `row`: every subset of its flags and operands in every order;
+    then, on the full call in table order and reversed, each token inserted
+    at every place (`-h`, `--help`, `--`, an extra operand, an unknown flag,
+    a repeated `--format`), each flag as `--flag=value`, abbreviated, given
+    a bad value or left without one, and each operand replaced."""
+    items = []
+    for names, options in cli._grammar(row):
+        name = names[0]
+        if not name.startswith("-"):
+            items += [[value] for value in OPERANDS.get(name, [f"{name}.json"])]
+        elif options.get("action") == "store_true":
+            items.append([name])
+        else:
+            items.append([name, FLAG_VALUES[name]])
+    calls = [[row.name, *(a for item in order for a in item)]
+             for k in range(len(items) + 1) for subset in itertools.combinations(items, k)
+             for order in itertools.permutations(subset)]
+    for order in (items, items[::-1]):
+        full = [a for item in order for a in item]
+        for i in range(len(full) + 1):
+            for extra in (["-h"], ["--help"], ["--"], ["extra.json"], ["--no-such-flag"], ["--format", "text"]):
+                calls.append([row.name, *full[:i], *extra, *full[i:]])
+        for i, item in enumerate(order):
+            before, after = [a for it in order[:i] for a in it], [a for it in order[i + 1:] for a in it]
+            if item[0].startswith("--"):
+                name = item[0]
+                variants = [[name[:4]] + item[1:], [name, "x"], [name, "1.5"], [name, "xml"], [name, "--format"]]
+                if len(item) == 2:
+                    variants.append([f"{name}={item[1]}"])
+                calls += [[row.name, *before, *v, *after] for v in variants]
+                calls.append([row.name, *before, *after, name])
+            else:
+                calls += [[row.name, *before, v, *after] for v in ("-3", "-0.75", "-x", "frobnicate", "")]
+    return calls
+
+
+@pytest.fixture(scope="module")
+def parser():
+    return cli.build_parser()
+
+
+class TestTableParser:
+    """`main` reads a plain call from the command table and hands every
+    other call to argparse: on each call the table either hands over or
+    builds the namespace argparse builds, and it never accepts a call
+    argparse refuses."""
+
+    @pytest.mark.parametrize("row", cli.COMMANDS, ids=lambda row: row.name)
+    def test_agrees_with_argparse_on_generated_calls(self, parser, row):
+        calls = generated_calls(row)
+        assert len(calls) > 50
+        for argv in calls:
+            table, expected = table_vars(argv), argparse_vars(parser, argv)
+            assert table is None or table == expected, argv
+            if plain(row, argv):  # the table decides every plain call argparse accepts
+                assert (table is None) == (expected is None), argv
+
+    def test_agrees_with_argparse_on_the_transcript(self, parser):
+        """The table decides every recorded call but the help and usage
+        errors, whose bytes argparse prints."""
+        cases = json.loads(TRANSCRIPT.read_text(encoding="utf-8"))
+        for case in cases:
+            table = table_vars(case["argv"])
+            assert table is None or table == argparse_vars(parser, case["argv"]), case["argv"]
+            assert (table is None) == (case["code"] == 2 or case["stdout"].startswith("usage:")), case["argv"]
+        assert sum(table_vars(case["argv"]) is None for case in cases) == 39
+
+    @pytest.mark.parametrize("argv", [
+        ["sqrt-todd", "--variety", "[3, 3, 3, 3]", "--format", "json"],
+        ["identity-kernel", "--variety", "[3, 3]", "--format", "json"],
+        ["k-compose", "kernel_2-2_d3.json", "kernel_2-2_d-3.json", "--format", "json"],
+        ["orlov", "kernel_2-2_d3.json", "kernel_2-2_d-3.json", "--format", "json"],
+        ["verify", "--seed", "17", "--samples", "200", "--format", "json"],
+    ], ids=lambda argv: argv[0])
+    def test_decides_every_benchmark_call(self, parser, argv):
+        table = table_vars(argv)
+        assert table is not None and table == argparse_vars(parser, argv)
 
 
 def replays(case: dict) -> bool:

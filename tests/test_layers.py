@@ -1,7 +1,8 @@
 """A cold CLI call loads only the layers its subcommand uses and neither
-`dataclasses` nor `inspect`, `cli` reaches the engine through the package
-exports, and those resolve on first access to the objects of their home
-modules."""
+`dataclasses` nor `inspect`, nor, unless it asks for help or makes a usage
+error, `argparse` with its `gettext` and `locale`; `cli` reaches the engine
+through the package exports, and those resolve on first access to the
+objects of their home modules."""
 
 import ast
 import json
@@ -28,25 +29,29 @@ MOTIVE = {"variety": {"factors": [1]}, "twist": 0, "idempotent": json.loads(KERN
 PROJECTOR = json.dumps({"variety": {"factors": [1, 1]}, "terms": [{"exps": [0, 1], "coeff": "1"}]})
 ORBIT = json.dumps({"source": MOTIVE, "target": MOTIVE, "components": {"0": json.loads(DIAGONAL)}})
 LINE_BUNDLE = ["--variety", "[1]", "--line-bundle", "[1]"]
+CYCLE_ONE = {"variety": {"factors": [1]}, "terms": [{"exps": [0], "coeff": "1"}]}
 LOADED = """
 import contextlib, io, json, sys
 from chowmot.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules
-                                if m.startswith("chowmot") or m in ("dataclasses", "inspect"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("chowmot")
+                                or m in ("dataclasses", "inspect", "argparse", "gettext", "locale"))]))
 """
+ARGPARSE = {"argparse", "gettext", "locale"}
 BASE = ["chowmot", "chowmot.cli", "chowmot.errors", "chowmot.ring"]
 KERNELS = ["chowmot.chern", "chowmot.corr", "chowmot.kshadow"]
 
 
-def loaded_by(*argv):
+def loaded_by(*argv, code=0):
+    """The modules of interest that a fresh interpreter has loaded after
+    `main(argv)`, which must return `code`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", LOADED, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
-    assert code == 0
+    returned, modules = json.loads(proc.stdout)
+    assert returned == code
     return set(modules)
 
 
@@ -79,6 +84,24 @@ class TestCliLayers:
         """Besides the layers, the values' base builds no class at start-up
         through `dataclasses`, whose import brings in `inspect`."""
         assert loaded_by(*argv) == set(BASE + layers)
+
+    @pytest.mark.parametrize("argv", [
+        ["ring", "--format", "json", "scale", "-3/4", CYCLE],
+        ["todd", "--format", "json", json.dumps({"variety": {"factors": [1]}, "rank": 1, "total_chern": CYCLE_ONE})],
+        ["euler", json.dumps({"variety": {"factors": [1]}, "ch": json.loads(CYCLE)})],
+        ["verify", "--samples", "1", "--timings", "--seed", "3", "--format", "text"],
+    ], ids=["ring-scale", "todd-bundle", "euler-kclass", "verify-flags"])
+    def test_plain_call_loads_no_argparse(self, argv):
+        """Negative operands, a given `?` operand and flags in any order are
+        read from the table too."""
+        assert not loaded_by(*argv) & ARGPARSE
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["sqrt-todd", "--help"], 0), (["sqrt-todd"], 2),
+        (["ring", "frobnicate", CYCLE], 2), (["verify", "--seed", "x"], 2),
+    ], ids=["help", "row-help", "missing-flag", "bad-choice", "bad-int"])
+    def test_help_and_usage_errors_reach_argparse(self, argv, code):
+        assert loaded_by(*argv, code=code) >= ARGPARSE
 
 
 class TestCliImports:

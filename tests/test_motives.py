@@ -240,6 +240,13 @@ class TestSplitIdempotent:
         assert image == zero_motive()
         assert section.is_zero and retraction.is_zero
 
+    def test_zero_motive_is_the_zero_projector_on_the_point_at_twist_0(self):
+        """Written out, not through `split_idempotent`, which builds its
+        zero image by `zero_motive` itself."""
+        literal = {"variety": {"factors": []}, "twist": 0, "idempotent": {"variety": {"factors": []}, "terms": []}}
+        assert zero_motive().to_json() == literal
+        assert zero_motive() == Motive.from_json(literal) == Motive(POINT, 0, GradedCorrespondence.zero(POINT, POINT))
+
     def test_split_contract(self):
         m = motive_of(P1)
         for p in [coordinate_projector(0), coordinate_projector(1)]:
@@ -327,6 +334,19 @@ class TestOrbitCategory:
             f = OrbitMorphism(m, m, corr)
             assert orbit_compose(OrbitMorphism.identity(m), f) == f
             assert orbit_compose(f, OrbitMorphism.identity(m)) == f
+
+    def test_component_reads_the_offset_between_twisted_motives(self):
+        """With source twist 2 and target twist 0, component i is the part of
+        degree i - 2; at source twist 0 an offset measured by t + s would
+        agree with t - s."""
+        source, target = tate_twist(motive_of(P1), -2), motive_of(P1)
+        parts = {1: GradedCorrespondence(P1, P1, Cycle.one(P1xP1)),
+                 2: target.idempotent,
+                 3: GradedCorrespondence(P1, P1, Cycle.monomial(P1xP1, (1, 1)))}
+        f = OrbitMorphism.from_components(source, target, parts)
+        assert f.indices() == [1, 2, 3] and dict(f.components) == parts
+        for i in range(-2, 6):
+            assert f.component(i) == parts.get(i, GradedCorrespondence.zero(P1, P1)), i
 
     def test_concentrated_composition_lands_at_sum(self):
         m = motive_of(P1)

@@ -42,8 +42,8 @@ def test_every_named_row_is_a_verify_check():
     assert rows and rows <= {name for name, _ in CHECKS}
 
 
-def test_the_table_holds_the_eight_controls():
-    assert len(controls.MUTANTS) == 8
+def test_the_table_holds_the_nine_controls():
+    assert len(controls.MUTANTS) == 9
     assert [m.row for m in controls.MUTANTS if m.command == controls.VERIFY] == [
         "orbit-rigidification", "correspondence-algebra", "identity-kernel", "hrr-line-bundles"]
 

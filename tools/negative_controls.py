@@ -75,6 +75,10 @@ MUTANTS = [
            "wrong fails the end-check tests (verify --seed 42 and every other test do not see it)",
            "chowmot/motives.py", {" or c.target != target.variety": " and c.target != target.variety"},
            ("-m", "pytest", "-q", "tests/test_end_checks.py"), scope="_check_sandwiched"),
+    Mutant("a copy of the engine whose _typed lets the CLI's table parser accept a value outside an argument's "
+           "choices fails the table-parser agreement tests (verify --seed 42 does not see it)",
+           "chowmot/cli.py", {'value not in options.get("choices", (value,))': "False"},
+           ("-m", "pytest", "-q", "tests/test_cli.py", "-k", "TableParser"), scope="_typed"),
 ]
 
 
